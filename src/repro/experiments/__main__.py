@@ -225,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--golden-dir", default=None, metavar="DIR",
                        help="override the golden directory (default: "
                             "tests/golden)")
-    trace.add_argument("--heap", default="tuple",
-                       choices=("tuple", "array", "both"),
-                       help="kernel heap implementation to check against "
-                            "the goldens; 'both' checks each in turn "
-                            "(check mode only — updates always record "
-                            "with the default heap)")
     trace.add_argument("--list", action="store_true", dest="list_goldens",
                        help="list the registered golden scenarios and exit")
 
@@ -680,15 +674,10 @@ def _run_trace(args) -> int:
             print(f"{name}: {status}")
         return 0
 
-    heaps = ("tuple", "array") if args.heap == "both" else (args.heap,)
-    failed = False
-    for heap in heaps:
-        results = check_goldens(golden_dir, heap=heap)
-        for name, status in sorted(results.items()):
-            print(f"{name} [{heap}]: {status}")
-            if status != "ok":
-                failed = True
-    if failed:
+    results = check_goldens(golden_dir)
+    for name, status in sorted(results.items()):
+        print(f"{name}: {status}")
+    if any(status != "ok" for status in results.values()):
         print("golden traces diverged; if the change is an intentional "
               "semantic change, re-record with "
               "`python -m repro.experiments trace --update`",

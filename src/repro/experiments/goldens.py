@@ -96,18 +96,15 @@ def golden_path(name: str, golden_dir: Path | None = None) -> Path:
     return (golden_dir or GOLDEN_DIR) / f"{name}.trace"
 
 
-def record_golden(name: str, heap: str = "tuple") -> str:
+def record_golden(name: str) -> str:
     """Run one registered golden scenario and return its trace text.
 
     Module-level and argument-picklable on purpose: the regression tests
     ship this function to worker processes to prove the serial and
-    process-pool backends produce identical traces.  ``heap`` selects
-    the kernel heap implementation; every implementation must record
-    the same bytes (the trace header does not mention the heap for
-    exactly that reason).
+    process-pool backends produce identical traces.
     """
     spec = golden_registry()[name]
-    host = spec.scenario.build_host(heap=heap)
+    host = spec.scenario.build_host()
     recorder = host.attach_tracer()
     host.run(duration=spec.duration, warmup=spec.warmup)
     recorder.close()
@@ -116,8 +113,7 @@ def record_golden(name: str, heap: str = "tuple") -> str:
     return recorder.text(header=header)
 
 
-def check_goldens(golden_dir: Path | None = None,
-                  heap: str = "tuple") -> dict[str, str]:
+def check_goldens(golden_dir: Path | None = None) -> dict[str, str]:
     """Re-record every golden and compare against the committed files.
 
     Returns ``{name: status}`` where status is ``"ok"``, ``"missing"``
@@ -126,7 +122,7 @@ def check_goldens(golden_dir: Path | None = None,
     results: dict[str, str] = {}
     for name in golden_registry():
         path = golden_path(name, golden_dir)
-        recorded = record_golden(name, heap=heap)
+        recorded = record_golden(name)
         if not path.exists():
             results[name] = "missing"
             continue

@@ -27,7 +27,6 @@ from repro.scenarios.machines import MACHINE_SPECS, machine_spec
 from repro.scenarios.networks import NETWORKS, network_link
 from repro.scenarios.variants import SessionVariant, variant_name
 from repro.server.host import CloudHost, HostConfig, HostResult
-from repro.sim.engine import Environment
 
 __all__ = ["AGENT_FACTORIES", "Placement", "SCENARIO_SCHEMA_VERSION",
            "Scenario", "SeedPolicy", "agent_factory", "register_agent",
@@ -387,20 +386,15 @@ class Scenario:
         return self.content_hash()[:12]
 
     # -- execution --------------------------------------------------------------------
-    def build_host(self, heap: str = "tuple") -> CloudHost:
-        """Construct the (not yet run) testbed host this scenario describes.
-
-        ``heap`` selects the kernel's scheduling-heap implementation
-        (see :class:`repro.sim.engine.Environment`); both must produce
-        byte-identical traces, which the golden suite checks.
-        """
+    def build_host(self) -> CloudHost:
+        """Construct the (not yet run) testbed host this scenario describes."""
         host_config = HostConfig(
             seed=self.effective_seed(),
             machine_spec=machine_spec(self.machine),
             pictor=self.variant.pictor_config(),
             containerized=self.containerized,
         )
-        host = CloudHost(host_config, env=Environment(heap=heap))
+        host = CloudHost(host_config)
         link = network_link(self.network)
         for benchmark, agent in self.instances:
             factory = agent_factory(agent)

@@ -96,10 +96,9 @@ class HostResult:
 class CloudHost:
     """One server machine hosting one or more benchmark instances."""
 
-    def __init__(self, config: Optional[HostConfig] = None,
-                 env: Optional[Environment] = None):
+    def __init__(self, config: Optional[HostConfig] = None):
         self.config = config or HostConfig()
-        self.env = env or Environment()
+        self.env = Environment()
         self.streams = RandomStreams(self.config.seed)
         self.machine = ServerMachine(self.env, self.config.machine_spec)
         self.pictor = Pictor(self.config.pictor)

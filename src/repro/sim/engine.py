@@ -29,9 +29,10 @@ Observability goes through one seam: :attr:`Environment.bus`, an
 run loop reads, so an unobserved kernel pays one ``is None`` test per
 event and nothing else.
 
-The engine is deliberately strict: scheduling into the past, running a
-non-generator as a process, or yielding a non-event raise
-``SimulationError`` immediately rather than silently corrupting the run.
+The engine is deliberately strict: scheduling into the past (or with a
+NaN delay), running a non-generator as a process, or yielding a
+non-event raise ``SimulationError`` immediately rather than silently
+corrupting the run.
 
 Implementation notes (the hot path)
 -----------------------------------
@@ -41,9 +42,11 @@ implementation trades a little repetition for constant-factor speed while
 keeping the *observable* event order bit-identical to the reference
 semantics — every pending event still fires in ``(time, priority,
 sequence-id)`` order, with sequence ids advancing exactly as through
-:meth:`Environment._schedule`.  The golden traces in ``tests/golden/``
-pin this down against the pre-rewrite kernel, on both heap
-implementations.  The tricks:
+:meth:`Environment._schedule`.  :meth:`Environment.step` (with
+:meth:`Environment._pop_next`) is that reference, spelled out without
+inlining; the property tests compare :meth:`Environment.run` against
+it, and the golden traces in ``tests/golden/`` pin the order down
+against the pre-rewrite kernel.  The tricks:
 
 * every event class declares ``__slots__``;
 * heap entries are flat ``(time, key, event)`` triples where ``key``
@@ -72,23 +75,10 @@ implementations.  The tricks:
   termination inline the scheduling push, and
   :meth:`Environment.run` inlines both the pop/dispatch loop and the
   resume step of a single waiting process;
-* the run loop *batches* same-timestamp work: once the heap cannot
-  interfere at the current instant, the zero-delay FIFO is drained in a
-  tight inner loop that re-checks only what dispatch can actually
-  change (an urgent arrival, the stop event firing) instead of
-  re-deriving the full pop order per event.  The factories keep the
-  heap out of the current instant by construction: positive delays too
-  small for the clock to represent are routed to the deques (same
-  ``(time, priority, id)`` order), and the one remaining way to put a
-  heap entry at ``now`` — a zero-delay schedule at priority >= 2 —
-  sorts after all current-instant normal work regardless.
-
-The optimized loop serves the default tuple heap.
-``Environment(heap="array")`` selects the parallel-array heap
-(:class:`~repro.sim.heaps.ArrayHeap` — the layout a native accelerator
-would target) and runs through :meth:`Environment._run_reference`, a
-direct transcription of the pop/dispatch semantics that both loops must
-preserve.
+* positive delays too small for the clock to represent are routed to
+  the deques (same ``(time, priority, id)`` order), so the heap only
+  holds a current-instant entry for a zero-delay schedule at an unusual
+  priority (>= 2).
 """
 
 from __future__ import annotations
@@ -286,8 +276,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # NaN fails too
+            raise SimulationError(f"invalid timeout delay: {delay!r}")
         # Dedicated fast path: a timeout is born triggered-successfully,
         # so the generic Event init + _schedule machinery is bypassed.
         # _defused is left unset: it is only ever read for failed events
@@ -301,11 +291,7 @@ class Timeout(Event):
         now = env._now
         when = now + delay
         if when > now:
-            queue = env._queue
-            if queue.__class__ is list:
-                heappush(queue, (when, _NORMAL_KEY + eid, self))
-            else:
-                queue.push(when, _NORMAL_KEY + eid, self)
+            heappush(env._queue, (when, _NORMAL_KEY + eid, self))
         else:
             # Zero delay — or one too small for the clock to represent
             # the advance; either way the event fires at the current
@@ -407,9 +393,9 @@ class Process(Event):
 
     # -- stepping ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # NOTE: Environment.run() inlines this method for the common
-        # single-waiter dispatch; any semantic change here must be
-        # mirrored there (the golden traces will catch divergence).
+        # NOTE: Environment.run() holds one inlined copy of this method
+        # for the common single-waiter dispatch; any semantic change here
+        # must be mirrored there (the golden traces will catch divergence).
         env = self.env
         env._active_process = self
         send = self._send
@@ -573,10 +559,8 @@ class Environment:
     ``(time, priority, sequence-id)`` exactly as a single heap of
     ``(time, priority, eid, event)`` tuples would be:
 
-    * ``_queue`` — events scheduled with a positive delay, as either a
-      plain ``heapq`` list of ``(time, key, event)`` tuples (the
-      default) or an :class:`~repro.sim.heaps.ArrayHeap`
-      (``heap="array"``);
+    * ``_queue`` — events scheduled with a positive delay, as a plain
+      ``heapq`` list of ``(time, key, event)`` tuples;
     * ``_urgent`` / ``_fifo`` — deques of events scheduled at the
       *current* time (zero delay), each carrying its packed key in
       ``_key``.  Ids increase monotonically, so each deque is already
@@ -595,16 +579,9 @@ class Environment:
     PRIORITY_URGENT = 0
     PRIORITY_NORMAL = 1
 
-    def __init__(self, initial_time: float = 0.0, heap: str = "tuple"):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        if heap == "tuple":
-            self._queue: Any = []
-        elif heap == "array":
-            from repro.sim.heaps import ArrayHeap
-            self._queue = ArrayHeap()
-        else:
-            raise SimulationError(
-                f"unknown heap implementation {heap!r}; expected 'tuple' or 'array'")
+        self._queue: list[tuple[float, int, Event]] = []
         self._fifo: deque[Event] = deque()
         self._urgent: deque[Event] = deque()
         self._eid = 0
@@ -626,11 +603,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time (seconds by convention in this repo)."""
         return self._now
-
-    @property
-    def heap_kind(self) -> str:
-        """Which heap implementation this environment was built with."""
-        return "tuple" if self._queue.__class__ is list else "array"
 
     @property
     def bus(self):
@@ -690,8 +662,8 @@ class Environment:
         return event
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # NaN fails too
+            raise SimulationError(f"invalid timeout delay: {delay!r}")
         timeout = _TIMEOUT_NEW(Timeout)
         timeout.env = self
         timeout.callbacks = _NO_CALLBACKS
@@ -702,11 +674,7 @@ class Environment:
         now = self._now
         when = now + delay
         if when > now:
-            queue = self._queue
-            if queue.__class__ is list:
-                heappush(queue, (when, _NORMAL_KEY + eid, timeout))
-            else:
-                queue.push(when, _NORMAL_KEY + eid, timeout)
+            heappush(self._queue, (when, _NORMAL_KEY + eid, timeout))
         else:
             # Zero delay, or one the clock cannot represent: fires at the
             # current instant in id order — the FIFO's order.
@@ -726,17 +694,13 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = PRIORITY_NORMAL) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         self._eid = eid = self._eid + 1
         now = self._now
         when = now + delay
         if when > now:
-            queue = self._queue
-            if queue.__class__ is list:
-                heappush(queue, (when, (priority << _KEY_SHIFT) + eid, event))
-            else:
-                queue.push(when, (priority << _KEY_SHIFT) + eid, event)
+            heappush(self._queue, (when, (priority << _KEY_SHIFT) + eid, event))
         elif priority == 1:
             event._key = eid
             self._fifo.append(event)
@@ -746,13 +710,7 @@ class Environment:
         else:
             # Unusual priorities take the heap at the current time; the
             # packed key keeps them ordered after urgent/normal peers.
-            # (This is the only way the heap ever holds an entry at the
-            # current instant — the batched drain in run() relies on it.)
-            queue = self._queue
-            if queue.__class__ is list:
-                heappush(queue, (now, (priority << _KEY_SHIFT) + eid, event))
-            else:
-                queue.push(now, (priority << _KEY_SHIFT) + eid, event)
+            heappush(self._queue, (now, (priority << _KEY_SHIFT) + eid, event))
 
     def _pop_next(self) -> Event:
         """Remove and return the next event in (time, priority, id) order.
@@ -761,8 +719,6 @@ class Environment:
         time.  Callers must ensure at least one event is pending.
         """
         queue = self._queue
-        if queue.__class__ is not list:
-            return self._pop_next_array()
         now = self._now
         urgent = self._urgent
         if urgent:
@@ -779,32 +735,12 @@ class Environment:
         self._now = when
         return event
 
-    def _pop_next_array(self) -> Event:
-        """:meth:`_pop_next` against the :class:`ArrayHeap` layout."""
-        queue = self._queue
-        now = self._now
-        urgent = self._urgent
-        if urgent:
-            if queue and queue.peek_when() <= now and queue.peek_key() < urgent[0]._key:
-                return queue.pop()
-            return urgent.popleft()
-        fifo = self._fifo
-        if fifo:
-            if (queue and queue.peek_when() <= now
-                    and queue.peek_key() < _NORMAL_KEY + fifo[0]._key):
-                return queue.pop()
-            return fifo.popleft()
-        self._now = queue.peek_when()
-        return queue.pop()
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if nothing is pending."""
         if self._urgent or self._fifo:
             return self._now
         queue = self._queue
-        if not queue:
-            return inf
-        return queue[0][0] if queue.__class__ is list else queue.peek_when()
+        return queue[0][0] if queue else inf
 
     def step(self) -> None:
         """Process the next scheduled event."""
@@ -839,21 +775,17 @@ class Environment:
             stop_event = until
         elif until is not None:
             horizon = stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:  # NaN fails too
                 raise SimulationError(
-                    f"until={stop_time!r} is in the past (now={self._now!r})"
+                    f"until={stop_time!r} is in the past or not a number "
+                    f"(now={self._now!r})"
                 )
-
-        if self._queue.__class__ is not list:
-            return self._run_reference(stop_event, stop_time, horizon)
 
         # This loop is the single hottest code path of the repository, so
         # it inlines step()/_pop_next() and — for the dominant case of an
         # event with exactly one waiting process — Process._resume().
-        # The inlined resume must stay semantically identical to
-        # Process._resume, and the batched FIFO drain below must stay
-        # observably identical to this generic pop order; the golden
-        # traces pin both down.
+        # Both must stay semantically identical to their originals; the
+        # property tests (run() vs step()) and the golden traces pin this.
         queue = self._queue
         fifo = self._fifo
         urgent = self._urgent
@@ -877,98 +809,11 @@ class Environment:
                 else:
                     event = urgent.popleft()
             elif fifo:
-                if queue and queue[0][0] <= now:
-                    if queue[0][1] < _NORMAL_KEY + fifo[0]._key:
-                        event = pop(queue)[2]
-                    else:
-                        event = fifo_pop()
+                if (queue and queue[0][0] <= now
+                        and queue[0][1] < _NORMAL_KEY + fifo[0]._key):
+                    event = pop(queue)[2]
                 else:
-                    # -- batched drain of the zero-delay FIFO -------------
-                    # Nothing on the heap can fire at this instant, and
-                    # nothing dispatch does can change that: positive
-                    # delays land strictly in the future (sub-resolution
-                    # delays are routed to the deques by the factories
-                    # and _schedule), and a zero-delay schedule with an
-                    # exotic priority >= 2 — the one way the heap gains a
-                    # current-instant entry — sorts after every normal
-                    # event at this instant anyway.  Only an urgent
-                    # arrival or the stop event firing ends the drain
-                    # early, so only those are re-checked per event.
-                    while True:
-                        event = fifo_pop()
-                        if publish is not None:
-                            publish(now, event)
-                        process = event.callbacks
-                        event.callbacks = None
-                        if process is not None:
-                            if process.__class__ is Process:
-                                # Inlined Process._resume(event); identical
-                                # to the copy in the generic path below.
-                                self._active_process = process
-                                send = process._send
-                                resumed = event
-                                while True:
-                                    try:
-                                        if resumed._ok:
-                                            next_event = send(resumed._value)
-                                        else:
-                                            resumed._defused = True
-                                            next_event = process._generator.throw(
-                                                resumed._value)
-                                    except StopIteration as stop:
-                                        process._ok = True
-                                        process._value = stop.value
-                                        process._target = None
-                                        self._eid = eid = self._eid + 1
-                                        process._key = eid
-                                        fifo_append(process)
-                                        break
-                                    except BaseException as exc:
-                                        process._ok = False
-                                        process._value = exc
-                                        process._target = None
-                                        self._eid = eid = self._eid + 1
-                                        process._key = eid
-                                        fifo_append(process)
-                                        break
-
-                                    try:
-                                        cbs = next_event.callbacks
-                                    except AttributeError:
-                                        exc = SimulationError(
-                                            f"process yielded a non-event: "
-                                            f"{next_event!r}")
-                                        resumed = Event(self)
-                                        resumed._ok = False
-                                        resumed._value = exc
-                                        continue
-                                    if cbs is not None:
-                                        if cbs.__class__ is tuple:
-                                            next_event.callbacks = process
-                                        elif cbs.__class__ is list:
-                                            cbs.append(process)
-                                        else:
-                                            next_event.callbacks = [cbs, process]
-                                        process._target = next_event
-                                        break
-                                    resumed = next_event
-
-                                self._active_process = None
-                            else:
-                                cls = process.__class__
-                                if cls is list:
-                                    for callback in process:
-                                        callback(event)
-                                elif cls is not tuple:
-                                    process(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-
-                        if not fifo or urgent:
-                            break
-                        if check_stop and stop_event.callbacks is None:
-                            break
-                    continue
+                    event = fifo_pop()
             elif queue:
                 entry = pop(queue)
                 when = entry[0]
@@ -1056,48 +901,5 @@ class Environment:
                             callback(event)
                     elif cls is not tuple:
                         process(event)
-            if not event._ok and not event._defused:
-                raise event._value
-
-    def _run_reference(self, stop_event: Optional[Event],
-                       stop_time: Optional[float], horizon: float) -> Any:
-        """Reference run loop: generic pop + dispatch, no inlining.
-
-        The direct transcription of the semantics the optimized loop in
-        :meth:`run` must preserve.  Serves the array-heap mode (where the
-        per-pop cost dwarfs any dispatch inlining) and doubles as the
-        executable specification the golden traces compare both loops
-        against.
-        """
-        publish = self._publish
-        while True:
-            if stop_event is not None and stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            if not (self._urgent or self._fifo):
-                queue = self._queue
-                if not queue:
-                    if stop_event is not None:
-                        raise SimulationError(
-                            "event queue drained before the stop event fired")
-                    if stop_time is not None:
-                        self._now = stop_time
-                    return None
-                when = queue[0][0] if queue.__class__ is list else queue.peek_when()
-                if when > horizon:
-                    self._now = stop_time
-                    return None
-            event = self._pop_next()
-            if publish is not None:
-                publish(self._now, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks is not None:
-                if callbacks.__class__ is list:
-                    for callback in callbacks:
-                        callback(event)
-                elif callbacks.__class__ is not tuple:
-                    callbacks(event)
             if not event._ok and not event._defused:
                 raise event._value

@@ -43,9 +43,21 @@ def test_sequential_timeouts_accumulate(env):
     assert times == [1.0, 3.0, 6.0]
 
 
-def test_negative_timeout_rejected(env):
+_DELAY_ENTRY_POINTS = {
+    "Timeout": lambda env, delay: Timeout(env, delay),
+    "env.timeout": lambda env, delay: env.timeout(delay),
+    "_schedule": lambda env, delay: env._schedule(env.event(), delay),
+}
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("entry", sorted(_DELAY_ENTRY_POINTS))
+def test_negative_timeout_rejected(env, entry, delay):
+    """Negative and NaN delays are rejected; a NaN must not slip through
+    a ``delay < 0`` check and fire at the current instant."""
     with pytest.raises(SimulationError):
-        Timeout(env, -1.0)
+        _DELAY_ENTRY_POINTS[entry](env, delay)
+    assert env.peek() == float("inf")  # nothing was scheduled
 
 
 def test_run_until_time_stops_early(env):
@@ -233,6 +245,13 @@ def test_run_until_past_time_rejected(env):
     env.run()
     with pytest.raises(SimulationError):
         env.run(until=0.5)
+    # A NaN horizon compares false against everything; it must not run
+    # the queue to exhaustion and leave the clock at NaN.
+    env.timeout(1.0)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+    assert env.now == 1.0
+    assert env.peek() == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +571,18 @@ def _random_workload(env, spec):
         env.process(proc(env, delays, index))
 
 
-def _trace_with_run(spec, heap="tuple"):
-    env = Environment(heap=heap)
+def _trace_with_run(spec, workload=_random_workload):
+    env = Environment()
     recorder = TraceRecorder(env)
-    _random_workload(env, spec)
+    workload(env, spec)
     env.run()
     return recorder.entries
 
 
-def _trace_with_step(spec):
+def _trace_with_step(spec, workload=_random_workload):
     env = Environment()
     recorder = TraceRecorder(env)
-    _random_workload(env, spec)
+    workload(env, spec)
     while env.peek() != float("inf"):
         env.step()
     return recorder.entries
@@ -598,25 +617,8 @@ def test_clock_is_monotonic_and_bounded(spec, horizon):
 
 
 # ---------------------------------------------------------------------------
-# Batched same-timestamp dispatch and heap implementations.
+# Same-timestamp dispatch.
 # ---------------------------------------------------------------------------
-
-def test_unknown_heap_rejected():
-    with pytest.raises(SimulationError):
-        Environment(heap="fibonacci")
-
-
-def test_heap_kind_reports_selection():
-    assert Environment().heap_kind == "tuple"
-    assert Environment(heap="array").heap_kind == "array"
-
-
-@settings(max_examples=25, deadline=None)
-@given(spec=_DELAYS)
-def test_array_heap_traces_match_tuple_heap(spec):
-    """Both heap implementations dispatch the identical event sequence."""
-    assert _trace_with_run(spec) == _trace_with_run(spec, heap="array")
-
 
 _BURST_SPEC = st.lists(
     st.tuples(st.integers(min_value=1, max_value=8),      # waiters per burst
@@ -627,10 +629,10 @@ _BURST_SPEC = st.lists(
 def _burst_workload(env, spec):
     """Same-instant bursts: a coordinator succeeds many events at one
     timestamp while waiters chain zero-delay and colliding heap timeouts
-    — the exact shape the batched FIFO drain accelerates."""
+    — long runs of zero-delay FIFO dispatch."""
     def waiter(env, inbox, follow_up):
         yield inbox
-        yield env.timeout(follow_up)       # 0.0 stays in the drain;
+        yield env.timeout(follow_up)       # 0.0 stays at this instant;
         yield env.timeout(0.25)            # 0.25 collides across waiters
 
     def coordinator(env, inboxes):
@@ -647,27 +649,11 @@ def _burst_workload(env, spec):
 
 @settings(max_examples=25, deadline=None)
 @given(spec=_BURST_SPEC)
-def test_batched_drain_matches_step_and_array_heap(spec):
-    """The drained fast path, the step() reference and the array heap all
-    agree on same-timestamp burst workloads."""
-    def run_trace(heap):
-        env = Environment(heap=heap)
-        recorder = TraceRecorder(env)
-        _burst_workload(env, spec)
-        env.run()
-        return recorder.entries
-
-    def step_trace():
-        env = Environment()
-        recorder = TraceRecorder(env)
-        _burst_workload(env, spec)
-        while env.peek() != float("inf"):
-            env.step()
-        return recorder.entries
-
-    reference = step_trace()
-    assert run_trace("tuple") == reference
-    assert run_trace("array") == reference
+def test_burst_run_matches_step(spec):
+    """run() and the step() reference agree on same-timestamp burst
+    workloads."""
+    reference = _trace_with_step(spec, _burst_workload)
+    assert _trace_with_run(spec, _burst_workload) == reference
     assert reference  # the workload actually dispatched events
 
 
@@ -734,7 +720,7 @@ def test_interrupt_scheduled_mid_drain_preempts_remaining_fifo(env):
 
 def test_sub_resolution_delay_fires_at_current_instant_in_id_order(env):
     """A positive delay too small for the clock to represent behaves as a
-    zero-delay schedule: same instant, sequence-id order (on both heaps
+    zero-delay schedule: same instant, sequence-id order (under run()
     and under step())."""
     def build(environment):
         recorder = TraceRecorder(environment)
@@ -758,8 +744,10 @@ def test_sub_resolution_delay_fires_at_current_instant_in_id_order(env):
     assert order == ["tiny", "zero"]
     assert env.now == 1.0
 
-    for other in (Environment(initial_time=1.0, heap="array"),):
-        other_recorder, other_order = build(other)
-        other.run()
-        assert other_order == order
-        assert other_recorder.entries == recorder.entries
+    stepped = Environment(initial_time=1.0)
+    stepped_recorder, stepped_order = build(stepped)
+    while stepped.peek() != float("inf"):
+        stepped.step()
+    assert stepped_order == order
+    assert stepped.now == 1.0
+    assert stepped_recorder.entries == recorder.entries

@@ -230,14 +230,6 @@ def test_goldens_cover_the_registered_scenarios():
         assert spec.scenario.placements == registry["mix3-0"].scenario.placements
 
 
-@pytest.mark.parametrize("name", GOLDEN_NAMES[:2])
-def test_golden_trace_matches_on_array_heap(name):
-    """The array-backed heap reproduces the committed goldens byte for
-    byte too (the CI kernel-guards job checks the full registry on both
-    heaps via `python -m repro.experiments trace --heap both`)."""
-    assert record_golden(name, heap="array") == golden_path(name).read_text()
-
-
 def test_host_result_identical_with_and_without_recorder():
     """Observation must be free of side effects: attaching a trace
     recorder (non-empty bus) cannot change a run's results."""
