@@ -67,8 +67,8 @@ class ObjectDetector:
                 continue
             detections.append(DetectedObject(
                 object_class=object_class,
-                x=float(np.clip(raw[index * 3 + 1], 0.0, 1.0)),
-                y=float(np.clip(raw[index * 3 + 2], 0.0, 1.0)),
+                x=min(max(float(raw[index * 3 + 1]), 0.0), 1.0),
+                y=min(max(float(raw[index * 3 + 2]), 0.0), 1.0),
                 confidence=min(presence, 1.0),
             ))
         return detections

@@ -65,8 +65,8 @@ class Action:
 
     @staticmethod
     def from_vector(vector: np.ndarray, issued_at: Optional[float] = None) -> "Action":
-        return Action(steer=float(np.clip(vector[0], -1.0, 1.0)),
-                      pitch=float(np.clip(vector[1], -1.0, 1.0)),
+        return Action(steer=min(max(float(vector[0]), -1.0), 1.0),
+                      pitch=min(max(float(vector[1]), -1.0), 1.0),
                       primary=bool(vector[2] > 0.5),
                       issued_at=issued_at)
 
@@ -248,12 +248,12 @@ class Application3D:
         instantaneous = len(self._pending_actions) / expected_inputs
         smoothing = min(1.0, dt * 2.0)
         self.activity_level += smoothing * (instantaneous - self.activity_level)
-        self.activity_level = float(np.clip(self.activity_level, 0.0, 2.0))
+        self.activity_level = min(max(self.activity_level, 0.0), 2.0)
         self._pending_actions.clear()
 
-        self.viewpoint = float(np.clip(
+        self.viewpoint = min(max(
             self.viewpoint + steer * self.dynamics.viewpoint_sensitivity * dt,
-            -1.0, 1.0))
+            -1.0), 1.0)
 
         shift = -steer * self.dynamics.viewpoint_sensitivity * dt
         updated: list[SceneObject] = []
@@ -261,7 +261,7 @@ class Application3D:
             moved = obj.advanced(dt)
             moved = SceneObject(
                 object_class=moved.object_class,
-                x=float(np.clip(moved.x + shift, 0.0, 1.0)),
+                x=min(max(moved.x + shift, 0.0), 1.0),
                 y=moved.y, size=moved.size,
                 velocity_x=moved.velocity_x, velocity_y=moved.velocity_y)
             if self.rng.random() > self.dynamics.despawn_rate * dt:
@@ -299,9 +299,9 @@ class Application3D:
     def _sample_scene_change(self, steer_magnitude: float) -> float:
         base = (self.profile.scene_change_mean * self._activity_factor()
                 * (1.0 + 0.5 * min(steer_magnitude, 1.0)))
-        return float(np.clip(
+        return min(max(
             self.rng.lognormal_mean_cv(max(base, 1e-3), self.profile.scene_change_cv),
-            0.01, 1.0))
+            0.01), 1.0)
 
     # -- stage-time sampling -----------------------------------------------------------
     def sample_al_time(self) -> float:
@@ -325,9 +325,9 @@ class Application3D:
         steer_targets = frame.objects_of_class(self.dynamics.steer_class)
         if steer_targets:
             mean_x = float(np.mean([o.x for o in steer_targets]))
-            steer = float(np.clip((mean_x - 0.5) * 2.0, -1.0, 1.0))
+            steer = min(max((mean_x - 0.5) * 2.0, -1.0), 1.0)
             mean_y = float(np.mean([o.y for o in steer_targets]))
-            pitch = float(np.clip((0.5 - mean_y) * 2.0, -1.0, 1.0))
+            pitch = min(max((0.5 - mean_y) * 2.0, -1.0), 1.0)
         else:
             steer, pitch = 0.0, 0.0
 

@@ -111,7 +111,7 @@ class HookRegistry:
         if not api:
             api = HOOK_APIS[hook][0]
         event = HookEvent(hook=hook, timestamp=timestamp, api=api, tag=tag,
-                          frame_id=frame_id, context=dict(context))
+                          frame_id=frame_id, context=context)
         self.events.append(event)
         self.fire_counts[hook] += 1
         for callback in self._callbacks[hook]:

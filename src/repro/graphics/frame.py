@@ -90,8 +90,8 @@ class SceneObject:
         """The same object after ``dt`` seconds of motion, clamped to the screen."""
         return SceneObject(
             object_class=self.object_class,
-            x=float(np.clip(self.x + self.velocity_x * dt, 0.0, 1.0)),
-            y=float(np.clip(self.y + self.velocity_y * dt, 0.0, 1.0)),
+            x=min(max(float(self.x + self.velocity_x * dt), 0.0), 1.0),
+            y=min(max(float(self.y + self.velocity_y * dt), 0.0), 1.0),
             size=self.size,
             velocity_x=self.velocity_x,
             velocity_y=self.velocity_y,

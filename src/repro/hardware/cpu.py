@@ -175,12 +175,11 @@ class CpuThread:
         stretch = max(actual / nominal, 1.0) if nominal > 0 else 1.0
         extra_backend = 1.0 - 1.0 / stretch
         scale = 1.0 - extra_backend
-        self.cycles.add(CycleBreakdown(
-            retiring=cycles * profile.base_retiring * scale,
-            frontend_bound=cycles * profile.base_frontend * scale,
-            bad_speculation=cycles * profile.base_bad_speculation * scale,
-            backend_bound=cycles * (base_backend * scale + extra_backend),
-        ))
+        breakdown = self.cycles
+        breakdown.retiring += cycles * profile.base_retiring * scale
+        breakdown.frontend_bound += cycles * profile.base_frontend * scale
+        breakdown.bad_speculation += cycles * profile.base_bad_speculation * scale
+        breakdown.backend_bound += cycles * (base_backend * scale + extra_backend)
 
     def utilization(self, elapsed: float) -> float:
         """Average core occupancy over ``elapsed`` seconds (1.0 == one core)."""

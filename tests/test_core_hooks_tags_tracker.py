@@ -60,6 +60,19 @@ def test_events_queryable_by_tag_and_hook():
     assert len(registry.events_for_hook(HookPoint.HOOK1)) == 2
 
 
+def test_each_fire_gets_its_own_context_dict():
+    registry = HookRegistry()
+    context = {"bytes": 10}
+    first = registry.fire(HookPoint.HOOK9, timestamp=0.0, **context)
+    second = registry.fire(HookPoint.HOOK9, timestamp=0.1, **context)
+    assert first.context == second.context == {"bytes": 10}
+    assert first.context is not second.context
+    assert first.context is not context
+    first.context["bytes"] = 99
+    context["bytes"] = 42
+    assert second.context == {"bytes": 10}
+
+
 def test_negative_overhead_rejected():
     with pytest.raises(ValueError):
         HookRegistry(overhead_per_fire=-1.0)

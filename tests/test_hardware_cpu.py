@@ -1,5 +1,6 @@
 """Tests for the CPU model: contention, utilization, Top-Down accounting."""
 
+import numpy as np
 import pytest
 
 from repro.hardware.cpu import Cpu, CpuSpec, CycleBreakdown, StageCpuProfile
@@ -147,6 +148,42 @@ def test_cycle_breakdown_add_accumulates():
     total.add(CycleBreakdown(retiring=1.0, backend_bound=2.0))
     total.add(CycleBreakdown(frontend_bound=3.0, bad_speculation=4.0))
     assert total.total == pytest.approx(10.0)
+
+
+def _reference_breakdown(thread, nominal, actual, profile):
+    """One call's Top-Down cycles as a separate ``CycleBreakdown`` (the reference)."""
+    demand = min(profile.demand, thread.cpu.spec.cores)
+    cycles = actual * thread.cpu.spec.cycles_per_second * demand
+    base_backend = 1.0 - (profile.base_retiring + profile.base_frontend
+                          + profile.base_bad_speculation)
+    stretch = max(actual / nominal, 1.0) if nominal > 0 else 1.0
+    extra_backend = 1.0 - 1.0 / stretch
+    scale = 1.0 - extra_backend
+    return CycleBreakdown(
+        retiring=cycles * profile.base_retiring * scale,
+        frontend_bound=cycles * profile.base_frontend * scale,
+        bad_speculation=cycles * profile.base_bad_speculation * scale,
+        backend_bound=cycles * (base_backend * scale + extra_backend),
+    )
+
+
+def test_account_in_place_matches_summing_per_call_breakdowns(env):
+    cpu = Cpu(env, CpuSpec(cores=4))
+    thread = cpu.thread("t0")
+    profiles = [StageCpuProfile(), StageCpuProfile(demand=6.0, base_retiring=0.41,
+                                                   base_frontend=0.07,
+                                                   base_bad_speculation=0.013),
+                StageCpuProfile(demand=0.3, memory_intensity=0.9)]
+    rng = np.random.default_rng(5)
+    expected = CycleBreakdown()
+    for step in range(500):
+        profile = profiles[step % len(profiles)]
+        nominal = float(rng.uniform(0.0, 0.02)) if step % 7 else 0.0
+        actual = nominal * float(rng.uniform(0.8, 3.0)) + 1e-7 * step
+        thread._account(nominal, actual, profile)
+        expected.add(_reference_breakdown(thread, nominal, actual, profile))
+    for name in ("retiring", "frontend_bound", "backend_bound", "bad_speculation"):
+        assert getattr(thread.cycles, name).hex() == getattr(expected, name).hex(), name
 
 
 def test_stage_profile_validation():
