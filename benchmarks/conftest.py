@@ -21,8 +21,7 @@ the environment:
     worker-process count for the suite (default 1 = serial).
 ``PICTOR_CACHE_DIR``
     content-addressed result store shared between figures and runs —
-    a SQLite database at ``$PICTOR_CACHE_DIR/results.sqlite`` (legacy
-    pickle entries in the directory migrate on first open), queryable
+    a SQLite database at ``$PICTOR_CACHE_DIR/results.sqlite``, queryable
     afterwards with ``python -m repro.experiments results list/diff
     --store $PICTOR_CACHE_DIR``.
 ``PICTOR_BACKEND`` / ``PICTOR_QUEUE_DIR`` / ``PICTOR_QUEUE_ADDR``
@@ -43,8 +42,8 @@ from typing import Iterable, Sequence
 import pytest
 
 from repro.core.reporting import format_table
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite
+from repro.scenarios.config import ExperimentConfig
 
 _BENCH_DIR = Path(__file__).parent
 

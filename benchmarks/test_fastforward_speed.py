@@ -29,8 +29,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.jobs import ExperimentJob, execute_job
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 from test_sim_core_speed import calibrate

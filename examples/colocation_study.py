@@ -29,10 +29,11 @@ from __future__ import annotations
 import os
 
 from repro.core.reporting import format_table
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite
 from repro.experiments.jobs import ExperimentJob
 from repro.experiments.mixed import pair_energy_from_results, pair_energy_jobs
+from repro.scenarios import Scenario
+from repro.scenarios.config import ExperimentConfig
 
 BENCHMARK = "D2"           # Dota 2: the heaviest CPU consumer of the suite
 MIXED_PAIR = ("RE", "ITP")
@@ -42,8 +43,8 @@ def main() -> None:
     config = ExperimentConfig(seed=11, duration_s=15.0, warmup_s=2.0)
 
     colocation_jobs = [
-        ExperimentJob(benchmarks=(BENCHMARK,) * instances, config=config,
-                      seed_offset=instances)
+        ExperimentJob(Scenario.colocated(BENCHMARK, instances, config,
+                                         seed_offset=instances))
         for instances in range(1, 5)
     ]
     workers = min(4, os.cpu_count() or 1)

@@ -15,9 +15,9 @@ Run with:  python examples/frame_copy_optimization.py
 from __future__ import annotations
 
 from repro.core.reporting import format_table
-from repro.experiments.config import ExperimentConfig
 from repro.optimizations import OPTIMIZATIONS
 from repro.scenarios import Scenario, session_variant
+from repro.scenarios.config import ExperimentConfig
 
 BENCHMARK = "STK"
 

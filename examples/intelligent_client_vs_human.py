@@ -19,9 +19,9 @@ from repro.apps.registry import create_benchmark
 from repro.core.measurements import percentage_error
 from repro.core.reporting import format_table
 from repro.agents.intelligent_client import train_intelligent_client
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_custom
+from repro.experiments.accuracy import run_custom
 from repro.scenarios import Scenario
+from repro.scenarios.config import ExperimentConfig
 from repro.sim.randomness import StreamRandom
 
 BENCHMARK = "RE"

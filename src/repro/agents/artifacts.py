@@ -234,8 +234,9 @@ class AgentArtifact:
 
 def train_artifact(spec: ArtifactSpec) -> AgentArtifact:
     """Train the agent ``spec`` describes — the same seed chain and calls
-    as the fused ``prepare_intelligent_client`` path, so the weights,
-    recording and RNG consumption are bit-identical to it."""
+    for every consumer (the fused Figure-6 job, split ``train`` jobs, the
+    ``agents train`` CLI), so the weights, recording and RNG consumption
+    are bit-identical whichever path trains first."""
     rng = StreamRandom(spec.train_seed)
     app = create_benchmark(spec.benchmark, rng=rng)
     client, recording = train_intelligent_client(

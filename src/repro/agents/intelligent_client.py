@@ -118,7 +118,8 @@ class IntelligentClient:
     def bound_to(self, app: Application3D) -> "IntelligentClient":
         """Attach this trained client to a freshly created application.
 
-        The supported re-binding seam for ``run_custom`` agent factories
+        The supported re-binding seam for
+        :func:`~repro.experiments.accuracy.run_custom` agent factories
         and warm artefact replays: the client keeps its inference RNG
         stream and timing accumulators (a run that continues with the
         same client must continue the same stream, exactly as the fused

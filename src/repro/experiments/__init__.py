@@ -43,7 +43,7 @@ showing, diffing and exporting stored results) on the command line (see
 :mod:`repro.experiments.figures`).
 """
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.accuracy import run_custom
 from repro.experiments.cost import CostModel, order_by_cost
 from repro.experiments.executor import (
     BACKENDS,
@@ -51,25 +51,14 @@ from repro.experiments.executor import (
     default_suite,
     run_jobs,
 )
-from repro.experiments.store import (
-    PickleResultCache,
-    ResultCache,
-    ResultStore,
-    diff_result_sets,
-    migrate_pickle_dir,
-)
-from repro.experiments.jobs import ExperimentJob, JobVariant, execute_job
+from repro.experiments.store import ResultStore, diff_result_sets
+from repro.experiments.jobs import ExperimentJob, execute_job
 from repro.experiments.queue import DirectoryQueue, WorkQueue
 from repro.experiments.coordinator import Coordinator
 from repro.experiments.server import QueueServer
 from repro.experiments.socket_queue import SocketQueue
 from repro.experiments.worker import run_worker, spawn_worker
-from repro.experiments.runner import (
-    run_colocated,
-    run_custom,
-    run_mixed_pair,
-    run_single,
-)
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.mixes import n_way_mixes
 from repro.scenarios.scenario import Placement, Scenario, SeedPolicy
 from repro.scenarios.variants import SessionVariant, session_variant
@@ -82,11 +71,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentJob",
     "ExperimentSuite",
-    "JobVariant",
-    "PickleResultCache",
     "Placement",
     "QueueServer",
-    "ResultCache",
     "ResultStore",
     "Scenario",
     "SeedPolicy",
@@ -96,14 +82,10 @@ __all__ = [
     "default_suite",
     "diff_result_sets",
     "execute_job",
-    "migrate_pickle_dir",
     "n_way_mixes",
     "order_by_cost",
-    "run_colocated",
     "run_custom",
     "run_jobs",
-    "run_mixed_pair",
-    "run_single",
     "run_worker",
     "session_variant",
     "spawn_worker",

@@ -53,7 +53,6 @@ is the figure-regression check CI performs::
         --store .pictor-cache deadbeef 53dad22 --tolerance 1e-9
     PYTHONPATH=src python -m repro.experiments results export \
         --store .pictor-cache --format csv -o results.csv
-    PYTHONPATH=src python -m repro.experiments results migrate old-cache/
     PYTHONPATH=src python -m repro.experiments results gc \
         --store .pictor-cache --keep 2 --dry-run
     PYTHONPATH=src python -m repro.experiments results backfill \
@@ -102,10 +101,11 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.reporting import format_rows
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.executor import ExperimentSuite, current_git_rev
+from repro.experiments.executor import ExperimentSuite
 from repro.experiments.figures import FIGURES, figure_names, run_figure
 from repro.experiments.jobs import CACHE_SCHEMA_VERSION, ExperimentJob
+from repro.experiments.store import RESULT_DB_FILENAME, ResultStore, current_git_rev
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 PROFILES = ("quick", "smoke", "standard", "paper")
@@ -183,6 +183,12 @@ def _add_config_options(parser: argparse.ArgumentParser,
                              "approximate — see experiments/README.md)")
 
 
+def _add_store_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--store", default=None, metavar="PATH",
+                        help="result store: a run's --cache-dir or a "
+                             ".sqlite file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -197,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list the available figures and exit")
     _add_execution_options(parser)
     _add_config_options(parser)
+    # Every leaf parser names its handler; a subcommand's default
+    # overrides this one, so main() dispatches on args.handler alone.
+    parser.set_defaults(handler=_run_figures)
 
     subcommands = parser.add_subparsers(dest="command", metavar="subcommand")
     scenario = subcommands.add_parser(
@@ -209,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="spec file path, inline JSON, or A+B+C mix")
     _add_execution_options(scenario, suppress_defaults=True)
     _add_config_options(scenario, suppress_defaults=True)
+    scenario.set_defaults(handler=_run_scenarios)
 
     trace = subcommands.add_parser(
         "trace",
@@ -227,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "tests/golden)")
     trace.add_argument("--list", action="store_true", dest="list_goldens",
                        help="list the registered golden scenarios and exit")
+    trace.set_defaults(handler=_run_trace)
 
     results = subcommands.add_parser(
         "results",
@@ -234,15 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Query the result store a suite run filled "
                     "(--cache-dir DIR stores rows in DIR/results.sqlite), "
                     "diff two result sets or two git revisions metric by "
-                    "metric, export rows as JSON/CSV, or migrate a legacy "
-                    "pickle cache directory.")
+                    "metric, or export rows as JSON/CSV.")
     results_sub = results.add_subparsers(dest="results_command",
                                          metavar="action", required=True)
-
-    def add_store(sub):
-        sub.add_argument("--store", default=None, metavar="PATH",
-                         help="result store: a cache directory or a "
-                              ".sqlite file")
 
     def add_filters(sub):
         sub.add_argument("--kind", default=None,
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "result payload is unpickled.  --figure restricts the "
                     "listing to the keys a figure's job list produces "
                     "under the given --profile/--seed/... configuration.")
-    add_store(results_list)
+    _add_store_option(results_list)
     add_filters(results_list)
     results_list.add_argument("--figure", default=None, metavar="NAME",
                               help="only rows belonging to this figure's "
@@ -269,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="skip the first N rows (page through "
                                    "large stores with --limit)")
     _add_config_options(results_list, suppress_defaults=True)
+    results_list.set_defaults(handler=_results_list)
 
     results_show = results_sub.add_parser(
         "show", help="show one row's full provenance and result",
@@ -276,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "result payload's plain-data form — as JSON.")
     results_show.add_argument("key", help="result key (a unique prefix is "
                                           "enough)")
-    add_store(results_show)
+    _add_store_option(results_show)
+    results_show.set_defaults(handler=_results_show)
 
     results_diff = results_sub.add_parser(
         "diff", help="compare two result sets (or revisions) per metric",
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "with --store")
     results_diff.add_argument("b", help="result store path, or git rev "
                                         "with --store")
-    add_store(results_diff)
+    _add_store_option(results_diff)
     results_diff.add_argument("--tolerance", type=float, default=0.0,
                               metavar="T",
                               help="relative tolerance per metric "
@@ -313,29 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="N",
                               help="print at most N metric deltas "
                                    "(default 20)")
+    results_diff.set_defaults(handler=_results_diff)
 
     results_export = results_sub.add_parser(
         "export", help="export rows (provenance + metrics) as JSON or CSV",
         description="Export stored rows with their provenance stamps and "
                     "the flattened numeric metrics of each result payload.")
-    add_store(results_export)
+    _add_store_option(results_export)
     add_filters(results_export)
     results_export.add_argument("--format", choices=("json", "csv"),
                                 default="json", dest="export_format",
                                 help="output format (default: json)")
     results_export.add_argument("-o", "--output", default=None, metavar="FILE",
                                 help="write to FILE (default: stdout)")
-
-    results_migrate = results_sub.add_parser(
-        "migrate", help="migrate a legacy pickle cache into the store",
-        description="One-shot import of a pickle-directory cache's "
-                    "entries into a result database (idempotent: existing "
-                    "rows are skipped, pickle files are left in place).  "
-                    "Without --store the database is created inside the "
-                    "source directory itself.")
-    results_migrate.add_argument("source", metavar="DIR",
-                                 help="legacy pickle cache directory")
-    add_store(results_migrate)
+    results_export.set_defaults(handler=_results_export)
 
     results_gc = results_sub.add_parser(
         "gc", help="prune rows superseded by newer revisions",
@@ -346,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "pure ledger history — this bounds a long-lived "
                     "store's growth explicitly.  Every dropped pair is "
                     "logged; --dry-run reports without deleting.")
-    add_store(results_gc)
+    _add_store_option(results_gc)
     results_gc.add_argument("--keep", type=int, default=1, metavar="N",
                             help="revisions to keep per key, newest first "
                                  "(default 1)")
@@ -356,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     results_gc.add_argument("--no-vacuum", action="store_true",
                             help="skip the VACUUM that reclaims file "
                                  "space after deleting")
+    results_gc.set_defaults(handler=_results_gc)
 
     results_backfill = results_sub.add_parser(
         "backfill", help="index flattened metrics for pre-existing rows",
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "before the table existed) is unpickled once and its "
                     "numeric metric leaves indexed, after which fleet "
                     "reports over it are pure SQL.  Idempotent.")
-    add_store(results_backfill)
+    _add_store_option(results_backfill)
+    results_backfill.set_defaults(handler=_results_backfill)
 
     fleet = subcommands.add_parser(
         "fleet",
@@ -403,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="list at most N scenarios (the digest "
                                    "still covers all of them)")
     _add_config_options(fleet_sample, suppress_defaults=True)
+    fleet_sample.set_defaults(handler=_fleet_sample)
 
     fleet_run = fleet_sub.add_parser(
         "run", help="drain a sampled population through the suite",
@@ -414,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_population(fleet_run)
     _add_execution_options(fleet_run, suppress_defaults=True)
     _add_config_options(fleet_run, suppress_defaults=True)
+    fleet_run.set_defaults(handler=_fleet_run)
 
     fleet_report = fleet_sub.add_parser(
         "report", help="per-cohort percentiles from the store (pure SQL)",
@@ -424,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "columns (no result payload is unpickled).  Exits 1 "
                     "when no stored row covers the population.")
     add_population(fleet_report)
-    fleet_report.add_argument("--store", default=None, metavar="PATH",
-                              help="result store: the run's --cache-dir "
-                                   "or a .sqlite file")
+    _add_store_option(fleet_report)
     fleet_report.add_argument("--by", default=None, metavar="DIM,...",
                               help="cohort dimensions, comma-separated "
                                    "(default: network,machine,variant,"
@@ -452,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "FILE (deterministic: byte-identical "
                                    "across replays of the same store)")
     _add_config_options(fleet_report, suppress_defaults=True)
+    fleet_report.set_defaults(handler=_fleet_report)
 
     agents = subcommands.add_parser(
         "agents",
@@ -466,11 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     agents_sub = agents.add_subparsers(dest="agents_command",
                                        metavar="action", required=True)
 
-    def add_agent_store(sub):
-        sub.add_argument("--store", default=None, metavar="PATH",
-                         help="result store holding the artifacts table "
-                              "(a cache directory or a .sqlite file)")
-
     agents_train = agents_sub.add_parser(
         "train", help="train and store one artefact per benchmark",
         description="Train the intelligent-client artefact of every "
@@ -478,16 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "position, matching the split accuracy pipeline) and "
                     "store it under its content hash.  Already-stored "
                     "hashes are not retrained.")
-    add_agent_store(agents_train)
+    _add_store_option(agents_train)
     _add_config_options(agents_train, suppress_defaults=True)
+    agents_train.set_defaults(handler=_agents_train)
 
     agents_list = agents_sub.add_parser(
         "list", help="list stored artefacts (provenance only)",
         description="List stored artefact rows, newest first — no "
                     "payload is unpickled.")
-    add_agent_store(agents_list)
+    _add_store_option(agents_list)
     agents_list.add_argument("--benchmark", default=None, metavar="NAME",
                              help="only artefacts trained on this benchmark")
+    agents_list.set_defaults(handler=_agents_list)
 
     agents_show = agents_sub.add_parser(
         "show", help="show one artefact's provenance and training spec",
@@ -495,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "plus the full training spec — as JSON.")
     agents_show.add_argument("hash", help="artefact content hash (a unique "
                                           "prefix is enough)")
-    add_agent_store(agents_show)
+    _add_store_option(agents_show)
+    agents_show.set_defaults(handler=_agents_show)
 
     agents_gc = agents_sub.add_parser(
         "gc", help="prune old artefacts per (kind, benchmark)",
@@ -504,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "largest rows a store carries; this bounds a "
                     "long-lived store's growth explicitly.  Every dropped "
                     "hash is logged; --dry-run reports without deleting.")
-    add_agent_store(agents_gc)
+    _add_store_option(agents_gc)
     agents_gc.add_argument("--keep", type=int, default=1, metavar="N",
                            help="artefacts to keep per (kind, benchmark), "
                                 "newest first (default 1)")
@@ -514,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     agents_gc.add_argument("--no-vacuum", action="store_true",
                            help="skip the VACUUM that reclaims file "
                                 "space after deleting")
+    agents_gc.set_defaults(handler=_agents_gc)
 
     worker = subcommands.add_parser(
         "worker",
@@ -545,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--heartbeat", type=float, default=None, metavar="S",
                         help="heartbeat interval in seconds (default: 2 "
                              "with --addr, off with --queue)")
+    worker.set_defaults(handler=_run_worker)
 
     serve = subcommands.add_parser(
         "serve",
@@ -584,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scale-interval", type=float, default=1.0,
                        metavar="S",
                        help="autoscaler decision interval (default 1)")
+    serve.set_defaults(handler=_run_serve)
     return parser
 
 
@@ -702,6 +704,11 @@ def _scenario_label(scenario: dict) -> str:
     return "+".join(names) or "-"
 
 
+def _print_rows(rows: list[dict], title: str) -> None:
+    """A table of ``rows`` under ``title``; just the title when empty."""
+    print(format_rows(rows, title=title) if rows else title)
+
+
 def _plain_result(result):
     """A JSON-friendly form of a stored result payload."""
     import dataclasses
@@ -712,27 +719,26 @@ def _plain_result(result):
     return result
 
 
-def _open_existing_store(path: str):
+def _open_existing_store(path: str) -> ResultStore:
     """Open a store that already exists — read-only commands must never
     conjure an empty database out of a typo'd path (a diff against an
     accidentally fresh store would pass vacuously)."""
-    from repro.experiments.store import RESULT_DB_FILENAME, ResultStore
     given = Path(path)
     db = given if given.suffix in (".sqlite", ".db") \
         else given / RESULT_DB_FILENAME
-    if not db.exists() and not (given.is_dir()
-                                and any(given.glob("*.pkl"))):
-        raise ValueError(f"no result database at {db} (and no legacy "
-                         "*.pkl entries to migrate); a suite run with "
+    if not db.exists():
+        raise ValueError(f"no result database at {db}; a suite run with "
                          "--cache-dir creates one")
     return ResultStore(path)
 
 
-def _require_store(args):
+def _require_store(args, create: bool = False) -> ResultStore:
+    """The ``--store`` a command names: opened only if it exists, unless
+    ``create`` (a command that writes, like ``agents train``)."""
     if args.store is None:
         raise ValueError("pass --store PATH (the run's --cache-dir, or a "
                          ".sqlite file)")
-    return _open_existing_store(args.store)
+    return ResultStore(args.store) if create else _open_existing_store(args.store)
 
 
 def _resolve_result_set(token: str, store_path: Optional[str]):
@@ -782,10 +788,7 @@ def _results_list(args) -> int:
         showing = (f" (showing {len(rows)} from offset {offset})" if offset
                    else f" (showing {len(rows)})")
     title = f"{total} result row(s) in {store.db_path}{showing}"
-    if display:
-        print(format_rows(display, title=title))
-    else:
-        print(title)
+    _print_rows(display, title)
     return 0
 
 
@@ -910,29 +913,6 @@ def _results_export(args) -> int:
     return 0
 
 
-def _results_migrate(args) -> int:
-    from repro.experiments.store import (
-        RESULT_DB_FILENAME,
-        ResultStore,
-        migrate_pickle_dir,
-    )
-    source = Path(args.source)
-    if not source.is_dir():
-        raise ValueError(f"{args.source!r} is not a directory")
-    target = Path(args.store) if args.store else source
-    if target.suffix not in (".sqlite", ".db"):
-        target = target / RESULT_DB_FILENAME
-    # An explicit database path skips the constructor's auto-migration,
-    # so the report below reflects exactly what this invocation did.
-    store = ResultStore(target)
-    report = migrate_pickle_dir(store, source)
-    print(f"migrated {report.migrated} entr"
-          f"{'y' if report.migrated == 1 else 'ies'} from {source} into "
-          f"{store.db_path} ({report.skipped} already present, "
-          f"{report.rejected} rejected)")
-    return 0
-
-
 def _results_gc(args) -> int:
     if args.keep < 1:
         raise ValueError("--keep must be at least 1 (gc keeps the newest "
@@ -955,23 +935,6 @@ def _results_backfill(args) -> int:
     print(f"results backfill: indexed metrics for {report.backfilled} "
           f"row(s) ({report.skipped} skipped) in {store.db_path}")
     return 0
-
-
-def _run_results(args) -> int:
-    handlers = {
-        "list": _results_list,
-        "show": _results_show,
-        "diff": _results_diff,
-        "export": _results_export,
-        "migrate": _results_migrate,
-        "gc": _results_gc,
-        "backfill": _results_backfill,
-    }
-    try:
-        return handlers[args.results_command](args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
 
 def _load_population_spec(token: str):
@@ -1002,10 +965,7 @@ def _fleet_sample(args) -> int:
              f"{len(scenarios)} sample(s), seed {args.sample_seed}"
              + (f" (showing {len(shown)})" if len(shown) < len(scenarios)
                 else ""))
-    if rows:
-        print(format_rows(rows, title=title))
-    else:
-        print(title)
+    _print_rows(rows, title)
     print(f"population digest: {population_digest(scenarios)}")
     return 0
 
@@ -1105,10 +1065,7 @@ def _fleet_report(args) -> int:
                 for d in deltas]
         title = (f"vs baseline {args.baseline} "
                  f"({baseline.covered}/{baseline.sampled} covered)")
-        if rows:
-            print(format_rows(rows, title=title))
-        else:
-            print(title)
+        _print_rows(rows, title)
         document["baseline"] = {"git_rev": args.baseline,
                                 "covered": baseline.covered,
                                 "deltas": deltas}
@@ -1123,30 +1080,6 @@ def _fleet_report(args) -> int:
     return 0
 
 
-def _run_fleet(args) -> int:
-    handlers = {
-        "sample": _fleet_sample,
-        "run": _fleet_run,
-        "report": _fleet_report,
-    }
-    try:
-        return handlers[args.fleet_command](args)
-    except (ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-
-def _agents_store(args, create: bool = False):
-    if args.store is None:
-        raise ValueError("pass --store PATH (a cache directory or a "
-                         ".sqlite file)")
-    if create:
-        from repro.experiments.store import ResultStore
-        return ResultStore(args.store)
-    return _open_existing_store(args.store)
-
-
 def _agents_train(args) -> int:
     from repro.agents.artifacts import (
         ARTIFACT_SCHEMA_VERSION,
@@ -1154,7 +1087,7 @@ def _agents_train(args) -> int:
         resolve_artifact,
     )
     config = make_config(args)
-    store = _agents_store(args, create=True)
+    store = _require_store(args, create=True)
     rows = []
     for index, benchmark in enumerate(config.benchmarks):
         spec = ArtifactSpec.for_config(benchmark, config, seed_offset=index)
@@ -1173,7 +1106,7 @@ def _agents_train(args) -> int:
 
 
 def _agents_list(args) -> int:
-    store = _agents_store(args)
+    store = _require_store(args)
     rows = store.artifact_rows(benchmark=args.benchmark)
     display = [{
         "hash": row["hash"][:12],
@@ -1186,15 +1119,12 @@ def _agents_list(args) -> int:
                       else round(row["runtime_s"], 3)),
     } for row in rows]
     title = f"{len(rows)} agent artifact(s) in {store.db_path}"
-    if display:
-        print(format_rows(display, title=title))
-    else:
-        print(title)
+    _print_rows(display, title)
     return 0
 
 
 def _agents_show(args) -> int:
-    store = _agents_store(args)
+    store = _require_store(args)
     rows = [row for row in store.artifact_rows()
             if row["hash"].startswith(args.hash)]
     if not rows:
@@ -1211,7 +1141,7 @@ def _agents_gc(args) -> int:
     if args.keep < 1:
         raise ValueError("--keep must be at least 1 (gc keeps the newest "
                          "N artefacts per group)")
-    store = _agents_store(args)
+    store = _require_store(args)
     report = store.gc_artifacts(keep=args.keep, dry_run=args.dry_run,
                                 vacuum=not args.no_vacuum)
     verb = "would drop" if report.dry_run else "dropped"
@@ -1220,21 +1150,6 @@ def _agents_gc(args) -> int:
           f"(newest {report.keep} per group)"
           + ("; vacuumed" if report.vacuumed else ""))
     return 0
-
-
-def _run_agents(args) -> int:
-    handlers = {
-        "train": _agents_train,
-        "list": _agents_list,
-        "show": _agents_show,
-        "gc": _agents_gc,
-    }
-    try:
-        return handlers[args.agents_command](args)
-    except (ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
 
 def _run_worker(args) -> int:
@@ -1305,24 +1220,7 @@ def _run_serve(args) -> int:
     return 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-
-    if getattr(args, "command", None) == "scenario":
-        return _run_scenarios(args)
-    if getattr(args, "command", None) == "trace":
-        return _run_trace(args)
-    if getattr(args, "command", None) == "results":
-        return _run_results(args)
-    if getattr(args, "command", None) == "fleet":
-        return _run_fleet(args)
-    if getattr(args, "command", None) == "agents":
-        return _run_agents(args)
-    if getattr(args, "command", None) == "worker":
-        return _run_worker(args)
-    if getattr(args, "command", None) == "serve":
-        return _run_serve(args)
-
+def _run_figures(args) -> int:
     if args.list_figures:
         rows = [{"figure": name, "title": spec.title}
                 for name, spec in FIGURES.items()]
@@ -1363,6 +1261,22 @@ def main(argv: Optional[list[str]] = None) -> int:
           f"{stats.deduplicated} deduplicated, {stats.cache_hits} cache hits "
           f"({args.workers} worker(s))")
     return 0
+
+
+#: Subcommand groups that report user errors (a missing store, an
+#: unknown key prefix, a malformed spec) as one ``error:`` line, exit 2.
+_STORE_COMMANDS = ("results", "fleet", "agents")
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.command not in _STORE_COMMANDS:
+        return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ValueError, KeyError, TypeError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ of this reproduction:
   without it the Table 3 methodology comparison loses its signal.
 
 The contention-free machine is declared through the ``no_contention``
-entry of :data:`repro.experiments.jobs.MACHINE_SPECS`, so the ablation is
+entry of :data:`repro.scenarios.machines.MACHINE_SPECS`, so the ablation is
 four plain host jobs and parallelizes like any other experiment.
 """
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 __all__ = ["contention_model_ablation", "contention_jobs",

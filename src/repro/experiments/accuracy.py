@@ -36,7 +36,7 @@ fused serial rows with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.agents.artifacts import ArtifactSpec, resolve_artifact
 from repro.agents.baselines.chen import ChenMethodology
@@ -46,20 +46,20 @@ from repro.agents.intelligent_client import IntelligentClient
 from repro.agents.recorder import RecordedSession
 from repro.apps.registry import create_benchmark, get_profile
 from repro.core.measurements import LatencyStats, percentage_error
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
-from repro.experiments.runner import run_custom
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario, split_agent_name
 from repro.scenarios.variants import SessionVariant
+from repro.server.host import CloudHost, HostConfig, HostResult
+from repro.server.session import SessionConfig
 from repro.sim.randomness import StreamRandom
 
 __all__ = ["AccuracyRow", "MethodologyResult", "accuracy_jobs",
            "assemble_accuracy_row", "inference_jobs", "inference_time_row",
            "inference_times", "methodology_accuracy",
-           "methodology_accuracy_rows", "methodology_result",
-           "prepare_intelligent_client", "split_accuracy_jobs",
-           "train_for_job"]
+           "methodology_accuracy_rows", "methodology_result", "run_custom",
+           "split_accuracy_jobs", "train_for_job"]
 
 #: The methodology labels, in the paper's order.
 METHODOLOGIES = ("H", "IC", "DB", "CH", "SM")
@@ -103,23 +103,27 @@ class MethodologyResult:
     rtt_stats: LatencyStats
 
 
-def prepare_intelligent_client(benchmark: str, config: ExperimentConfig,
-                               seed_offset: int = 0,
-                               ) -> tuple[IntelligentClient, RecordedSession]:
-    """Train (or warm-load) the intelligent client for a benchmark.
+def run_custom(benchmark: str, config: ExperimentConfig,
+               agent_factory: Optional[Callable] = None,
+               session_config: Optional[SessionConfig] = None,
+               seed_offset: int = 0) -> HostResult:
+    """Run one instance with a bespoke agent and/or session config.
 
-    .. deprecated::
-        A shim over the artefact registry, kept because the fused
-        executors and older call sites use its signature.  It resolves
-        the :class:`~repro.agents.artifacts.ArtifactSpec` the arguments
-        have always implied — store hit, memo hit, or train-on-demand —
-        and materializes a client in the exact post-training RNG state,
-        so callers cannot tell the difference.  New code should resolve
-        artefacts directly.
+    The escape hatch for runs the declarative scenario model cannot
+    express: trained agents and hand-built session configs are closures
+    and objects that cannot cross a process boundary.  The host is
+    configured exactly as :meth:`Scenario.build_host` configures a
+    default single-instance scenario's (same seed, machine and pictor
+    switches), so with the default agent and session config the result
+    is bit-identical to ``Scenario.single(benchmark, config,
+    seed_offset=seed_offset).run()``.
     """
-    artifact = resolve_artifact(
-        ArtifactSpec.for_config(benchmark, config, seed_offset=seed_offset))
-    return artifact.client(), artifact.recording
+    variant = SessionVariant()
+    host = CloudHost(HostConfig(seed=config.seed + seed_offset,
+                                pictor=variant.pictor_config()))
+    host.add_instance(benchmark, agent_factory=agent_factory,
+                      session_config=session_config or variant.session_config())
+    return host.run(duration=config.duration_s, warmup=config.warmup_s)
 
 
 # -- the five methodologies, one runner each ------------------------------------------
@@ -279,7 +283,8 @@ def methodology_accuracy(benchmark: str, config: Optional[ExperimentConfig] = No
     """
     config = config or ExperimentConfig()
     if client is None or recording is None:
-        client, recording = prepare_intelligent_client(benchmark, config)
+        artifact = resolve_artifact(ArtifactSpec.for_config(benchmark, config))
+        client, recording = artifact.client(), artifact.recording
     parts = [
         MethodologyResult(benchmark, "H", _run_h(benchmark, config)),
         MethodologyResult(benchmark, "IC", _run_ic(benchmark, config, client)),
@@ -389,8 +394,8 @@ def inference_time_row(benchmark: str, config: ExperimentConfig,
     makes this row training-free.
     """
     if client is None:
-        client, _recording = prepare_intelligent_client(benchmark, config,
-                                                        seed_offset=index)
+        client = resolve_artifact(ArtifactSpec.for_config(
+            benchmark, config, seed_offset=index)).client()
     # Exercise inference on freshly generated frames.
     app = create_benchmark(benchmark, rng=StreamRandom(config.seed + 997 + index))
     for _ in range(40):

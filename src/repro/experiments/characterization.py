@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 __all__ = ["BandwidthRow", "UtilizationRow", "characterization_jobs",

@@ -13,7 +13,7 @@ The a-priori cost of a job is :meth:`ExperimentJob.cost_units`
 one job kind — ``accuracy`` jobs spend their time training models, not
 simulating — so :class:`CostModel` carries a wall-seconds-per-unit rate
 per kind, calibrated from the ``runtime_s`` / ``cost_units`` stamps the
-executor writes into every cache entry.  With no calibration data the
+executor writes into every result-store row.  With no calibration data the
 rates default to 1.0, which still orders correctly within a kind.
 """
 
@@ -92,28 +92,13 @@ class CostCalibration:
         self.runtime_totals[kind] = (self.runtime_totals.get(kind, 0.0)
                                      + runtime_s)
 
-    def observe_entry(self, entry: dict) -> None:
-        self.observe(entry.get("kind"), entry.get("cost_units"),
-                     entry.get("runtime_s"))
-
     @classmethod
     def from_cache(cls, cache: "ResultStore") -> "CostCalibration":
-        """Seed a calibration from a result store (or any cache-alike).
-
-        A :class:`~repro.experiments.store.ResultStore` serves the three
-        calibration columns straight from SQL; anything without
-        ``calibration_rows`` (e.g. the legacy
-        :class:`~repro.experiments.store.PickleResultCache`) falls back
-        to iterating full entries.
-        """
+        """Seed a calibration from a result store's three calibration
+        columns, straight from SQL."""
         calibration = cls()
-        rows = getattr(cache, "calibration_rows", None)
-        if rows is not None:
-            for kind, units, runtime_s in rows():
-                calibration.observe(kind, units, runtime_s)
-        else:
-            for entry in cache.entries():
-                calibration.observe_entry(entry)
+        for kind, units, runtime_s in cache.calibration_rows():
+            calibration.observe(kind, units, runtime_s)
         return calibration
 
     def model(self) -> CostModel:

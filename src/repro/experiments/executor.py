@@ -26,10 +26,10 @@ and returns their results in the same order.  Three layers cooperate:
 
 Whatever the backend, jobs are submitted **largest-estimated-cost
 first** (:func:`~repro.experiments.cost.order_by_cost`, calibrated from
-the runtimes stamped into cache entries), which bounds the idle tail of
-a pool without affecting any result.  Because
+the runtimes stamped into result-store rows), which bounds the idle
+tail of a pool without affecting any result.  Because
 :func:`repro.experiments.jobs.execute_job` is deterministic, the choice
-of backend (or a cache replay) never changes a result — only how fast
+of backend (or a store replay) never changes a result — only how fast
 it arrives.
 """
 
@@ -49,19 +49,10 @@ from typing import Optional, Sequence
 
 from repro.experiments.cost import CostCalibration, CostModel, order_by_cost
 from repro.experiments.jobs import ExperimentJob, execute_job
-# Re-exported for compatibility: these lived here before the SQLite
-# result store split out; ResultCache is now a thin shim over
-# ResultStore (see repro.experiments.store).
-from repro.experiments.store import (
-    ResultCache,
-    ResultStore,
-    atomic_write_bytes,
-    current_git_rev,
-)
+from repro.experiments.store import ResultStore
 
-__all__ = ["BACKENDS", "ExperimentSuite", "ResultCache", "ResultStore",
-           "SuiteStats", "atomic_write_bytes", "current_git_rev",
-           "default_suite", "run_jobs"]
+__all__ = ["BACKENDS", "ExperimentSuite", "SuiteStats", "default_suite",
+           "run_jobs"]
 
 logger = logging.getLogger(__name__)
 
@@ -182,8 +173,7 @@ class ExperimentSuite:
         if self.queue_dir is not None and self.queue_addr is not None:
             raise ValueError("queue_dir and queue_addr are exclusive: an "
                              "external server owns its own queue directory")
-        # The canonical result path of every backend: the SQLite result
-        # store (a legacy pickle directory migrates itself on open).
+        # The canonical result path of every backend: the SQLite result store.
         self._cache = ResultStore(self.cache_dir) if self.cache_dir else None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._queue = None

@@ -27,9 +27,9 @@ from repro.experiments import (
     power,
     scaling,
 )
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.mixes import n_way_mixes
 
 __all__ = ["FIGURES", "FigureSpec", "figure_names", "run_figure"]

@@ -12,91 +12,31 @@ process, hashed into a cache key, and compared for deduplication.
 result.  It is a module-level function (required by
 :class:`concurrent.futures.ProcessPoolExecutor`) and is deterministic:
 the same job produces a bit-identical result whether executed serially,
-in a worker process, or replayed from the on-disk cache.
-
-The legacy keyword form ``ExperimentJob(benchmarks=..., config=...,
-variant=JobVariant(...), seed_offset=...)`` is still accepted and builds
-the equivalent scenario internally; new code should construct scenarios
-directly.
+in a worker process, or replayed from the result store.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.config import ExperimentConfig
-# Submodule imports (not the repro.scenarios facade): this module loads
+# A submodule import (not the repro.scenarios facade): this module loads
 # while repro.scenarios may itself still be initializing.
-from repro.scenarios.machines import MACHINE_SPECS, machine_spec
-from repro.scenarios.scenario import (
-    SCENARIO_SCHEMA_VERSION,
-    Placement,
-    Scenario,
-    SeedPolicy,
-)
-from repro.scenarios.variants import SessionVariant
+from repro.scenarios.scenario import SCENARIO_SCHEMA_VERSION, Scenario, SeedPolicy
 from repro.server.host import CloudHost, HostResult
 
-__all__ = ["CACHE_SCHEMA_VERSION", "ExperimentJob", "JobVariant",
-           "execute_job", "machine_spec", "MACHINE_SPECS"]
+__all__ = ["CACHE_SCHEMA_VERSION", "ExperimentJob", "execute_job"]
 
-#: Bump when the cached result layout (or the scenario schema) changes.
-#: Stored *inside* every cache entry so stale provenance is detected and
-#: logged instead of silently recomputed (see ``executor.ResultCache``).
+#: Bump when the stored result layout (or the scenario schema) changes.
+#: Stored *inside* every result-store entry so stale provenance is
+#: detected and logged instead of silently recomputed (see
+#: :class:`~repro.experiments.store.ResultStore`).
 CACHE_SCHEMA_VERSION = SCENARIO_SCHEMA_VERSION
 
 #: Job kinds understood by :func:`execute_job`.
 JOB_KINDS = ("host", "accuracy", "inference", "train", "methodology")
-
-
-@dataclass(frozen=True)
-class JobVariant:
-    """Deprecated: the pre-scenario bundle of testbed knobs.
-
-    Kept so existing callers (and pickled jobs) keep working; it simply
-    splits into the scenario's :class:`SessionVariant` plus the
-    host-level ``containerized`` / ``machine`` options.  New code should
-    use :func:`repro.scenarios.session_variant` and scenario fields.
-    """
-
-    containerized: bool = False
-    measurement_enabled: bool = True
-    double_buffered_queries: bool = True
-    memoize_window_attributes: bool = False
-    two_step_frame_copy: bool = False
-    slow_motion: bool = False
-    machine: str = "paper"
-
-    def __post_init__(self) -> None:
-        if self.machine not in MACHINE_SPECS:
-            raise ValueError(f"unknown machine spec {self.machine!r}; "
-                             f"known: {sorted(MACHINE_SPECS)}")
-
-    def split(self) -> tuple[SessionVariant, bool, str]:
-        """(session variant, containerized, machine) for a scenario."""
-        session = SessionVariant(
-            measurement_enabled=self.measurement_enabled,
-            double_buffered_queries=self.double_buffered_queries,
-            memoize_window_attributes=self.memoize_window_attributes,
-            two_step_frame_copy=self.two_step_frame_copy,
-            slow_motion=self.slow_motion,
-        )
-        return session, self.containerized, self.machine
-
-    def session_config(self):
-        return self.split()[0].session_config()
-
-    def pictor_config(self):
-        return self.split()[0].pictor_config()
-
-    @staticmethod
-    def optimized(keys=None) -> "JobVariant":
-        """The variant with the selected Section-6 optimizations enabled."""
-        session = SessionVariant.optimized(keys)
-        return JobVariant(**asdict(session))
 
 
 @dataclass(frozen=True)
@@ -135,29 +75,6 @@ class ExperimentJob:
     kind: str = "host"
     duration: Optional[float] = None
 
-    def __init__(self, scenario: Optional[Scenario] = None, kind: str = "host",
-                 duration: Optional[float] = None, *,
-                 benchmarks=None, config: Optional[ExperimentConfig] = None,
-                 variant: Optional[JobVariant] = None, seed_offset: int = 0):
-        if scenario is None:
-            if benchmarks is None or config is None:
-                raise TypeError("pass a Scenario, or the legacy benchmarks= "
-                                "and config= keywords")
-            session, containerized, machine = (variant or JobVariant()).split()
-            scenario = Scenario(
-                placements=tuple(Placement(b) for b in benchmarks),
-                config=config, variant=session, machine=machine,
-                containerized=containerized,
-                seed=SeedPolicy(offset=seed_offset))
-        elif (benchmarks is not None or config is not None
-              or variant is not None or seed_offset):
-            raise TypeError("pass either a Scenario or the legacy keywords, "
-                            "not both")
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "duration", duration)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}; "
@@ -185,19 +102,6 @@ class ExperimentJob:
                     f"{self.scenario.seed.offset}")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration override must be positive")
-
-    # -- legacy views -----------------------------------------------------------------
-    @property
-    def benchmarks(self) -> tuple[str, ...]:
-        return self.scenario.benchmarks
-
-    @property
-    def config(self) -> ExperimentConfig:
-        return self.scenario.config
-
-    @property
-    def seed_offset(self) -> int:
-        return self.scenario.seed.offset
 
     def effective_duration(self) -> float:
         return (self.scenario.config.duration_s if self.duration is None
@@ -251,27 +155,29 @@ def _execute_host(job: ExperimentJob) -> HostResult:
 
 def _execute_accuracy(job: ExperimentJob):
     # Imported lazily: accuracy builds its job lists from this module.
-    from repro.experiments.accuracy import (
-        methodology_accuracy,
-        prepare_intelligent_client,
-    )
-    benchmark = job.benchmarks[0]
-    client, recording = prepare_intelligent_client(
-        benchmark, job.config, seed_offset=job.seed_offset)
-    return methodology_accuracy(benchmark, job.config,
-                                client=client, recording=recording)
+    from repro.agents.artifacts import ArtifactSpec, resolve_artifact
+    from repro.experiments.accuracy import methodology_accuracy
+    scenario = job.scenario
+    benchmark = scenario.benchmarks[0]
+    artifact = resolve_artifact(ArtifactSpec.for_config(
+        benchmark, scenario.config, seed_offset=scenario.seed.offset))
+    return methodology_accuracy(benchmark, scenario.config,
+                                client=artifact.client(),
+                                recording=artifact.recording)
 
 
 def _execute_inference(job: ExperimentJob):
     from repro.experiments.accuracy import inference_time_row
-    return inference_time_row(job.benchmarks[0], job.config,
-                              index=job.seed_offset)
+    scenario = job.scenario
+    return inference_time_row(scenario.benchmarks[0], scenario.config,
+                              index=scenario.seed.offset)
 
 
 def _execute_train(job: ExperimentJob):
     from repro.experiments.accuracy import train_for_job
-    return train_for_job(job.benchmarks[0], job.config,
-                         seed_offset=job.seed_offset)
+    scenario = job.scenario
+    return train_for_job(scenario.benchmarks[0], scenario.config,
+                         seed_offset=scenario.seed.offset)
 
 
 def _execute_methodology(job: ExperimentJob):

@@ -17,9 +17,9 @@ from itertools import combinations
 from typing import Optional
 
 from repro.apps.registry import all_benchmarks
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.mixes import n_way_mixes
 from repro.scenarios.scenario import Scenario
 

@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.variants import SessionVariant
 

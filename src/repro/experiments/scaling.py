@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.reporting import mean_breakdown
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 __all__ = ["ScalingPoint", "scaling_jobs", "scaling_points_from_results",

@@ -1,24 +1,19 @@
 """The SQLite result database: the canonical store of experiment results.
 
-:class:`ResultStore` replaces the pickle-directory cache as the single
-result path of every execution backend — serial and parallel suites
-write their cache through it, distributed workers complete queue jobs
-into it, and the cost model calibrates from it with one SQL scan instead
-of unpickling a directory of payloads.  :class:`ResultCache` (the name
-the rest of the codebase grew up with) is now a thin compatibility shim
-over the store, and :class:`PickleResultCache` keeps the legacy
-one-file-per-entry format alive for migration and for the equivalence
-tests that prove a pickle replay and a store replay are bit-identical.
+:class:`ResultStore` is the single result path of every execution
+backend — serial and parallel suites write their results through it,
+distributed workers complete queue jobs into it, and the cost model
+calibrates from it with one SQL scan over the provenance columns.
 
-Each row carries the full provenance stamp the pickle cache introduced —
-cache schema version, the scenario's dict and content hash, the job
-kind and duration override, the git revision, and the ``runtime_s`` /
-``cost_units`` calibration pair — **plus** the pickled entry itself, so
-:meth:`ResultStore.get_entry` returns exactly the dict the pickle cache
-did.  The provenance columns exist so the database is *queryable*: the
-``python -m repro.experiments results`` CLI lists, shows, diffs and
-exports rows by kind / scenario hash / git revision without touching a
-single result payload.
+Each row carries a full provenance stamp — result schema version, the
+scenario's dict and content hash, the job kind and duration override,
+the git revision, and the ``runtime_s`` / ``cost_units`` calibration
+pair — **plus** the pickled entry itself, so :meth:`ResultStore.get_entry`
+returns the complete provenance-stamped entry dict.  The provenance
+columns exist so the database is *queryable*: the ``python -m
+repro.experiments results`` CLI lists, shows, diffs and exports rows by
+kind / scenario hash / git revision without touching a single result
+payload.
 
 Rows are keyed ``(key, git_rev)`` — the job's content hash plus the
 revision that produced it — so one durable database accumulates results
@@ -26,8 +21,7 @@ across commits and ``results diff`` can compare two revs-of-record (or
 two databases) metric by metric.  Replays always read the newest row
 for a key; determinism makes any row equally valid, and the two
 documented rejection paths ("rejecting stale cache entry", "rejecting
-tampered cache entry") are checked on every read exactly as the pickle
-cache checked them, with the same log lines.
+tampered cache entry") are checked on every read.
 
 Concurrency: by default the database opens in WAL mode with a generous
 busy timeout, so any number of processes on one machine (a suite plus
@@ -40,10 +34,7 @@ open with ``wal=False`` — the rollback journal, whose POSIX advisory
 locks are the same primitive multi-host SQLite has always relied on.
 The usual SQLite caveat applies: a network filesystem with broken
 advisory locking can corrupt any shared database; on such mounts, give
-each worker machine its own queue.  Opening a store rooted at a
-directory that still contains legacy ``*.pkl`` entries migrates them in
-one shot (idempotently — re-runs skip rows that already exist), so
-existing cache directories promote themselves.
+each worker machine its own queue.
 """
 
 from __future__ import annotations
@@ -72,12 +63,10 @@ if TYPE_CHECKING:
     from repro.experiments.jobs import ExperimentJob
 
 __all__ = ["ArtifactGcReport", "BackfillReport", "DiffDelta", "DiffReport",
-           "GcReport", "MigrationReport", "PROVENANCE_METRIC_COLUMNS",
-           "PickleResultCache", "RESULT_DB_FILENAME", "ResultCache",
+           "GcReport", "PROVENANCE_METRIC_COLUMNS", "RESULT_DB_FILENAME",
            "ResultStore", "ToleranceTable", "atomic_write_bytes",
            "current_git_rev", "diff_result_sets", "entry_metrics",
-           "flatten_metrics", "migrate_pickle_dir", "numeric_metrics",
-           "rekey_ignoring_fast_forward"]
+           "flatten_metrics", "numeric_metrics", "rekey_ignoring_fast_forward"]
 
 logger = logging.getLogger(__name__)
 
@@ -180,9 +169,8 @@ def _validate_entry(entry, location) -> Optional[dict]:
     """The shared read-side provenance checks (see module docstring).
 
     Returns the entry when usable, None (after the documented log line)
-    otherwise.  Both the store and the legacy pickle cache funnel every
-    read through here, so the rejection contract cannot drift between
-    them.
+    otherwise.  Every store read funnels through here, so the rejection
+    contract cannot drift between read paths.
     """
     if not isinstance(entry, dict) or "schema" not in entry:
         logger.warning(
@@ -221,8 +209,8 @@ def build_entry(job: "ExperimentJob", result,
                 runtime_s: Optional[float] = None) -> dict:
     """The provenance-stamped entry dict for a freshly executed job.
 
-    One construction site for every writer (store, pickle cache, queue
-    workers), so the entry layout — including dict key order, which the
+    One construction site for every writer (store, queue workers), so
+    the entry layout — including dict key order, which the
     cross-backend equivalence tests compare byte-for-byte after
     pickling — cannot diverge between backends.
     """
@@ -248,10 +236,9 @@ class ResultStore:
     """The SQLite-backed result database (see the module docstring).
 
     ``root`` may be a directory (the database lives at
-    ``<root>/results.sqlite``, and any legacy ``*.pkl`` entries found in
-    the directory are migrated on open) or a ``.sqlite`` / ``.db`` file
-    path.  Instances are cheap; each thread of each process opens its
-    own connection (re-opened transparently after a fork — SQLite
+    ``<root>/results.sqlite``) or a ``.sqlite`` / ``.db`` file path.
+    Instances are cheap; each thread of each process opens its own
+    connection (re-opened transparently after a fork — SQLite
     connections are affine to both), and the journal mode + busy
     timeout make concurrent writers from other processes safe.
     ``wal=False`` selects the rollback journal instead of WAL — required
@@ -262,8 +249,7 @@ class ResultStore:
     def __init__(self, root: os.PathLike | str, wal: bool = True):
         self.wal = wal
         given = Path(root)
-        explicit_db = given.suffix in (".sqlite", ".db")
-        if explicit_db:
+        if given.suffix in (".sqlite", ".db"):
             self.root = given.parent
             self.db_path = given
         else:
@@ -271,12 +257,6 @@ class ResultStore:
             self.db_path = given / RESULT_DB_FILENAME
         self.root.mkdir(parents=True, exist_ok=True)
         self._local = threading.local()
-        # Directory-form roots promote themselves: any legacy pickle
-        # entries sitting in the directory migrate on open.  An explicit
-        # database path opens the file and nothing else (the CLI's
-        # ``results migrate`` uses this for accurate reporting).
-        if not explicit_db:
-            migrate_pickle_dir(self)
 
     # -- connection management --------------------------------------------------------
     def connection(self) -> sqlite3.Connection:
@@ -316,11 +296,10 @@ class ResultStore:
         self._local.conn_pid = None
 
     def locate(self, key: str) -> str:
-        """A human-readable location for ``key``, used in log lines (the
-        store's analogue of the pickle cache's per-entry file path)."""
+        """A human-readable location for ``key``, used in log lines."""
         return f"{self.db_path}#{key}"
 
-    # -- the ResultCache API ----------------------------------------------------------
+    # -- job results ------------------------------------------------------------------
     def get(self, job: "ExperimentJob"):
         """The stored result for ``job``, or None when absent/unusable.
 
@@ -371,11 +350,9 @@ class ResultStore:
         readers and concurrent writers never see a partial row."""
         self.put_entry(build_entry(job, result, runtime_s=runtime_s))
 
-    def put_entry(self, entry: dict, replace: bool = True) -> bool:
-        """Insert a pre-built entry dict (the writer behind :meth:`put`,
-        also the migration path).  With ``replace=False`` an existing
-        ``(key, git_rev)`` row is left untouched (idempotent re-import);
-        returns whether a row was written.
+    def put_entry(self, entry: dict) -> None:
+        """Insert (or replace) a pre-built entry dict's ``(key, git_rev)``
+        row — the writer behind :meth:`put`.
 
         Alongside the result row, every numeric leaf of the result
         payload is flattened (:func:`numeric_metrics` — the same dotted
@@ -383,14 +360,13 @@ class ResultStore:
         table in the same transaction, so fleet-scale cohort queries run
         as pure SQL without ever unpickling a payload.
         """
-        conflict = "REPLACE" if replace else "IGNORE"
         key = entry.get("key")
         git_rev = entry.get("git_rev", "unknown")
         conn = self.connection()
         conn.execute("BEGIN IMMEDIATE")
         try:
-            cursor = conn.execute(
-                f"INSERT OR {conflict} INTO results (key, git_rev, schema, "
+            conn.execute(
+                "INSERT OR REPLACE INTO results (key, git_rev, schema, "
                 "kind, duration, scenario_json, scenario_hash, runtime_s, "
                 "cost_units, created_at, entry) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
@@ -401,21 +377,17 @@ class ResultStore:
                  entry.get("scenario_hash", ""), entry.get("runtime_s"),
                  entry.get("cost_units"), time.time(),
                  pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)))
-            written = cursor.rowcount > 0
-            if written:
-                conn.execute(
-                    "DELETE FROM metrics WHERE key = ? AND git_rev = ?",
-                    (key, git_rev))
-                conn.executemany(
-                    "INSERT OR REPLACE INTO metrics (key, git_rev, name, "
-                    "value) VALUES (?, ?, ?, ?)",
-                    [(key, git_rev, name, value) for name, value
-                     in sorted(numeric_metrics(entry).items())])
+            conn.execute("DELETE FROM metrics WHERE key = ? AND git_rev = ?",
+                         (key, git_rev))
+            conn.executemany(
+                "INSERT OR REPLACE INTO metrics (key, git_rev, name, "
+                "value) VALUES (?, ?, ?, ?)",
+                [(key, git_rev, name, value) for name, value
+                 in sorted(numeric_metrics(entry).items())])
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
             raise
-        return written
 
     def invalidate(self, key: str) -> None:
         """Drop every revision's row for ``key`` (e.g. one that failed
@@ -425,15 +397,15 @@ class ResultStore:
         conn.execute("DELETE FROM metrics WHERE key = ?", (key,))
 
     def __len__(self) -> int:
-        """Distinct result keys on file (the pickle cache counted files)."""
+        """Distinct result keys on file."""
         return self.connection().execute(
             "SELECT COUNT(DISTINCT key) FROM results").fetchone()[0]
 
     # -- SQL-side queries (no result unpickling) --------------------------------------
     def calibration_rows(self) -> Iterator[tuple]:
         """``(kind, cost_units, runtime_s)`` per row — the cost model's
-        calibration data, straight from SQL (the pickle cache had to
-        unpickle every full result payload for this)."""
+        calibration data, straight from SQL (no result payload is
+        unpickled)."""
         yield from self.connection().execute(
             "SELECT kind, cost_units, runtime_s FROM results "
             "WHERE schema = ?", (CACHE_SCHEMA_VERSION,))
@@ -828,128 +800,6 @@ class GcReport:
     dropped_metrics: int = 0  # metrics rows that went with them
     dry_run: bool = False
     vacuumed: bool = False
-
-
-class ResultCache(ResultStore):
-    """Compatibility shim: the pickle-directory cache's name and API,
-    now backed by the SQLite :class:`ResultStore`.
-
-    Constructing one over an old pickle-cache directory migrates the
-    ``*.pkl`` entries into ``<root>/results.sqlite`` in one shot (see
-    :func:`migrate_pickle_dir`); ``get`` / ``get_entry`` / ``entries`` /
-    ``put`` / ``invalidate`` / ``len()`` behave exactly as before.  New
-    code should say :class:`ResultStore`.
-    """
-
-
-class PickleResultCache:
-    """The legacy one-pickle-file-per-entry cache format.
-
-    Kept for two jobs: reading old cache directories during migration,
-    and the equivalence tests that prove a pickle replay and a store
-    replay return bit-identical results.  Not written by any backend
-    anymore.
-    """
-
-    def __init__(self, root: os.PathLike | str):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
-    def get(self, job: "ExperimentJob"):
-        entry = self.get_entry(job.key())
-        if entry is None:
-            return None
-        if not _check_scenario_hash(entry, job, self._path(job.key())):
-            return None
-        return entry.get("result")
-
-    def get_entry(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                entry = pickle.load(handle)
-        except Exception:
-            logger.warning("cache entry %s is unreadable; recomputing", path)
-            return None
-        return _validate_entry(entry, path)
-
-    def entries(self) -> Iterator[dict]:
-        for path in sorted(self.root.glob("*.pkl")):
-            entry = self.get_entry(path.stem)
-            if entry is not None:
-                yield entry
-
-    def put(self, job: "ExperimentJob", result,
-            runtime_s: Optional[float] = None) -> None:
-        entry = build_entry(job, result, runtime_s=runtime_s)
-        atomic_write_bytes(self.root, self._path(job.key()),
-                           pickle.dumps(entry,
-                                        protocol=pickle.HIGHEST_PROTOCOL))
-
-    def invalidate(self, key: str) -> None:
-        self._path(key).unlink(missing_ok=True)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-
-# -- migration ------------------------------------------------------------------------
-@dataclass
-class MigrationReport:
-    """What one pickle-directory migration pass did."""
-
-    migrated: int = 0
-    skipped: int = 0      # rows that already existed (idempotent re-run)
-    rejected: int = 0     # stale-schema / unreadable / unstamped pickles
-
-
-def migrate_pickle_dir(store: ResultStore,
-                       directory: Optional[os.PathLike | str] = None
-                       ) -> MigrationReport:
-    """Import a legacy pickle-cache directory's entries into ``store``.
-
-    Reads every ``*.pkl`` in ``directory`` (default: the store's own
-    root — the promotion path for existing cache dirs) through the same
-    validation the pickle cache applied on read, so stale-schema and
-    unstamped entries are logged and skipped, never laundered into the
-    database.  Idempotent: entries whose ``(key, git_rev)`` row already
-    exists are skipped, and the pickle files are left untouched.
-    """
-    legacy = PickleResultCache(directory if directory is not None
-                               else store.root)
-    report = MigrationReport()
-    paths = sorted(legacy.root.glob("*.pkl"))
-    if not paths:
-        return report
-    # The legacy format keeps one file per key (the filename stem), so a
-    # key already in the database needs no unpickling at all — re-runs
-    # over an already-migrated directory cost one SQL query plus a glob.
-    migrated_keys = {row[0] for row in store.connection().execute(
-        "SELECT DISTINCT key FROM results")}
-    for path in paths:
-        if path.stem in migrated_keys:
-            report.skipped += 1
-            continue
-        entry = legacy.get_entry(path.stem)
-        if entry is None:
-            report.rejected += 1
-            continue
-        if store.put_entry(entry, replace=False):
-            report.migrated += 1
-        else:
-            report.skipped += 1
-    if report.migrated:
-        logger.info(
-            "migrated %d legacy pickle cache entr%s from %s into %s "
-            "(%d already present, %d rejected)", report.migrated,
-            "y" if report.migrated == 1 else "ies", legacy.root,
-            store.db_path, report.skipped, report.rejected)
-    return report
 
 
 # -- query / diff tooling -------------------------------------------------------------

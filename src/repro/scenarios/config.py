@@ -8,8 +8,7 @@ it further for unit tests and CI.
 
 Every :class:`~repro.scenarios.Scenario` embeds an
 :class:`ExperimentConfig`, which is why it is defined here at the bottom
-of the dependency stack; :mod:`repro.experiments.config` re-exports it
-for existing callers.
+of the dependency stack.
 """
 
 from __future__ import annotations

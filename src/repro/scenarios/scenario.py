@@ -372,10 +372,10 @@ class Scenario:
         """A stable SHA-256 over the scenario's content.
 
         Deliberately excludes the schema version: provenance (is this
-        entry from the current schema?) is recorded *inside* cache
+        entry from the current schema?) is recorded *inside* result-store
         entries so stale entries are detected and logged rather than
         silently keyed away (see
-        :class:`repro.experiments.executor.ResultCache`).
+        :class:`repro.experiments.store.ResultStore`).
         """
         payload = {key: value for key, value in self.to_dict().items()
                    if key != "schema"}

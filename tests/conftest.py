@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.scenarios.config import ExperimentConfig
 from repro.sim.engine import Environment
 from repro.sim.randomness import RandomStreams, StreamRandom
 

@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 from repro.agents.artifacts import ArtifactSpec, set_artifact_store
-from repro.experiments import accuracy
 from repro.experiments.accuracy import (
     METHODOLOGIES,
     METHODOLOGY_OFFSETS,
@@ -21,10 +20,10 @@ from repro.experiments.accuracy import (
     split_accuracy_jobs,
     train_for_job,
 )
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentSuite
 from repro.experiments.figures import run_figure
 from repro.experiments.jobs import ExperimentJob, execute_job
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 
@@ -49,11 +48,11 @@ def test_split_jobs_shape(config):
         chunk = jobs[index * 6:(index + 1) * 6]
         train = chunk[0]
         assert train.kind == "train"
-        assert train.benchmarks == (benchmark,)
+        assert train.scenario.benchmarks == (benchmark,)
         assert train.scenario.seed.offset == index
         for job, method in zip(chunk[1:], METHODOLOGIES):
             assert job.kind == "methodology"
-            assert job.benchmarks == (benchmark,)
+            assert job.scenario.benchmarks == (benchmark,)
             assert job.scenario.seed.offset == METHODOLOGY_OFFSETS[method]
             agent = job.scenario.placements[0].agent
             if method in ("IC", "SM"):
@@ -142,11 +141,3 @@ def test_fig06_split_rows_equal_fig06(config, tmp_path):
         assert suite.stats.executed == 0
         assert suite.stats.cache_hits == 6
     assert pickle.dumps(replay_rows) == pickle.dumps(split_rows)
-
-
-def test_prepare_intelligent_client_shim_still_works(config):
-    client, recording = accuracy.prepare_intelligent_client("RE", config)
-    assert len(recording) > 0
-    fused = methodology_accuracy("RE", config, client=client,
-                                 recording=recording)
-    assert fused.benchmark == "RE"

@@ -28,8 +28,8 @@ from repro.agents.artifacts import (
     train_artifact,
 )
 from repro.apps.registry import create_benchmark
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
+from repro.scenarios.config import ExperimentConfig
 from repro.sim.randomness import StreamRandom
 
 
@@ -257,8 +257,8 @@ def test_artifact_is_bit_identical_across_processes(tmp_path, config,
 import sys
 from repro.agents.artifacts import resolve_artifact_by_hash
 from repro.experiments.accuracy import methodology_result
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
+from repro.scenarios.config import ExperimentConfig
 
 config = ExperimentConfig(seed=0, duration_s=2.0, warmup_s=0.5,
                           recording_seconds=3.0, cnn_epochs=2, lstm_epochs=4)

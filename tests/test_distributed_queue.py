@@ -399,7 +399,7 @@ def test_cache_entries_identical_across_backends(tmp_path, jobs):
     measures the run rather than the result, may differ."""
     import pickle
 
-    from repro.experiments import ResultCache
+    from repro.experiments import ResultStore
 
     entries_by_backend = {}
     for backend in ("serial", "parallel", "distributed"):
@@ -411,7 +411,7 @@ def test_cache_entries_identical_across_backends(tmp_path, jobs):
             suite.run(jobs)
         entries = {}
         for job in jobs:
-            entry = dict(ResultCache(cache_dir).get_entry(job.key()))
+            entry = dict(ResultStore(cache_dir).get_entry(job.key()))
             assert entry.pop("runtime_s") > 0
             result = entry.pop("result")
             entries[job.key()] = (

@@ -1,9 +1,9 @@
 """The experiment execution subsystem: jobs, executors, caching, figures.
 
 The hard requirement under test: a given job's result is bit-identical
-whether it runs serially, across worker processes, or out of the on-disk
-cache — and the declarative job path reproduces exactly what the legacy
-host-construction helpers do.
+whether it runs serially, across worker processes, or out of the result
+store — and the declarative job path reproduces exactly what a hand-built
+host (:func:`~repro.experiments.accuracy.run_custom`) does.
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ from repro.experiments import (
     ExperimentConfig,
     ExperimentJob,
     ExperimentSuite,
-    JobVariant,
+    ResultStore,
     Scenario,
     execute_job,
-    run_single,
+    run_custom,
 )
-from repro.experiments.executor import ResultCache, run_jobs
+from repro.experiments.executor import run_jobs
 from repro.experiments.figures import FIGURES, run_figure
-from repro.experiments.runner import make_session_config
 from repro.experiments.scaling import scaling_jobs
-from repro.scenarios import session_variant
+from repro.scenarios import SessionVariant, session_variant
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +35,10 @@ def config() -> ExperimentConfig:
 @pytest.fixture(scope="module")
 def jobs(config) -> list[ExperimentJob]:
     return [
-        ExperimentJob(benchmarks=("RE",), config=config, seed_offset=1),
-        ExperimentJob(benchmarks=("RE", "ITP"), config=config, seed_offset=2),
-        ExperimentJob(benchmarks=("ITP",), config=config, seed_offset=3,
-                      variant=JobVariant(containerized=True)),
+        ExperimentJob(Scenario.single("RE", config, seed_offset=1)),
+        ExperimentJob(Scenario.mixed(("RE", "ITP"), config, seed_offset=2)),
+        ExperimentJob(Scenario.single("ITP", config, seed_offset=3,
+                                      containerized=True)),
     ]
 
 
@@ -49,24 +48,17 @@ def _stats_dicts(results):
 
 def test_job_validation(config):
     with pytest.raises(ValueError):
-        ExperimentJob(benchmarks=(), config=config)
+        ExperimentJob(Scenario(placements=(), config=config))
     with pytest.raises(ValueError):
-        ExperimentJob(benchmarks=("RE",), config=config, kind="nope")
+        ExperimentJob(Scenario.single("RE", config), kind="nope")
     with pytest.raises(ValueError):
-        ExperimentJob(benchmarks=("RE", "ITP"), config=config, kind="accuracy")
-    with pytest.raises(ValueError):
-        JobVariant(machine="warehouse")
-    with pytest.raises(KeyError):
-        JobVariant.optimized(("warp_drive",))
+        ExperimentJob(Scenario.mixed(("RE", "ITP"), config), kind="accuracy")
     with pytest.raises(ValueError):
         ExperimentSuite(workers=0)
 
 
 def test_job_keys_are_stable_and_content_sensitive(config):
-    job = ExperimentJob(benchmarks=("RE",), config=config, seed_offset=1)
-    assert job.key() == ExperimentJob(benchmarks=("RE",), config=config,
-                                      seed_offset=1).key()
-    # The legacy keyword form and the scenario form agree on identity.
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     assert job.key() == ExperimentJob(
         Scenario.single("RE", config, seed_offset=1)).key()
     # Any knob change — benchmark, seed, variant knob, config knob, the
@@ -109,25 +101,24 @@ def test_serial_parallel_and_cache_agree(tmp_path, config, jobs):
 
 
 def test_cache_invalidates_when_any_config_field_changes(tmp_path, config):
-    job = ExperimentJob(benchmarks=("RE",), config=config, seed_offset=1)
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     suite = ExperimentSuite(workers=1, cache_dir=tmp_path)
     suite.run([job])
     assert suite.stats.executed == 1
 
-    changed = ExperimentJob(
-        benchmarks=("RE",),
-        config=dataclasses.replace(config, duration_s=config.duration_s + 0.5),
-        seed_offset=1)
+    changed = ExperimentJob(Scenario.single(
+        "RE", dataclasses.replace(config, duration_s=config.duration_s + 0.5),
+        seed_offset=1))
     again = ExperimentSuite(workers=1, cache_dir=tmp_path)
     again.run([job, changed])
     assert again.stats.cache_hits == 1      # original job replays
     assert again.stats.executed == 1        # changed config re-runs
-    assert len(ResultCache(tmp_path)) == 2
+    assert len(ResultStore(tmp_path)) == 2
 
 
 def test_suite_memoizes_results_across_run_calls(config):
     """Figures sharing runs execute them once per suite, even cache-less."""
-    job = ExperimentJob(benchmarks=("RE",), config=config, seed_offset=1)
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     suite = ExperimentSuite(workers=1)
     [first] = suite.run([job])
     [second] = suite.run([dataclasses.replace(job)])
@@ -137,7 +128,7 @@ def test_suite_memoizes_results_across_run_calls(config):
 
 
 def test_duplicate_jobs_execute_once(config):
-    job = ExperimentJob(benchmarks=("RE",), config=config, seed_offset=1)
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     suite = ExperimentSuite(workers=1)
     first, second = suite.run([job, dataclasses.replace(job)])
     assert suite.stats.executed == 1
@@ -146,24 +137,26 @@ def test_duplicate_jobs_execute_once(config):
 
 
 def test_job_path_matches_legacy_host_construction(config):
-    """The declarative path reproduces the hand-built host bit for bit."""
-    job_result = run_single("RE", config, seed_offset=4)
-    legacy = run_single("RE", config, seed_offset=4,
-                        session_config=make_session_config())
-    assert job_result.as_dict() == legacy.as_dict()
+    """The declarative path reproduces the hand-built host bit for bit —
+    the equivalence Figure 6's IC and SM runs (``run_custom`` with a
+    trained agent and a bespoke session config) rely on."""
+    job_result = execute_job(ExperimentJob(
+        Scenario.single("RE", config, seed_offset=4)))
+    hand_built = run_custom("RE", config, seed_offset=4,
+                            session_config=SessionVariant().session_config())
+    assert job_result.as_dict() == hand_built.as_dict()
+    # The default session config is the declarative default too.
+    assert run_custom("RE", config, seed_offset=4).as_dict() == \
+        job_result.as_dict()
 
+    optimized = session_variant("optimized")
     optimized_job = execute_job(ExperimentJob(
-        benchmarks=("RE",), config=config, seed_offset=4,
-        variant=JobVariant.optimized()))
-    optimized_legacy = run_single("RE", config, seed_offset=4,
-                                  session_config=make_session_config(optimized=True))
-    assert optimized_job.as_dict() == optimized_legacy.as_dict()
-
-    # The named-variant scenario path agrees with both.
-    optimized_scenario = Scenario.single(
+        Scenario.single("RE", config, seed_offset=4, variant=optimized)))
+    optimized_hand_built = run_custom(
         "RE", config, seed_offset=4,
-        variant=session_variant("optimized")).run()
-    assert optimized_scenario.as_dict() == optimized_job.as_dict()
+        session_config=optimized.session_config())
+    assert optimized_job.as_dict() == optimized_hand_built.as_dict()
+    assert optimized_job.as_dict() != job_result.as_dict()
 
 
 def test_cache_entries_are_provenance_stamped(tmp_path, config):
@@ -173,7 +166,7 @@ def test_cache_entries_are_provenance_stamped(tmp_path, config):
     suite = ExperimentSuite(workers=1, cache_dir=tmp_path)
     suite.run([job])
 
-    cache = ResultCache(tmp_path)
+    cache = ResultStore(tmp_path)
     entry = cache.get_entry(job.key())
     assert entry["schema"] == CACHE_SCHEMA_VERSION
     assert entry["scenario_hash"] == job.scenario.content_hash()
@@ -195,7 +188,7 @@ def test_stale_schema_cache_entry_is_rejected_with_a_log(tmp_path, config,
     [fresh] = suite.run([job])
 
     # Rewrite the store row as if an older schema produced it.
-    cache = ResultCache(tmp_path)
+    cache = ResultStore(tmp_path)
     entry = cache.get_entry(job.key())
     entry["schema"] -= 1
     cache.put_entry(entry)
@@ -221,7 +214,7 @@ def test_tampered_scenario_hash_cache_entry_is_rejected_with_a_log(
     suite = ExperimentSuite(workers=1, cache_dir=tmp_path)
     [fresh] = suite.run([job])
 
-    cache = ResultCache(tmp_path)
+    cache = ResultStore(tmp_path)
     entry = cache.get_entry(job.key())
     entry["scenario_hash"] = "0" * 64
     cache.put_entry(entry)
@@ -238,17 +231,22 @@ def test_tampered_scenario_hash_cache_entry_is_rejected_with_a_log(
 
 def test_pre_provenance_cache_entry_is_rejected_with_a_log(tmp_path, config,
                                                            caplog):
-    """An unstamped legacy pickle is rejected (with the documented log
-    line) by the store's pickle-directory migration, never replayed."""
+    """A store row whose payload lacks the provenance stamp is rejected
+    (with the documented log line), never replayed."""
     import logging
     import pickle
 
-    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    # A bare pickled result, as the pre-scenario cache wrote it.
-    with (tmp_path / f"{job.key()}.pkl").open("wb") as handle:
-        pickle.dump({"not": "stamped"}, handle)
+    from repro.experiments.jobs import CACHE_SCHEMA_VERSION
 
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+    # A bare pickled payload under the job's key, with no stamp inside.
+    ResultStore(tmp_path).connection().execute(
+        "INSERT INTO results (key, git_rev, schema, scenario_json, "
+        "scenario_hash, created_at, entry) VALUES (?, ?, ?, ?, ?, ?, ?)",
+        (job.key(), "unknown", CACHE_SCHEMA_VERSION, "{}", "", 0.0,
+         pickle.dumps({"not": "stamped"})))
+
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
         suite = ExperimentSuite(workers=1, cache_dir=tmp_path)
         suite.run([job])
     assert suite.stats.cache_hits == 0
@@ -262,7 +260,7 @@ def test_run_jobs_uses_default_suite(config, monkeypatch, tmp_path):
     first = run_jobs(jobs)
     second = run_jobs(jobs)
     assert _stats_dicts(first) == _stats_dicts(second)
-    assert len(ResultCache(tmp_path)) == 1
+    assert len(ResultStore(tmp_path)) == 1
 
 
 def test_cost_based_packing_reorders_submission(config, monkeypatch):
@@ -316,7 +314,7 @@ def test_cost_model_calibrates_from_cached_runtimes(tmp_path, config):
 
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     result = execute_job(job)
-    cache = ResultCache(tmp_path)
+    cache = ResultStore(tmp_path)
     cache.put(job, result, runtime_s=3.0)
     other = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
     cache.put(other, execute_job(other), runtime_s=1.0)
@@ -328,7 +326,7 @@ def test_cost_model_calibrates_from_cached_runtimes(tmp_path, config):
         job.cost_units() * model.rates["host"])
     # Entries without runtime stamps (or unknown kinds) are ignored and
     # fall back to raw units.
-    assert CostModel.calibrated(ResultCache(tmp_path / "empty")).rates == {}
+    assert CostModel.calibrated(ResultStore(tmp_path / "empty")).rates == {}
 
 
 def test_figure_registry_covers_the_benchmarks(config):

@@ -8,7 +8,7 @@ qualitative findings rather than absolute numbers.
 import pytest
 
 from repro.apps.registry import BENCHMARK_SHORT_NAMES
-from repro.experiments import ExperimentConfig, run_colocated, run_mixed_pair, run_single
+from repro.experiments import ExperimentConfig, Scenario, session_variant
 from repro.experiments import (
     architecture,
     characterization,
@@ -19,7 +19,6 @@ from repro.experiments import (
     power,
     scaling,
 )
-from repro.experiments.runner import make_session_config
 
 
 @pytest.fixture(scope="module")
@@ -42,16 +41,18 @@ def test_experiment_config_presets_and_validation():
 
 
 def test_runner_helpers(config):
-    single = run_single("RE", config)
+    """The scenario constructors every generator builds its runs from."""
+    single = Scenario.single("RE", config).run()
     assert len(single.reports) == 1
-    pair = run_mixed_pair("RE", "ITP", config)
+    pair = Scenario.mixed(("RE", "ITP"), config).run()
     assert {r.benchmark for r in pair.reports} == {"RE", "ITP"}
-    colocated = run_colocated("RE", 2, config)
+    colocated = Scenario.colocated("RE", 2, config).run()
     assert len(colocated.reports) == 2
     with pytest.raises(ValueError):
-        run_colocated("RE", 0, config)
-    session_config = make_session_config(optimized=True, slow_motion=True)
-    assert session_config.slow_motion and session_config.pipeline.two_step_frame_copy
+        Scenario.colocated("RE", 0, config)
+    session_config = session_variant("optimized").session_config()
+    assert session_config.pipeline.two_step_frame_copy
+    assert session_variant("slow_motion").session_config().slow_motion
 
 
 def test_fig08_utilization_shapes(config):

@@ -7,13 +7,10 @@ ablation that justifies the reproduction's central modelling choice.
 
 import pytest
 
+from repro.agents.artifacts import ArtifactSpec, resolve_artifact
 from repro.experiments.ablations import contention_model_ablation
-from repro.experiments.accuracy import (
-    inference_times,
-    methodology_accuracy,
-    prepare_intelligent_client,
-)
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.accuracy import inference_times, methodology_accuracy
+from repro.scenarios.config import ExperimentConfig
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +21,8 @@ def config() -> ExperimentConfig:
 
 @pytest.fixture(scope="module")
 def trained(config):
-    return prepare_intelligent_client("RE", config)
+    artifact = resolve_artifact(ArtifactSpec.for_config("RE", config))
+    return artifact.client(), artifact.recording
 
 
 def test_methodology_accuracy_orders_the_methodologies(config, trained):

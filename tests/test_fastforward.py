@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.__main__ import main
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.jobs import ExperimentJob, execute_job
 from repro.experiments.store import (
     ResultStore,
@@ -26,6 +25,7 @@ from repro.experiments.store import (
     diff_result_sets,
     rekey_ignoring_fast_forward,
 )
+from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 from repro.sim.engine import Environment, MacroJump, SimulationError
 from repro.sim.fastforward import (

@@ -289,7 +289,8 @@ def test_gc_keeps_newest_revisions(tmp_path, caplog):
     entry = build_entry(job, execute_job(job), runtime_s=0.1)
     old = dict(entry, git_rev="a" * 40)
     new = dict(entry, git_rev="b" * 40)
-    assert store.put_entry(old) and store.put_entry(new)
+    store.put_entry(old)
+    store.put_entry(new)
     assert store.select_newest([job.key()]) == {job.key(): "b" * 40}
     assert store.select_newest([job.key()], git_rev="aaaa") \
         == {job.key(): "a" * 40}

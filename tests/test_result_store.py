@@ -1,11 +1,10 @@
-"""The SQLite result store: provenance, migration, concurrency, diffing.
+"""The SQLite result store: provenance, concurrency, diffing.
 
 The hard requirements under test: every backend reads and writes its
-results through :class:`ResultStore` and stays bit-identical to a legacy
-pickle-cache replay; a pickle directory migrates losslessly and
-idempotently; concurrent writers (the distributed workers' reality)
-never corrupt the database; and ``results diff`` reports exactly zero
-deltas for two runs of the same deterministic scenarios.
+results through :class:`ResultStore` and replays bit-identically to an
+in-process execution; concurrent writers (the distributed workers'
+reality) never corrupt the database; and ``results diff`` reports
+exactly zero deltas for two runs of the same deterministic scenarios.
 """
 
 from __future__ import annotations
@@ -24,13 +23,10 @@ from repro.experiments import (
     ExperimentConfig,
     ExperimentJob,
     ExperimentSuite,
-    PickleResultCache,
-    ResultCache,
     ResultStore,
     Scenario,
     diff_result_sets,
     execute_job,
-    migrate_pickle_dir,
 )
 from repro.experiments.__main__ import main
 from repro.experiments.jobs import CACHE_SCHEMA_VERSION
@@ -171,79 +167,15 @@ def test_cost_model_calibrates_from_sql_without_unpickling(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Pickle-directory migration
-# ---------------------------------------------------------------------------
-
-def test_pickle_migration_roundtrips_every_entry(tmp_path, job, result,
-                                                 config):
-    legacy = PickleResultCache(tmp_path / "cache")
-    legacy.put(job, result, runtime_s=2.0)
-    other = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
-    other_result = execute_job(other)
-    legacy.put(other, other_result, runtime_s=1.0)
-
-    store = ResultStore(tmp_path / "cache")   # directory form: auto-migrates
-    assert len(store) == 2
-    for source_job, source_result in ((job, result), (other, other_result)):
-        migrated = store.get_entry(source_job.key())
-        reference = legacy.get_entry(source_job.key())
-        assert set(migrated) == set(reference)
-        for name in set(reference) - {"result"}:
-            assert migrated[name] == reference[name], name
-        assert migrated["result"].as_dict() == source_result.as_dict()
-
-    # Idempotent: a second pass (and a reopen) imports nothing new.
-    report = migrate_pickle_dir(store)
-    assert (report.migrated, report.skipped, report.rejected) == (0, 2, 0)
-    assert len(ResultStore(tmp_path / "cache")) == 2
-    # The pickle files stay in place, untouched.
-    assert len(list((tmp_path / "cache").glob("*.pkl"))) == 2
-
-
-def test_pickle_migration_rejects_invalid_entries(tmp_path, job, result,
-                                                  caplog):
-    legacy = PickleResultCache(tmp_path / "cache")
-    legacy.put(job, result)
-    stale = legacy.get_entry(job.key())
-    stale = dict(stale, schema=CACHE_SCHEMA_VERSION - 1, key="f" * 64)
-    import pickle
-    with (tmp_path / "cache" / "stale.pkl").open("wb") as handle:
-        pickle.dump(stale, handle)
-    (tmp_path / "cache" / "garbage.pkl").write_bytes(b"not a pickle")
-
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
-        store = ResultStore(tmp_path / "cache")
-    assert len(store) == 1                      # only the valid entry landed
-    assert store.get_entry("f" * 64) is None
-    assert any("stale cache entry" in record.message
-               for record in caplog.records)
-    assert any("unreadable" in record.message for record in caplog.records)
-
-
-def test_suite_replays_a_migrated_pickle_cache(tmp_path, job, result):
-    """An existing pickle cache dir handed to --cache-dir promotes itself
-    and replays without executing anything."""
-    PickleResultCache(tmp_path / "cache").put(job, result, runtime_s=1.0)
-    suite = ExperimentSuite(workers=1, cache_dir=tmp_path / "cache")
-    [replayed] = suite.run([job])
-    assert suite.stats.cache_hits == 1
-    assert suite.stats.executed == 0
-    assert replayed.as_dict() == result.as_dict()
-
-
-# ---------------------------------------------------------------------------
 # Backend equivalence through the store (the acceptance bar)
 # ---------------------------------------------------------------------------
 
 def test_all_backends_write_the_store_and_match_a_pickle_replay(tmp_path,
                                                                 job, result):
     """Serial, parallel and distributed all read/write through
-    ResultStore, and every path is bit-identical to a legacy
-    pickle-cache replay of the same job."""
-    legacy = PickleResultCache(tmp_path / "legacy")
-    legacy.put(job, result)
-    pickle_replay = legacy.get(job).as_dict()
-
+    ResultStore, and every path replays bit-identically to the
+    in-process execution of the same job."""
+    expected = result.as_dict()
     for backend in ("serial", "parallel", "distributed"):
         cache_dir = tmp_path / f"store-{backend}"
         with ExperimentSuite(workers=2, backend=backend, cache_dir=cache_dir,
@@ -253,11 +185,11 @@ def test_all_backends_write_the_store_and_match_a_pickle_replay(tmp_path,
             [executed] = suite.run([job])
         stored = ResultStore(cache_dir).get(job)
         assert stored.as_dict() == executed.as_dict()
-        assert stored.as_dict() == pickle_replay
+        assert stored.as_dict() == expected
         # The distributed queue's own result database holds the same row.
         if backend == "distributed":
             queued = ResultStore(tmp_path / "q" / "results").get(job)
-            assert queued.as_dict() == pickle_replay
+            assert queued.as_dict() == expected
 
 
 def test_concurrent_writers_from_separate_processes(tmp_path):
@@ -474,23 +406,3 @@ def test_results_export_json_and_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0].startswith("key,kind,scenario,")
     assert len(lines) == 1 + 2 * 4              # header + 4 metrics per row
-
-
-def test_results_migrate_cli(tmp_path, capsys, job, result):
-    PickleResultCache(tmp_path / "old").put(job, result)
-    assert main(["results", "migrate", str(tmp_path / "old")]) == 0
-    assert "migrated 1 entry" in capsys.readouterr().out
-    assert ResultStore(tmp_path / "old").get(job).as_dict() == \
-        result.as_dict()
-    # Idempotent re-run.
-    assert main(["results", "migrate", str(tmp_path / "old")]) == 0
-    assert "1 already present" in capsys.readouterr().out
-
-
-def test_result_cache_shim_is_the_store(tmp_path, job, result):
-    """The compatibility name still works and shares the database."""
-    cache = ResultCache(tmp_path / "store")
-    cache.put(job, result, runtime_s=1.0)
-    assert isinstance(cache, ResultStore)
-    assert ResultStore(tmp_path / "store").get(job).as_dict() == \
-        result.as_dict()

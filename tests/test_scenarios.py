@@ -2,9 +2,8 @@
 
 The contract under test: a scenario is one canonical value — it
 round-trips through ``to_dict``/``from_dict`` unchanged, its content
-hash is stable across processes and sensitive to every knob, and the
-deprecated runner shims produce bit-identical results to
-``Scenario.run()``.
+hash is stable across processes and sensitive to every knob, and
+``Scenario.run()`` executes the placements it describes.
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ from repro.experiments import ExperimentConfig
 from repro.scenarios.machines import MACHINE_SPECS
 from repro.scenarios.networks import NETWORKS
 from repro.scenarios.variants import SESSION_VARIANTS
-from repro.experiments.runner import (
-    run_colocated,
-    run_mixed_pair,
-    run_single,
-)
 from repro.scenarios import (
     Placement,
     Scenario,
@@ -263,25 +257,6 @@ def test_expanded_and_counted_placements_hash_identically(scenario):
 
 
 # -- execution equivalence ------------------------------------------------------------
-def test_deprecated_shims_match_scenario_run_bit_identically(config):
-    with pytest.deprecated_call():
-        legacy_single = run_single("RE", config, seed_offset=4)
-    modern_single = Scenario.single("RE", config, seed_offset=4).run()
-    assert legacy_single.as_dict() == modern_single.as_dict()
-
-    with pytest.deprecated_call():
-        legacy_pair = run_mixed_pair("RE", "ITP", config, seed_offset=2)
-    modern_pair = Scenario.mixed(("RE", "ITP"), config, seed_offset=2).run()
-    assert legacy_pair.as_dict() == modern_pair.as_dict()
-
-    with pytest.deprecated_call():
-        legacy_colocated = run_colocated("RE", 2, config, seed_offset=3,
-                                         containerized=True)
-    modern_colocated = Scenario.colocated("RE", 2, config, seed_offset=3,
-                                          containerized=True).run()
-    assert legacy_colocated.as_dict() == modern_colocated.as_dict()
-
-
 def test_three_way_mix_runs_end_to_end(config):
     result = Scenario.mixed(("RE", "ITP", "D2"), config).run()
     assert [r.benchmark for r in result.reports] == ["RE", "ITP", "D2"]
