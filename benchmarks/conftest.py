@@ -24,13 +24,12 @@ the environment:
     a SQLite database at ``$PICTOR_CACHE_DIR/results.sqlite``, queryable
     afterwards with ``python -m repro.experiments results list/diff
     --store $PICTOR_CACHE_DIR``.
-``PICTOR_BACKEND`` / ``PICTOR_QUEUE_DIR`` / ``PICTOR_QUEUE_ADDR``
-    pin an execution backend (``serial``/``parallel``/``distributed``/
-    ``socket``) and, for the distributed one, the work-queue directory
-    shared with externally started ``python -m repro.experiments
-    worker`` processes — or, for the socket one, the ``host:port`` of a
-    ``python -m repro.experiments serve`` queue server whose workers
-    connect with ``worker --addr``.
+``PICTOR_BACKEND`` / ``PICTOR_QUEUE_ADDR``
+    pin an execution backend (``serial``/``parallel``/``socket``) and,
+    for the socket one, the ``host:port`` of a ``python -m
+    repro.experiments serve`` queue server whose workers connect with
+    ``worker --addr`` (without it the suite runs its own in-process
+    server).
 """
 
 from __future__ import annotations
@@ -89,11 +88,9 @@ def suite():
     workers = max(1, int(os.environ.get("PICTOR_WORKERS", "1") or "1"))
     cache_dir = os.environ.get("PICTOR_CACHE_DIR") or None
     backend = os.environ.get("PICTOR_BACKEND") or None
-    queue_dir = os.environ.get("PICTOR_QUEUE_DIR") or None
     queue_addr = os.environ.get("PICTOR_QUEUE_ADDR") or None
     with ExperimentSuite(workers=workers, cache_dir=cache_dir,
-                         backend=backend, queue_dir=queue_dir,
-                         queue_addr=queue_addr) as shared:
+                         backend=backend, queue_addr=queue_addr) as shared:
         yield shared
 
 

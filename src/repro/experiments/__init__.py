@@ -25,14 +25,13 @@ Execution goes through the suite subsystem: every generator expresses its
 testbed runs as declarative :class:`~repro.scenarios.Scenario` values
 wrapped in :class:`~repro.experiments.jobs.ExperimentJob` lists that an
 :class:`~repro.experiments.executor.ExperimentSuite` runs serially,
-across local worker processes, over a distributed work queue
-(:mod:`repro.experiments.queue` — drained by ``python -m
-repro.experiments worker`` processes on any machine sharing the queue
-directory), over TCP to a queue server (:mod:`repro.experiments.server`
-behind ``python -m repro.experiments serve``, reached by
-:class:`~repro.experiments.socket_queue.SocketQueue` clients and
-heartbeating ``worker --addr`` processes, optionally autoscaled by a
-:class:`~repro.experiments.coordinator.Coordinator`), or out of the
+across local worker processes, over TCP to a queue server
+(:mod:`repro.experiments.server` behind ``python -m repro.experiments
+serve``, keeping its queue in a :mod:`repro.experiments.queue`
+directory, reached by :class:`~repro.experiments.socket_queue.SocketQueue`
+clients and heartbeating ``worker --addr`` processes, optionally
+autoscaled by a :class:`~repro.experiments.coordinator.Coordinator`), or
+out of the
 content-addressed SQLite result database
 (:mod:`repro.experiments.store`) — always with bit-identical results,
 submitted largest-estimated-cost first
@@ -53,7 +52,6 @@ from repro.experiments.executor import (
 )
 from repro.experiments.store import ResultStore, diff_result_sets
 from repro.experiments.jobs import ExperimentJob, execute_job
-from repro.experiments.queue import DirectoryQueue, WorkQueue
 from repro.experiments.coordinator import Coordinator
 from repro.experiments.server import QueueServer
 from repro.experiments.socket_queue import SocketQueue
@@ -67,7 +65,6 @@ __all__ = [
     "BACKENDS",
     "Coordinator",
     "CostModel",
-    "DirectoryQueue",
     "ExperimentConfig",
     "ExperimentJob",
     "ExperimentSuite",
@@ -78,7 +75,6 @@ __all__ = [
     "SeedPolicy",
     "SessionVariant",
     "SocketQueue",
-    "WorkQueue",
     "default_suite",
     "diff_result_sets",
     "execute_job",

@@ -18,24 +18,20 @@ network — straight from a JSON spec file, an inline JSON string, or an
         '{"placements": ["RE", "ITP", "D2"], "variant": "optimized"}'
 
 Execution backends are selectable (``--backend serial|parallel|
-distributed|socket``); the distributed backend submits jobs to a
-shared-filesystem work queue (``--queue DIR``) drained by standalone
-workers, and the socket backend talks to a TCP queue server instead, so
-workers need only network reach::
-
-    PYTHONPATH=src python -m repro.experiments worker --queue /shared/q &
-    PYTHONPATH=src python -m repro.experiments scenario RE+ITP+D2 \
-        --backend distributed --queue /shared/q --workers 2
+socket``); the socket backend submits jobs to a TCP queue server —
+its own in-process one, or a standalone ``serve`` process named by
+``--addr`` — drained by workers that need only network reach
+(``serve`` binds to loopback unless given ``--host``)::
 
     PYTHONPATH=src python -m repro.experiments serve --queue /srv/q \
         --port 7781 &
     PYTHONPATH=src python -m repro.experiments worker \
-        --addr host:7781 &
+        --addr 127.0.0.1:7781 &
     PYTHONPATH=src python -m repro.experiments scenario RE+ITP+D2 \
-        --backend socket --addr host:7781
+        --backend socket --addr 127.0.0.1:7781
 
-Results are deterministic: serial, parallel, distributed, and socket
-runs print bit-identical tables, and a second run against the same
+Results are deterministic: serial, parallel and socket runs print
+bit-identical tables, and a second run against the same
 ``--cache-dir`` replays without executing anything.
 
 Everything a run stores lands in the SQLite result database
@@ -101,7 +97,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.reporting import format_rows
-from repro.experiments.executor import ExperimentSuite
+from repro.experiments.executor import BACKENDS, ExperimentSuite
 from repro.experiments.figures import FIGURES, figure_names, run_figure
 from repro.experiments.jobs import CACHE_SCHEMA_VERSION, ExperimentJob
 from repro.experiments.store import RESULT_DB_FILENAME, ResultStore, current_git_rev
@@ -143,17 +139,11 @@ def _add_execution_options(parser: argparse.ArgumentParser,
                         help="worker processes (1 = serial; default 1)")
     parser.add_argument("--cache-dir", default=default(None), metavar="DIR",
                         help="content-addressed result cache directory")
-    parser.add_argument("--backend", choices=("serial", "parallel",
-                                              "distributed", "socket"),
+    parser.add_argument("--backend", choices=BACKENDS,
                         default=default(None),
                         help="execution backend (default: inferred — "
-                             "socket with --addr, distributed with "
-                             "--queue, parallel with --workers > 1, "
-                             "else serial)")
-    parser.add_argument("--queue", default=default(None), metavar="DIR",
-                        help="work-queue directory for the distributed "
-                             "backend (created on demand; default: a "
-                             "private temporary queue)")
+                             "socket with --addr, parallel with "
+                             "--workers > 1, else serial)")
     parser.add_argument("--addr", default=default(None), metavar="HOST:PORT",
                         help="queue server address for the socket backend "
                              "(see the serve subcommand; default: the "
@@ -187,6 +177,25 @@ def _add_store_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="result store: a run's --cache-dir or a "
                              ".sqlite file")
+
+
+def _suite_from_args(args) -> ExperimentSuite:
+    """The suite the figure, ``scenario`` and ``fleet run`` paths run on."""
+    return ExperimentSuite(workers=args.workers, cache_dir=args.cache_dir,
+                           backend=args.backend, queue_addr=args.addr)
+
+
+def _stats_line(label: str, elapsed: float, suite: ExperimentSuite, args, *,
+                submitted: str = "jobs submitted",
+                show_backend: bool = False) -> str:
+    """The closing ``<label> in <s> — <suite stats>`` line of a run."""
+    stats = suite.stats
+    where = f"{args.workers} worker(s)"
+    if show_backend:
+        where += f", {suite.backend} backend"
+    return (f"{label} in {elapsed:.1f}s — {stats.submitted} {submitted}, "
+            f"{stats.executed} executed, {stats.deduplicated} deduplicated, "
+            f"{stats.cache_hits} cache hits ({where})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,20 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = subcommands.add_parser(
         "worker",
-        help="run a standalone worker against a work queue or queue server",
-        description="Poll a work queue for pending experiment jobs, "
-                    "execute them, and write provenance-stamped results "
-                    "back through the queue.  Give the worker either a "
-                    "--queue directory (shared-filesystem transport; one "
-                    "per core on any machine that can see it) or the "
-                    "--addr of a queue server (TCP transport; one per "
-                    "core on any machine that can reach it).")
-    transport = worker.add_mutually_exclusive_group(required=True)
-    transport.add_argument("--queue", metavar="DIR",
-                           help="work-queue directory (created on demand)")
-    transport.add_argument("--addr", metavar="HOST:PORT",
-                           help="queue server address (see the serve "
-                                "subcommand)")
+        help="run a standalone worker against a queue server",
+        description="Poll a queue server for pending experiment jobs, "
+                    "execute them, and send provenance-stamped results "
+                    "back for the server to store.  Run one per core on "
+                    "any machine that can reach the server.")
+    worker.add_argument("--addr", required=True, metavar="HOST:PORT",
+                        help="queue server address (see the serve "
+                             "subcommand)")
     worker.add_argument("--worker-id", default=None, metavar="ID",
                         help="worker identity used in claims "
                              "(default: <hostname>-<pid>)")
@@ -542,9 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="exit after the queue stays empty this long "
                              "(default: poll forever)")
-    worker.add_argument("--heartbeat", type=float, default=None, metavar="S",
-                        help="heartbeat interval in seconds (default: 2 "
-                             "with --addr, off with --queue)")
+    worker.add_argument("--heartbeat", type=float, default=2.0, metavar="S",
+                        help="heartbeat interval in seconds (default 2)")
     worker.set_defaults(handler=_run_worker)
 
     serve = subcommands.add_parser(
@@ -560,8 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue", required=True, metavar="DIR",
                        help="work-queue directory to serve (created on "
                             "demand)")
-    serve.add_argument("--host", default="0.0.0.0", metavar="HOST",
-                       help="interface to bind (default: all interfaces)")
+    serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
+                       help="interface to bind (default: 127.0.0.1, "
+                            "loopback only — frames are unauthenticated "
+                            "pickles, so bind another interface only on "
+                            "a trusted network)")
     serve.add_argument("--port", type=int, default=7781, metavar="N",
                        help="TCP port to bind (default 7781; 0 = any free "
                             "port)")
@@ -617,9 +622,7 @@ def _run_scenarios(args) -> int:
         scenarios = []
         for spec in args.spec:
             scenarios.extend(load_scenarios(spec, config))
-        suite = ExperimentSuite(workers=args.workers, cache_dir=args.cache_dir,
-                                backend=args.backend, queue_dir=args.queue,
-                                queue_addr=args.addr)
+        suite = _suite_from_args(args)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -627,7 +630,6 @@ def _run_scenarios(args) -> int:
     started = time.perf_counter()
     with suite:
         results = suite.run([ExperimentJob(scenario) for scenario in scenarios])
-        stats = suite.stats
     elapsed = time.perf_counter() - started
 
     for scenario, result in zip(scenarios, results):
@@ -646,10 +648,8 @@ def _run_scenarios(args) -> int:
           f"git {current_git_rev()[:12]}")
     # Timing is nondeterministic, so it goes to stderr: stdout stays
     # bit-identical across serial / parallel / cache-replay runs.
-    print(f"{len(scenarios)} scenario(s) in {elapsed:.1f}s — "
-          f"{stats.submitted} jobs submitted, {stats.executed} executed, "
-          f"{stats.deduplicated} deduplicated, {stats.cache_hits} cache hits "
-          f"({args.workers} worker(s))", file=sys.stderr)
+    print(_stats_line(f"{len(scenarios)} scenario(s)", elapsed, suite, args),
+          file=sys.stderr)
     return 0
 
 
@@ -985,13 +985,10 @@ def _fleet_run(args) -> int:
     jobs = population_jobs(spec, args.n, seed=args.sample_seed,
                            config=config)
     index = scenarios_by_key(jobs)
-    suite = ExperimentSuite(workers=args.workers, cache_dir=args.cache_dir,
-                            backend=args.backend, queue_dir=args.queue,
-                            queue_addr=args.addr)
+    suite = _suite_from_args(args)
     started = time.perf_counter()
     with suite:
         suite.run(jobs)
-        stats = suite.stats
     elapsed = time.perf_counter() - started
     # Deterministic stdout (serial / parallel / socket / replay agree);
     # timing and throughput go to stderr.
@@ -1002,10 +999,8 @@ def _fleet_run(args) -> int:
           f"{population_digest(job.scenario for job in jobs)}")
     print(f"provenance: schema v{CACHE_SCHEMA_VERSION}, "
           f"git {current_git_rev()[:12]}")
-    print(f"{len(jobs)} job(s) in {elapsed:.1f}s — "
-          f"{stats.submitted} submitted, {stats.executed} executed, "
-          f"{stats.deduplicated} deduplicated, {stats.cache_hits} cache "
-          f"hits ({args.workers} worker(s), {suite.backend} backend)",
+    print(_stats_line(f"{len(jobs)} job(s)", elapsed, suite, args,
+                      submitted="submitted", show_backend=True),
           file=sys.stderr)
     return 0
 
@@ -1154,24 +1149,15 @@ def _agents_gc(args) -> int:
 
 def _run_worker(args) -> int:
     from repro.experiments.queue import default_worker_id
+    from repro.experiments.socket_queue import SocketQueue
     from repro.experiments.worker import run_worker
 
-    if args.addr is not None:
-        from repro.experiments.socket_queue import SocketQueue
-        queue = SocketQueue(args.addr)
-        source = args.addr
-        heartbeat_s = args.heartbeat if args.heartbeat is not None else 2.0
-    else:
-        from repro.experiments.queue import DirectoryQueue
-        queue = DirectoryQueue(args.queue)
-        source = queue.root
-        heartbeat_s = args.heartbeat
     worker_id = args.worker_id or default_worker_id()
-    executed = run_worker(queue, worker_id=worker_id, poll_s=args.poll,
-                          max_jobs=args.max_jobs,
+    executed = run_worker(SocketQueue(args.addr), worker_id=worker_id,
+                          poll_s=args.poll, max_jobs=args.max_jobs,
                           idle_timeout_s=args.idle_timeout,
-                          heartbeat_s=heartbeat_s)
-    print(f"worker {worker_id}: executed {executed} job(s) from {source}",
+                          heartbeat_s=args.heartbeat)
+    print(f"worker {worker_id}: executed {executed} job(s) from {args.addr}",
           file=sys.stderr)
     return 0
 
@@ -1242,9 +1228,7 @@ def _run_figures(args) -> int:
 
     try:
         config = make_config(args)
-        suite = ExperimentSuite(workers=args.workers, cache_dir=args.cache_dir,
-                                backend=args.backend, queue_dir=args.queue,
-                                queue_addr=args.addr)
+        suite = _suite_from_args(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1254,12 +1238,8 @@ def _run_figures(args) -> int:
             rows = run_figure(name, config, suite)
             print(format_rows(rows, title=FIGURES[name].title))
             print()
-        stats = suite.stats
     elapsed = time.perf_counter() - started
-    print(f"{len(names)} figure(s) in {elapsed:.1f}s — "
-          f"{stats.submitted} jobs submitted, {stats.executed} executed, "
-          f"{stats.deduplicated} deduplicated, {stats.cache_hits} cache hits "
-          f"({args.workers} worker(s))")
+    print(_stats_line(f"{len(names)} figure(s)", elapsed, suite, args))
     return 0
 
 

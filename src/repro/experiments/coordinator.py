@@ -29,7 +29,6 @@ import subprocess
 import time
 from typing import Optional
 
-from repro.experiments.queue import WorkQueue
 from repro.experiments.socket_queue import SocketQueue
 from repro.experiments.worker import spawn_worker
 
@@ -50,7 +49,7 @@ class Coordinator:
         scale_interval_s: float = 1.0,
         poll_s: float = 0.05,
         heartbeat_s: float = 2.0,
-        queue: Optional[WorkQueue] = None,
+        queue: Optional[SocketQueue] = None,
         name: str = "coord",
     ):
         if min_workers < 0 or max_workers < min_workers:
@@ -86,7 +85,7 @@ class Coordinator:
             worker_id = f"{self.name}-{self._spawned}"
             self._spawned += 1
             self._workers[worker_id] = spawn_worker(
-                addr=self.addr,
+                self.addr,
                 worker_id=worker_id,
                 poll_s=self.poll_s,
                 idle_timeout_s=self.idle_timeout_s,
@@ -165,5 +164,4 @@ class Coordinator:
                 except subprocess.TimeoutExpired:
                     process.kill()
             self._workers.clear()
-        if isinstance(self.queue, SocketQueue):
-            self.queue.close()
+        self.queue.close()

@@ -5,8 +5,9 @@ deterministic), but it does change how well a pool of workers is
 utilized: with figure-order submission a long job picked up last leaves
 every other worker idle while it finishes.  Classic longest-processing-
 time packing — submit the most expensive jobs first — bounds that tail,
-so both the process-pool and the distributed backends order their
-submissions through :func:`order_by_cost`.
+so both the process-pool and the socket backends order their
+submissions through :func:`order_by_cost` (and the queue server
+re-ranks claims across submitters with the same model).
 
 The a-priori cost of a job is :meth:`ExperimentJob.cost_units`
 (simulated seconds × instance count).  Units are only comparable within

@@ -1,4 +1,4 @@
-"""Experiment execution: interchangeable serial / parallel / distributed backends.
+"""Experiment execution: interchangeable serial / parallel / socket backends.
 
 :class:`ExperimentSuite` takes a list of :class:`ExperimentJob` values
 and returns their results in the same order.  Three layers cooperate:
@@ -13,16 +13,13 @@ and returns their results in the same order.  Three layers cooperate:
   queryable/diffable with ``python -m repro.experiments results``;
 * **execution backend** — ``serial`` runs jobs in-process; ``parallel``
   fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`;
-  ``distributed`` submits them to a shared-filesystem work queue
-  (:class:`~repro.experiments.queue.DirectoryQueue`) drained by
-  standalone worker processes — spawned locally by the suite, or
-  started by hand on any machine that can see the queue directory with
-  ``python -m repro.experiments worker --queue DIR``; ``socket``
-  submits to a :class:`~repro.experiments.server.QueueServer` over TCP
+  ``socket`` submits them to a
+  :class:`~repro.experiments.server.QueueServer` over TCP
   (:class:`~repro.experiments.socket_queue.SocketQueue`) — an external
   server named by ``queue_addr``, or one the suite starts in-process —
-  drained by heartbeating workers anywhere the server is reachable
-  (``python -m repro.experiments worker --addr HOST:PORT``).
+  drained by heartbeating workers anywhere the server is reachable:
+  spawned locally by the suite, or started by hand with ``python -m
+  repro.experiments worker --addr HOST:PORT``.
 
 Whatever the backend, jobs are submitted **largest-estimated-cost
 first** (:func:`~repro.experiments.cost.order_by_cost`, calibrated from
@@ -49,6 +46,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.cost import CostCalibration, CostModel, order_by_cost
 from repro.experiments.jobs import ExperimentJob, execute_job
+from repro.experiments.socket_queue import SocketQueue
 from repro.experiments.store import ResultStore
 
 __all__ = ["BACKENDS", "ExperimentSuite", "SuiteStats", "default_suite",
@@ -57,7 +55,7 @@ __all__ = ["BACKENDS", "ExperimentSuite", "SuiteStats", "default_suite",
 logger = logging.getLogger(__name__)
 
 #: The execution backends a suite can run jobs on.
-BACKENDS = ("serial", "parallel", "distributed", "socket")
+BACKENDS = ("serial", "parallel", "socket")
 
 
 @dataclass
@@ -105,7 +103,7 @@ def _split_waves(pending: list[ExperimentJob]) -> list[list[ExperimentJob]]:
     Training jobs publish the content-addressed artefacts the
     measurement jobs in the same submission consume, so draining them
     first makes every dependent job a warm store hit on every backend
-    (serial, pool, directory queue, socket).  Nothing is wrong if a
+    (serial, pool, socket).  Nothing is wrong if a
     measurement job runs cold — artefact resolution trains on demand,
     deterministically — the wave split just prevents that duplicated
     work.
@@ -119,37 +117,34 @@ def _split_waves(pending: list[ExperimentJob]) -> list[list[ExperimentJob]]:
 class ExperimentSuite:
     """Runs experiment jobs through a pluggable execution backend.
 
-    ``backend`` is normally inferred — ``distributed`` when a
-    ``queue_dir`` is given, ``parallel`` when ``workers > 1``, else
-    ``serial`` — but can be pinned explicitly (the CLI's ``--backend``).
-    On the distributed backend ``workers`` is the number of local worker
-    processes the suite spawns against the queue; with
+    ``backend`` is normally inferred — ``socket`` when a ``queue_addr``
+    is given, ``parallel`` when ``workers > 1``, else ``serial`` — but
+    can be pinned explicitly (the CLI's ``--backend``).
+
+    On the socket backend ``workers`` is the number of local worker
+    processes the suite spawns against the queue server; with
     ``spawn_workers=False`` the suite only submits and waits, leaving
     execution to externally started workers (``python -m
-    repro.experiments worker --queue DIR``, on this or any other machine
-    sharing the queue directory).
-
-    The socket backend works the same way over TCP: with ``queue_addr``
-    the suite is a client of an external ``python -m repro.experiments
-    serve`` process; without one it starts its own
-    :class:`~repro.experiments.server.QueueServer` in-process (over
-    ``queue_dir``, or a suite-owned temp directory) — handy for tests
-    and for accepting extra external ``--addr`` workers into an
-    otherwise local run.
+    repro.experiments worker --addr HOST:PORT``, on this or any other
+    machine that can reach the server).  With ``queue_addr`` the suite is
+    a client of an external ``python -m repro.experiments serve``
+    process; without one it starts its own
+    :class:`~repro.experiments.server.QueueServer` in-process over a
+    suite-owned temp directory — handy for tests and for accepting extra
+    external ``--addr`` workers into an otherwise local run.
     """
 
     workers: int = 1
     cache_dir: Optional[os.PathLike | str] = None
     backend: Optional[str] = None
-    queue_dir: Optional[os.PathLike | str] = None
     #: ``host:port`` of an external queue server (implies ``socket``).
     queue_addr: Optional[str] = None
     spawn_workers: bool = True
-    #: Claims older than this are requeued (crashed-worker recovery).
-    #: Must exceed the longest single job runtime, or a slow job will be
-    #: executed twice (harmless — results are deterministic — but wasteful).
+    #: The lease of the suite's in-process queue server: claims older
+    #: than this are requeued unless a heartbeat refreshed them (an
+    #: external server sets its own, ``serve --lease``).
     lease_s: float = 300.0
-    #: How long the distributed backend waits for results before raising.
+    #: How long the socket backend waits for results before raising.
     timeout_s: Optional[float] = None
     stats: SuiteStats = field(default_factory=SuiteStats)
 
@@ -158,7 +153,6 @@ class ExperimentSuite:
             raise ValueError("workers must be at least 1")
         if self.backend is None:
             self.backend = ("socket" if self.queue_addr is not None
-                            else "distributed" if self.queue_dir is not None
                             else "parallel" if self.workers > 1 else "serial")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
@@ -166,19 +160,11 @@ class ExperimentSuite:
         if self.queue_addr is not None and self.backend != "socket":
             raise ValueError("queue_addr only applies to the socket "
                              f"backend, not {self.backend!r}")
-        if self.queue_dir is not None \
-                and self.backend not in ("distributed", "socket"):
-            raise ValueError("queue_dir only applies to the distributed "
-                             f"and socket backends, not {self.backend!r}")
-        if self.queue_dir is not None and self.queue_addr is not None:
-            raise ValueError("queue_dir and queue_addr are exclusive: an "
-                             "external server owns its own queue directory")
         # The canonical result path of every backend: the SQLite result store.
         self._cache = ResultStore(self.cache_dir) if self.cache_dir else None
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._queue = None
+        self._queue: Optional[SocketQueue] = None
         self._server = None                      # suite-owned QueueServer
-        self._owned_queue_dir: Optional[Path] = None
         self._worker_log_dir: Optional[Path] = None
         self._worker_procs: list[tuple[subprocess.Popen, str]] = []
         self._worker_seq = 0
@@ -209,15 +195,13 @@ class ExperimentSuite:
                 proc.kill()
                 proc.wait()
         self._worker_procs.clear()
-        if self._queue is not None and hasattr(self._queue, "close"):
+        if self._queue is not None:
             self._queue.close()
         self._queue = None
         if self._server is not None:
             self._server.stop()
+            shutil.rmtree(self._server.queue.root, ignore_errors=True)
             self._server = None
-        if self._owned_queue_dir is not None:
-            shutil.rmtree(self._owned_queue_dir, ignore_errors=True)
-            self._owned_queue_dir = None
         if self._worker_log_dir is not None:
             shutil.rmtree(self._worker_log_dir, ignore_errors=True)
             self._worker_log_dir = None
@@ -297,18 +281,16 @@ class ExperimentSuite:
         # result payloads unpickled) happens once per suite; every batch
         # executed afterwards feeds the calibration in memory via run().
         if self._calibration is None:
-            cache = self._cache
-            if cache is None and self.backend == "distributed":
-                cache = self._ensure_queue().results
-            self._calibration = (CostCalibration.from_cache(cache)
-                                 if cache is not None else CostCalibration())
+            self._calibration = (CostCalibration.from_cache(self._cache)
+                                 if self._cache is not None
+                                 else CostCalibration())
         return self._calibration.model()
 
     def _map(self, jobs: list[ExperimentJob]) -> list[tuple]:
         """(result, runtime_s) per job, aligned with ``jobs``."""
         ordered = order_by_cost(jobs, self._cost_model())
-        if self.backend in ("distributed", "socket"):
-            by_job = self._run_distributed(ordered)
+        if self.backend == "socket":
+            by_job = self._run_queued(ordered)
         elif self.backend == "parallel" and self.workers > 1 and len(jobs) > 1:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
@@ -322,43 +304,26 @@ class ExperimentSuite:
             by_job = {job: _timed_execute(job) for job in ordered}
         return [by_job[job] for job in jobs]
 
-    # -- the distributed/socket backends ----------------------------------------------
-    def _ensure_queue(self):
+    # -- the socket backend -----------------------------------------------------------
+    def _ensure_queue(self) -> SocketQueue:
         if self._queue is None:
-            if self.backend == "socket":
-                from repro.experiments.socket_queue import SocketQueue
-                addr = self.queue_addr
-                if addr is None:
-                    # No external server: run one in-process over the
-                    # queue_dir (or a suite-owned temp directory).  The
-                    # suite's workers — and any external --addr worker —
-                    # connect over TCP exactly as they would to a
-                    # standalone `serve` process.
-                    from repro.experiments.server import QueueServer
-                    root = self.queue_dir
-                    if root is None:
-                        root = tempfile.mkdtemp(prefix="pictor-queue-")
-                        self._owned_queue_dir = Path(root)
-                    self._server = QueueServer(
-                        Path(root), lease_s=self.lease_s).start()
-                    addr = self._server.address
-                self._worker_log_dir = Path(
-                    tempfile.mkdtemp(prefix="pictor-socket-workers-"))
-                self._queue = SocketQueue(addr)
-            else:
-                from repro.experiments.queue import DirectoryQueue
-                root = self.queue_dir
-                if root is None:
-                    root = tempfile.mkdtemp(prefix="pictor-queue-")
-                    self._owned_queue_dir = Path(root)
-                self._queue = DirectoryQueue(root)
+            addr = self.queue_addr
+            if addr is None:
+                # No external server: run one in-process over a
+                # suite-owned temp directory.  The suite's workers — and
+                # any external --addr worker — connect over TCP exactly
+                # as they would to a standalone `serve` process.
+                from repro.experiments.server import QueueServer
+                self._server = QueueServer(
+                    Path(tempfile.mkdtemp(prefix="pictor-queue-")),
+                    lease_s=self.lease_s).start()
+                addr = self._server.address
+            self._worker_log_dir = Path(
+                tempfile.mkdtemp(prefix="pictor-socket-workers-"))
+            self._queue = SocketQueue(addr)
         return self._queue
 
-    def _worker_logs(self, queue) -> Path:
-        return (self._worker_log_dir if self._worker_log_dir is not None
-                else queue.worker_log_dir)
-
-    def _ensure_workers(self, queue) -> None:
+    def _ensure_workers(self, queue: SocketQueue) -> None:
         from repro.experiments.worker import spawn_worker
         if not self.spawn_workers:
             return
@@ -368,21 +333,17 @@ class ExperimentSuite:
         while len(self._worker_procs) < self.workers:
             worker_id = f"suite-{os.getpid()}-w{self._worker_seq}"
             self._worker_seq += 1
-            if self.backend == "socket":
-                proc = spawn_worker(addr=self._queue.addr,
-                                    worker_id=worker_id,
-                                    heartbeat_s=2.0,
-                                    log_dir=self._worker_log_dir)
-            else:
-                proc = spawn_worker(queue.root, worker_id=worker_id)
+            proc = spawn_worker(queue.addr, worker_id=worker_id,
+                                log_dir=self._worker_log_dir)
             self._worker_procs.append((proc, worker_id))
 
-    def _reap_dead_workers(self, queue) -> None:
+    def _reap_dead_workers(self, queue: SocketQueue) -> None:
         """Requeue the claims of spawned workers that exited.
 
         External workers (``spawn_workers=False`` or other machines) are
-        invisible here; their crashes are covered by the lease —
-        :meth:`DirectoryQueue.requeue_stale` runs every poll iteration.
+        invisible here; the server's sweep requeues their claims once
+        their heartbeats stop (or, for a worker that never beat, once
+        its lease expires).
         """
         alive = []
         for proc, worker_id in self._worker_procs:
@@ -393,14 +354,14 @@ class ExperimentSuite:
             logger.warning(
                 "spawned worker %s exited with code %s; requeued %d claimed "
                 "job(s); log: %s", worker_id, proc.returncode, len(requeued),
-                self._worker_logs(queue) / f"{worker_id}.log")
+                self._worker_log_dir / f"{worker_id}.log")
         if self.spawn_workers and not alive and self._worker_procs:
             raise RuntimeError(
-                "all spawned distributed workers exited while jobs were "
-                f"outstanding; see logs under {self._worker_logs(queue)}")
+                "all spawned queue workers exited while jobs were "
+                f"outstanding; see logs under {self._worker_log_dir}")
         self._worker_procs = alive
 
-    def _run_distributed(self, ordered: list[ExperimentJob]) -> dict:
+    def _run_queued(self, ordered: list[ExperimentJob]) -> dict:
         queue = self._ensure_queue()
         outstanding: dict[str, ExperimentJob] = {}
         for key, job in zip(queue.submit_many(ordered), ordered):
@@ -423,13 +384,11 @@ class ExperimentSuite:
                         # entry (here: pre-existing in a shared queue,
                         # since submit() skips already-completed keys) is
                         # rejected with a log line and re-executed.
-                        store = getattr(queue, "results", None)
                         logger.warning(
                             "rejecting tampered cache entry %s: stamped "
                             "scenario hash %s does not match the job's "
                             "scenario %s (written at git rev %s); "
-                            "recomputing",
-                            store.locate(key) if store is not None else key,
+                            "recomputing", key,
                             entry.get("scenario_hash"),
                             job.scenario.content_hash(),
                             entry.get("git_rev", "unknown"))
@@ -443,41 +402,30 @@ class ExperimentSuite:
                 failure = queue.failure(key)
                 if failure is not None:
                     raise RuntimeError(
-                        f"distributed job {key[:12]} failed on worker "
+                        f"queued job {key[:12]} failed on worker "
                         f"{failure.get('worker', '?')}: "
                         f"{failure.get('error', '?')}\n"
                         f"{failure.get('traceback', '')}")
             if not outstanding:
                 break
             self._reap_dead_workers(queue)
-            if self.backend == "distributed":
-                # The socket backend's server runs its own sweep
-                # (heartbeat-timeout requeues plus this same lease
-                # backstop); only the directory transport needs the
-                # submitter to police leases.
-                queue.requeue_stale(self.lease_s)
             if not progressed:
                 if deadline is not None and time.monotonic() > deadline:
-                    where = (queue.root if self.backend == "distributed"
-                             else queue.addr)
                     raise TimeoutError(
-                        f"{self.backend} backend timed out after "
+                        f"socket backend timed out after "
                         f"{self.timeout_s:g}s with {len(outstanding)} job(s) "
-                        f"outstanding in {where}")
+                        f"outstanding in {queue.addr}")
                 if not self._worker_procs \
                         and time.monotonic() - last_warning > 30.0:
                     # No spawned workers to watch (spawn_workers=False):
                     # an external fleet may simply not be up yet, but
                     # don't hang silently.
                     last_warning = time.monotonic()
-                    start_hint = (f"--queue {queue.root}"
-                                  if self.backend == "distributed"
-                                  else f"--addr {queue.addr}")
                     logger.warning(
-                        "%s backend waiting on %d job(s) with no spawned "
-                        "workers; start one with 'python -m "
-                        "repro.experiments worker %s'",
-                        self.backend, len(outstanding), start_hint)
+                        "socket backend waiting on %d job(s) with no "
+                        "spawned workers; start one with 'python -m "
+                        "repro.experiments worker --addr %s'",
+                        len(outstanding), queue.addr)
                 time.sleep(0.05)
         return gathered
 
@@ -494,8 +442,9 @@ _DEFAULT_SUITES: dict[tuple, ExperimentSuite] = {}
 @atexit.register
 def _close_default_suites() -> None:
     # Memoized suites have no owning `with` block, so their spawned
-    # distributed workers (and any suite-owned temp queue directory)
-    # must be torn down at interpreter exit or they would linger.
+    # queue workers (and any suite-owned queue server and temp
+    # directory) must be torn down at interpreter exit or they would
+    # linger.
     for suite in _DEFAULT_SUITES.values():
         suite.close()
 
@@ -510,7 +459,6 @@ def default_suite() -> ExperimentSuite:
     * ``PICTOR_WORKERS`` — worker-process count (default 1 = serial);
     * ``PICTOR_CACHE_DIR`` — result cache directory (default: none);
     * ``PICTOR_BACKEND`` — pin a backend (default: inferred);
-    * ``PICTOR_QUEUE_DIR`` — work-queue directory (implies distributed);
     * ``PICTOR_QUEUE_ADDR`` — queue server ``host:port`` (implies socket).
 
     Suites are memoized per configuration so a process pool (or a fleet
@@ -520,13 +468,11 @@ def default_suite() -> ExperimentSuite:
     workers = max(1, int(os.environ.get("PICTOR_WORKERS", "1") or "1"))
     cache_dir = os.environ.get("PICTOR_CACHE_DIR") or None
     backend = os.environ.get("PICTOR_BACKEND") or None
-    queue_dir = os.environ.get("PICTOR_QUEUE_DIR") or None
     queue_addr = os.environ.get("PICTOR_QUEUE_ADDR") or None
-    key = (workers, cache_dir, backend, queue_dir, queue_addr)
+    key = (workers, cache_dir, backend, queue_addr)
     suite = _DEFAULT_SUITES.get(key)
     if suite is None:
         suite = ExperimentSuite(workers=workers, cache_dir=cache_dir,
-                                backend=backend, queue_dir=queue_dir,
-                                queue_addr=queue_addr)
+                                backend=backend, queue_addr=queue_addr)
         _DEFAULT_SUITES[key] = suite
     return suite

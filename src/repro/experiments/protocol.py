@@ -23,16 +23,15 @@ failure, and the queue's retry/requeue machinery (client backoff, worker
 heartbeats, lease recovery) turns a dropped connection into a re-run,
 never a lost or corrupted result.
 
-Request/response types mirror the :class:`~repro.experiments.queue.WorkQueue`
-interface — SUBMIT / CLAIM / COMPLETE / FAIL / HEARTBEAT / COUNTS /
-REQUEUE plus the result-query messages — and every request is answered
-by exactly one OK (payload: the reply) or ERROR (payload: the remote
-failure description) frame.
+Request/response types mirror the
+:class:`~repro.experiments.socket_queue.SocketQueue` methods — SUBMIT /
+CLAIM / COMPLETE / FAIL / HEARTBEAT / COUNTS / REQUEUE plus the
+result-query messages — and every request is answered by exactly one OK
+(payload: the reply) or ERROR (payload: the remote failure description)
+frame.
 
-Payloads are pickled, exactly like the jobs the
-:class:`~repro.experiments.queue.DirectoryQueue` already writes to its
-shared directory: the transport carries the same trusted-cluster traffic
-the shared filesystem did, only over TCP.
+Payloads are pickled and not authenticated, so only trusted peers may
+reach the server: ``serve`` binds to loopback unless told otherwise.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ MAX_PAYLOAD = 256 * 1024 * 1024
 
 
 class MessageType(enum.IntEnum):
-    """One byte on the wire; requests mirror the WorkQueue interface."""
+    """One byte on the wire; requests mirror the SocketQueue methods."""
 
     SUBMIT = 1
     CLAIM = 2

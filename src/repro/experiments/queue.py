@@ -1,54 +1,49 @@
-"""A content-addressed work queue: the distributed backend's transport.
+"""A content-addressed work queue: the queue server's private storage.
 
-The queue hands :class:`~repro.experiments.jobs.ExperimentJob` values
-(frozen, picklable, content-hashed) from one submitter to any number of
-workers, possibly on other machines.  :class:`WorkQueue` is the small
-transport-agnostic interface; :class:`DirectoryQueue` is the base
-implementation — a plain directory on a filesystem every participant
-can see — and :class:`~repro.experiments.socket_queue.SocketQueue`
-reaches the same directory over TCP through a
-:class:`~repro.experiments.server.QueueServer`, inheriting every
+The queue holds :class:`~repro.experiments.jobs.ExperimentJob` values
+(frozen, picklable, content-hashed) between their submission and their
+completion.  :class:`DirectoryQueue` is a plain directory owned by one
+:class:`~repro.experiments.server.QueueServer`; submitters and workers
+anywhere reach it through that server with
+:class:`~repro.experiments.socket_queue.SocketQueue`, and inherit every
 semantic below.
 
-The directory protocol::
+The directory layout::
 
     <queue>/
       pending/   00000003-<key>.job            submitted, unclaimed
       claimed/   00000003-<key>.job@<worker>   claimed by one worker
       results/   results.sqlite                provenance-stamped ResultStore
       failed/    <key>.json                    error + traceback markers
-      workers/   <worker>.log                  spawned-worker logs
 
 * **Submission** writes the pickled job atomically (temp file +
   ``os.replace``) under a monotonically increasing priority prefix, so
-  the lexicographic order of ``pending/`` *is* the submission order —
-  the executor submits largest-estimated-cost first and workers drain in
-  exactly that order.  Submitting a key that is already pending,
-  claimed, or completed is a no-op (idempotent).
-* **Claiming** is one ``os.rename`` from ``pending/`` into ``claimed/``
-  — atomic on POSIX, so exactly one of any number of racing workers
-  wins; losers see ``FileNotFoundError`` and move to the next file.
-* **Completion** writes the result through the SQLite
+  the lexicographic order of ``pending/`` *is* the submission order.
+  Submitting a key that is already pending, claimed, or completed is a
+  no-op (idempotent); a key that is enqueued again drops any failure
+  marker an earlier attempt left behind.
+* **Claiming** (:meth:`claim_file`) is one ``os.rename`` from
+  ``pending/`` into ``claimed/`` — atomic on POSIX, so exactly one
+  claimant wins; a loser sees ``FileNotFoundError`` and moves to the
+  next file.
+* **Completion** is the server writing the result through the SQLite
   :class:`~repro.experiments.store.ResultStore` (the same
-  provenance-stamped rows the in-process backends write; rollback
-  journal + a busy timeout coordinate concurrent workers, including
-  workers on other machines — with the usual SQLite caveat that the
-  shared filesystem's advisory locking must work) and removes the
-  claim.
+  provenance-stamped rows the in-process backends write) and
+  :meth:`release_claim` removing the claim file.
 * **Crash recovery**: a dead worker leaves its claim file behind.
   :meth:`requeue_stale` renames claims older than a lease back into
   ``pending/`` (a successful claim refreshes its mtime, starting the
   lease); :meth:`requeue_worker` requeues a specific worker's claims
-  immediately when the submitter *knows* it died (it spawned the
-  process).  Delivery is therefore **at least once** — a worker that
-  merely stalled past its lease may complete a job a second worker
-  re-ran — which is safe because :func:`execute_job` is deterministic:
-  both completions write byte-identical cache entries.
+  immediately when the server *knows* it died (missed heartbeats, or a
+  spawner that saw the process exit).  Delivery is therefore **at least
+  once** — a worker that merely stalled past its lease may complete a
+  job a second worker re-ran — which is safe because
+  :func:`execute_job` is deterministic: both completions write
+  byte-identical cache entries.
 """
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import pickle
@@ -63,7 +58,7 @@ from typing import Optional, Sequence
 from repro.experiments.jobs import ExperimentJob
 from repro.experiments.store import ResultStore, atomic_write_bytes
 
-__all__ = ["ClaimedJob", "DirectoryQueue", "QueueCounts", "WorkQueue",
+__all__ = ["ClaimedJob", "DirectoryQueue", "QueueCounts",
            "default_worker_id"]
 
 #: Zero-padded width of the submission-priority filename prefix.
@@ -79,16 +74,11 @@ def default_worker_id() -> str:
 
 @dataclass(frozen=True)
 class ClaimedJob:
-    """One job a worker holds exclusively until completed/failed/requeued.
-
-    ``path`` is the claim file for directory-transport claims; socket
-    claims have no local file (the server holds it) and carry None.
-    """
+    """One job a worker holds exclusively until completed/failed/requeued."""
 
     key: str
     job: ExperimentJob
     worker_id: str
-    path: Optional[Path] = None
 
 
 @dataclass(frozen=True)
@@ -99,95 +89,22 @@ class QueueCounts:
     failed: int = 0
 
 
-class WorkQueue(abc.ABC):
-    """The transport-agnostic queue interface the executor programs against."""
-
-    @abc.abstractmethod
-    def submit(self, job: ExperimentJob) -> str:
-        """Enqueue ``job`` (idempotent per content hash); returns its key."""
-
-    def submit_many(self, jobs: Sequence[ExperimentJob]) -> list[str]:
-        """Enqueue ``jobs`` in order; returns their keys.
-
-        Semantically ``[self.submit(job) for job in jobs]``; transports
-        override it when a batch is materially cheaper (one duplicate
-        scan for the directory protocol, one frame for the socket one).
-        """
-        return [self.submit(job) for job in jobs]
-
-    @abc.abstractmethod
-    def claim(self, worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
-        """Exclusively claim the highest-priority pending job, or None."""
-
-    def heartbeat(self, worker_id: str,
-                  keys: Optional[Sequence[str]] = None) -> list[str]:
-        """Signal that ``worker_id`` is alive and working on ``keys``.
-
-        Refreshes the lease of the listed claims (``None`` = every claim
-        the worker holds) so an in-flight job outlives ``lease_s`` as
-        long as its worker keeps beating; returns the refreshed keys.
-        Transports without liveness tracking may treat it as a no-op.
-        """
-        return []
-
-    @abc.abstractmethod
-    def complete(self, claimed: ClaimedJob, result,
-                 runtime_s: Optional[float] = None) -> None:
-        """Store the provenance-stamped result and release the claim."""
-
-    @abc.abstractmethod
-    def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
-        """Record a failure marker for the job and release the claim."""
-
-    @abc.abstractmethod
-    def result_entry(self, key: str) -> Optional[dict]:
-        """The completed job's full cache entry, or None while outstanding."""
-
-    @abc.abstractmethod
-    def failure(self, key: str) -> Optional[dict]:
-        """The failure marker recorded for ``key``, or None."""
-
-    @abc.abstractmethod
-    def invalidate(self, key: str) -> None:
-        """Drop a completed result (e.g. one that failed validation)."""
-
-    @abc.abstractmethod
-    def requeue_stale(self, lease_s: float) -> list[str]:
-        """Requeue claims older than ``lease_s`` seconds; returns their keys."""
-
-    @abc.abstractmethod
-    def requeue_worker(self, worker_id: str) -> list[str]:
-        """Requeue every claim held by ``worker_id``; returns the keys."""
-
-    @abc.abstractmethod
-    def counts(self) -> QueueCounts:
-        """How many jobs sit in each lifecycle state."""
-
-    def artifact_store(self):
-        """The store workers should bind for trained-agent artefacts
-        (see :mod:`repro.agents.artifacts`), or None when this transport
-        has no shared artefact storage — workers then fall back to
-        deterministic on-demand training."""
-        return None
-
-
-class DirectoryQueue(WorkQueue):
-    """The shared-filesystem queue (see the module docstring protocol)."""
+class DirectoryQueue:
+    """The queue directory a :class:`QueueServer` serves (see the module
+    docstring for the layout)."""
 
     def __init__(self, root: os.PathLike | str):
         self.root = Path(root)
         self.pending_dir = self.root / "pending"
         self.claimed_dir = self.root / "claimed"
         self.failed_dir = self.root / "failed"
-        self.worker_log_dir = self.root / "workers"
         for directory in (self.pending_dir, self.claimed_dir,
-                          self.failed_dir, self.worker_log_dir):
+                          self.failed_dir):
             directory.mkdir(parents=True, exist_ok=True)
-        #: Completed results: the shared SQLite result database, in the
-        #: same provenance-stamped rows the in-process backends write.
-        #: Rollback-journal mode (wal=False): queue participants may sit
-        #: on different machines, and WAL's shared-memory coordination
-        #: does not span hosts.
+        #: Completed results: the SQLite result database, in the same
+        #: provenance-stamped rows the in-process backends write.
+        #: Rollback-journal mode (wal=False, a full sync per commit) makes
+        #: every result the server acknowledges durable.
         self.results = ResultStore(self.root / "results", wal=False)
         self._sequence = self._next_sequence()
         # Lease aging state for requeue_stale(): claim-file name ->
@@ -240,6 +157,9 @@ class DirectoryQueue(WorkQueue):
         if key in queued or self.result_entry(key) is not None:
             return key
         queued.add(key)
+        # A marker from an earlier attempt would fail this fresh one at
+        # once: the submitter polls for failures as well as results.
+        (self.failed_dir / f"{key}.json").unlink(missing_ok=True)
         name = f"{self._sequence:0{_PRIORITY_WIDTH}d}-{key}.job"
         self._sequence += 1
         atomic_write_bytes(self.root, self.pending_dir / name,
@@ -249,11 +169,6 @@ class DirectoryQueue(WorkQueue):
 
     def result_entry(self, key: str) -> Optional[dict]:
         return self.results.get_entry(key)
-
-    def artifact_store(self):
-        """Artefacts share the queue's result database, so every worker
-        on the shared filesystem resolves the same trained agents."""
-        return self.results
 
     def invalidate(self, key: str) -> None:
         self.results.invalidate(key)
@@ -356,7 +271,7 @@ class DirectoryQueue(WorkQueue):
         return {path.name.split("@", 1)[1]
                 for path in self.claimed_dir.iterdir() if "@" in path.name}
 
-    # -- worker side ------------------------------------------------------------------
+    # -- claims -----------------------------------------------------------------------
     def heartbeat(self, worker_id: str,
                   keys: Optional[Sequence[str]] = None) -> list[str]:
         """Refresh the lease clock (claim-file mtime) of a worker's claims.
@@ -413,22 +328,6 @@ class DirectoryQueue(WorkQueue):
         atomic_write_bytes(self.root, self.failed_dir / f"{key}.json",
                            json.dumps(marker, indent=2).encode("utf-8"))
 
-    def claim(self, worker_id: Optional[str] = None,
-              key: Optional[str] = None) -> Optional[ClaimedJob]:
-        """Claim the highest-priority pending job — or, with ``key``,
-        exactly that pending job (None when it is no longer pending)."""
-        for pending_key, path in self.pending_files():
-            if key is not None and pending_key != key:
-                continue
-            claimed = self.claim_file(path, worker_id)
-            if claimed is not None:
-                return claimed
-            # Another worker won the race (or the file was corrupt);
-            # with a specific key there is nothing else to try.
-            if key is not None:
-                return None
-        return None
-
     def claim_file(self, path: Path,
                    worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
         """Atomically claim one specific pending file, or None.
@@ -456,23 +355,8 @@ class DirectoryQueue(WorkQueue):
             with target.open("rb") as handle:
                 job = pickle.load(handle)
         except Exception as error:
-            self._record_failure(key, error, worker)
+            self.record_failure(key, worker, repr(error),
+                                "".join(traceback.format_exception(error)))
             target.unlink(missing_ok=True)
             return None
-        return ClaimedJob(key=key, job=job, worker_id=worker, path=target)
-
-    def complete(self, claimed: ClaimedJob, result,
-                 runtime_s: Optional[float] = None) -> None:
-        self.results.put(claimed.job, result, runtime_s=runtime_s)
-        # A claim requeued past its lease may already be gone (or even
-        # completed by another worker — byte-identical by determinism).
-        claimed.path.unlink(missing_ok=True)
-
-    def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
-        self._record_failure(claimed.key, error, claimed.worker_id)
-        claimed.path.unlink(missing_ok=True)
-
-    def _record_failure(self, key: str, error: BaseException,
-                        worker: str) -> None:
-        self.record_failure(key, worker, repr(error),
-                            "".join(traceback.format_exception(error)))
+        return ClaimedJob(key=key, job=job, worker_id=worker)

@@ -4,20 +4,18 @@
 :class:`~repro.experiments.queue.DirectoryQueue` (and therefore its
 provenance-stamped SQLite :class:`~repro.experiments.store.ResultStore`)
 over TCP, speaking the framed protocol of
-:mod:`repro.experiments.protocol`.  The server deliberately owns **no
-durable state of its own**: every job, claim, result and failure marker
-lives in the queue directory exactly as the shared-filesystem transport
-left them, so
+:mod:`repro.experiments.protocol`.  The directory is the server's private
+storage: every submitter and worker goes through the server.  The server
+keeps **no durable state outside it** — every job, claim, result and
+failure marker lives in the queue directory — so
 
-* directory workers and socket workers can drain one queue side by side,
 * semantics (idempotent content-addressed submit, priority order, lease
-  recovery, provenance stamps) are inherited from ``DirectoryQueue``
-  rather than reimplemented, and
+  recovery, provenance stamps) are the ``DirectoryQueue``'s, and
 * a server crash or restart loses nothing — a new server adopts the
   directory as found, re-registers the workers named in the claim files,
   and carries on.
 
-Two things are layered on top of the directory protocol:
+Two things are layered on top of the directory storage:
 
 **Worker liveness.**  Workers heartbeat (:class:`MessageType.HEARTBEAT`)
 every couple of seconds, naming the claims they are actually executing.
@@ -25,8 +23,8 @@ A heartbeat refreshes those claims' lease clocks, so an in-flight job
 outlives any fixed lease while its worker is alive; a worker that
 misses heartbeats for ``heartbeat_timeout_s`` has **all** its claims
 requeued immediately — crashed-worker recovery in seconds instead of a
-full lease.  Claims from workers that never heartbeat (plain directory
-workers) still age out via ``requeue_stale(lease_s)``.
+full lease.  A claim a live worker does not name in its heartbeats (one
+orphaned by a retried CLAIM) still ages out via ``requeue_stale(lease_s)``.
 
 **Cost-ordered claims.**  Each submitter packs its own batch largest
 -estimated-cost first, but with several submitters sharing one queue the
@@ -150,8 +148,8 @@ class QueueServer:
         #: Claims pop from it in O(1); a full rescan happens only when
         #: the pending *set* changes shape (submits, requeues) — not per
         #: claim, which would be quadratic in queue depth.  Staleness is
-        #: safe: a cached file a directory worker already took just
-        #: fails its atomic claim and is skipped.
+        #: safe: a cached file that is gone just fails its atomic claim
+        #: and is skipped.
         self._pending: deque[tuple[str, Path]] = deque()
         self._pending_dirty = True
         self._lock = threading.Lock()
@@ -237,8 +235,7 @@ class QueueServer:
         """One liveness/lease pass; returns every requeued key.
 
         Claims of workers that missed their heartbeats requeue
-        immediately; claims from workers this server has never heard of
-        (e.g. directory workers) fall back to lease expiry.
+        immediately; any other claim falls back to lease expiry.
         """
         requeued: list[str] = []
         now = time.monotonic()
@@ -286,8 +283,8 @@ class QueueServer:
     def _refresh_pending(self) -> None:
         """Rebuild the claim-order cache: largest estimate first.
 
-        Unknown-cost keys (pending from before a restart, or submitted
-        straight into the directory) rank ahead in their priority order
+        Unknown-cost keys (pending from before a restart) rank ahead in
+        their priority order
         — the order their submitter already packed them in.  Estimates
         are frozen per refresh; calibration updates between refreshes
         only affect ordering quality, never correctness.
@@ -315,8 +312,8 @@ class QueueServer:
             if claimed is not None:
                 claim = {"key": claimed.key, "job": claimed.job, "worker": claimed.worker_id}
                 return {"claimed": claim}
-            # A directory worker raced us to that file (or it was
-            # corrupt and became a failure marker); try the next one.
+            # The file is gone (requeue raced the cache) or was corrupt
+            # and became a failure marker; try the next one.
 
     def _op_complete(self, payload: dict) -> dict:
         worker = payload.get("worker")

@@ -1,13 +1,12 @@
 """``SocketQueue``: the TCP transport behind ``backend="socket"``.
 
-A drop-in :class:`~repro.experiments.queue.WorkQueue` whose every method
-is one request frame to a :class:`~repro.experiments.server.QueueServer`
-(see :mod:`repro.experiments.protocol` for the wire format).  The server
-fronts a plain :class:`~repro.experiments.queue.DirectoryQueue`, so the
-semantics — idempotent content-addressed submit, priority order, lease
-recovery, provenance-stamped results — are the directory transport's,
-unchanged; only the reach is new (workers no longer need the shared
-filesystem).
+The one queue client: every method is one request frame to a
+:class:`~repro.experiments.server.QueueServer` (see
+:mod:`repro.experiments.protocol` for the wire format).  The server keeps
+its queue in a private :class:`~repro.experiments.queue.DirectoryQueue`,
+so the semantics — idempotent content-addressed submit, priority order,
+lease recovery, provenance-stamped results — are that storage's, and
+submitters and workers need nothing but a route to the server.
 
 **Failure model.**  Every call retries with exponential backoff over a
 fresh connection: a dropped connection, a restarted server, or a server
@@ -46,7 +45,7 @@ from repro.experiments.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.experiments.queue import ClaimedJob, QueueCounts, WorkQueue
+from repro.experiments.queue import ClaimedJob, QueueCounts
 
 __all__ = [
     "QueueConnectionError",
@@ -77,8 +76,8 @@ def parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class SocketQueue(WorkQueue):
-    """A :class:`WorkQueue` speaking the framed protocol over TCP.
+class SocketQueue:
+    """A queue client speaking the framed protocol over TCP.
 
     One persistent connection, re-established transparently inside the
     retry loop; a lock serializes requests so a worker's heartbeat
@@ -210,12 +209,7 @@ class SocketQueue(WorkQueue):
         claimed = reply["claimed"]
         if claimed is None:
             return None
-        return ClaimedJob(
-            key=claimed["key"],
-            job=claimed["job"],
-            worker_id=claimed["worker"],
-            path=None,  # the server holds the claim file
-        )
+        return ClaimedJob(key=claimed["key"], job=claimed["job"], worker_id=claimed["worker"])
 
     def heartbeat(self, worker_id: str, keys: Optional[Sequence[str]] = None) -> list[str]:
         return self._request(
@@ -248,8 +242,8 @@ class SocketQueue(WorkQueue):
 
     # -- artifact transfer ------------------------------------------------------------
     def artifact_store(self) -> "_SocketArtifactStore":
-        """A store adapter serving trained-agent artefacts over the wire
-        (the socket analogue of :meth:`DirectoryQueue.artifact_store`)."""
+        """A store adapter serving trained-agent artefacts from the
+        server's result database over the wire."""
         return _SocketArtifactStore(self)
 
 

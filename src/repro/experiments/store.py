@@ -2,8 +2,8 @@
 
 :class:`ResultStore` is the single result path of every execution
 backend — serial and parallel suites write their results through it,
-distributed workers complete queue jobs into it, and the cost model
-calibrates from it with one SQL scan over the provenance columns.
+the queue server stores its workers' completions in it, and the cost
+model calibrates from it with one SQL scan over the provenance columns.
 
 Each row carries a full provenance stamp — result schema version, the
 scenario's dict and content hash, the job kind and duration override,
@@ -25,16 +25,14 @@ tampered cache entry") are checked on every read.
 
 Concurrency: by default the database opens in WAL mode with a generous
 busy timeout, so any number of processes on one machine (a suite plus
-its spawned workers, or several suites) write simultaneously — writers
+its pool workers, or several suites) write simultaneously — writers
 queue on the WAL lock instead of failing, readers never block.  WAL's
 cross-process coordination lives in a shared-memory file, which does
-**not** span machines; stores meant to be written from several hosts
-over a shared filesystem (the distributed queue's results database)
-open with ``wal=False`` — the rollback journal, whose POSIX advisory
-locks are the same primitive multi-host SQLite has always relied on.
-The usual SQLite caveat applies: a network filesystem with broken
-advisory locking can corrupt any shared database; on such mounts, give
-each worker machine its own queue.
+**not** span machines, so a database is written from one host only;
+remote workers reach the queue server's database over TCP instead.
+That database opens with ``wal=False`` — the rollback journal with a
+full sync per commit — so every result the server acknowledges is
+durable.
 """
 
 from __future__ import annotations
@@ -74,9 +72,8 @@ logger = logging.getLogger(__name__)
 RESULT_DB_FILENAME = "results.sqlite"
 
 #: How long a writer waits on a locked database before giving up.  High
-#: on purpose: distributed workers on a shared filesystem all funnel
-#: through one WAL lock, and a queued write is always better than a
-#: failed job.
+#: on purpose: every process writing one database funnels through one
+#: lock, and a queued write is always better than a failed job.
 BUSY_TIMEOUT_S = 30.0
 
 _SCHEMA_SQL = """
@@ -241,9 +238,8 @@ class ResultStore:
     connection (re-opened transparently after a fork — SQLite
     connections are affine to both), and the journal mode + busy
     timeout make concurrent writers from other processes safe.
-    ``wal=False`` selects the rollback journal instead of WAL — required
-    when several *machines* write the database over a shared filesystem
-    (see the module docstring).
+    ``wal=False`` selects the rollback journal instead of WAL (see the
+    module docstring).
     """
 
     def __init__(self, root: os.PathLike | str, wal: bool = True):
@@ -279,8 +275,8 @@ class ResultStore:
                 except sqlite3.OperationalError:
                     pass             # filesystems without WAL still work
             else:
-                # Multi-host writers: the rollback journal's POSIX locks
-                # are the only SQLite coordination that spans machines.
+                # The rollback journal with the default full sync: a
+                # commit is on disk before the writer acknowledges it.
                 conn.execute("PRAGMA journal_mode = DELETE")
             conn.executescript(_SCHEMA_SQL)
             self._local.conn = conn

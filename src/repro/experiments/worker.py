@@ -1,25 +1,20 @@
-"""The standalone distributed-backend worker.
+"""The standalone queue worker.
 
-A worker is deliberately dumb: it polls a :class:`~repro.experiments.
-queue.WorkQueue` for the highest-priority pending job, executes it with
-the same :func:`~repro.experiments.jobs.execute_job` the in-process
-backends use, writes the provenance-stamped result back through the
-queue's SQLite :class:`~repro.experiments.store.ResultStore`
-(rollback-journal mode plus a busy timeout coordinate any number of
-workers writing the shared database, machines included — provided the
-filesystem's advisory locks work), and repeats.  All scheduling
-intelligence (cost-based
-packing, crash recovery, lease management) lives with the submitter.
+A worker is deliberately dumb: it asks a queue server (through a
+:class:`~repro.experiments.socket_queue.SocketQueue`) for the
+highest-priority pending job, executes it with the same
+:func:`~repro.experiments.jobs.execute_job` the in-process backends
+use, sends the result back for the server to store in its
+provenance-stamped SQLite :class:`~repro.experiments.store.ResultStore`,
+and repeats.  All scheduling intelligence (cost-ordered claims, crash
+recovery, lease management) lives with the server and the submitter.
 
-Run one per core, on any machine that can see the queue directory —
-or, with the socket transport, any machine that can reach the server::
+Run one per core, on any machine that can reach the server::
 
-    PYTHONPATH=src python -m repro.experiments worker --queue DIR
     PYTHONPATH=src python -m repro.experiments worker --addr HOST:PORT
 
-While executing a job the worker heartbeats the queue (a no-op on the
-directory transport; on the socket transport the server refreshes the
-claim's lease and tracks the worker as alive) so an in-flight job
+While executing a job the worker heartbeats the server, which refreshes
+the claim's lease and tracks the worker as alive, so an in-flight job
 outlives any fixed lease — and a worker that dies mid-job is noticed by
 its *silence* within the heartbeat timeout, not after the full lease.
 The heartbeat names exactly the keys the worker is executing, so a
@@ -28,7 +23,7 @@ out normally.
 
 :func:`run_worker` is the loop behind that entrypoint;
 :func:`spawn_worker` starts one as a local subprocess (what
-``ExperimentSuite``'s distributed/socket backends and the
+``ExperimentSuite``'s socket backend and the
 :class:`~repro.experiments.coordinator.Coordinator` do for you, and
 what the crash-recovery tests kill).
 """
@@ -46,14 +41,12 @@ from pathlib import Path
 from typing import Optional
 
 from repro.experiments.jobs import execute_job
-from repro.experiments.queue import WorkQueue, default_worker_id
+from repro.experiments.queue import default_worker_id
+from repro.experiments.socket_queue import SocketQueue
 
 __all__ = ["run_worker", "spawn_worker"]
 
 logger = logging.getLogger(__name__)
-
-#: Default seconds between worker heartbeats (socket transport).
-DEFAULT_HEARTBEAT_S = 2.0
 
 
 class _HeartbeatPump:
@@ -67,7 +60,7 @@ class _HeartbeatPump:
     calls carry their own retry loop.
     """
 
-    def __init__(self, queue: WorkQueue, worker_id: str, interval_s: float):
+    def __init__(self, queue: SocketQueue, worker_id: str, interval_s: float):
         self._queue = queue
         self._worker = worker_id
         self._interval_s = interval_s
@@ -100,7 +93,7 @@ class _HeartbeatPump:
                 logger.warning("heartbeat failed (will retry): %r", error)
 
 
-def run_worker(queue: WorkQueue, *, worker_id: Optional[str] = None,
+def run_worker(queue: SocketQueue, *, worker_id: Optional[str] = None,
                poll_s: float = 0.2, max_jobs: Optional[int] = None,
                idle_timeout_s: Optional[float] = None,
                heartbeat_s: Optional[float] = None) -> int:
@@ -118,15 +111,12 @@ def run_worker(queue: WorkQueue, *, worker_id: Optional[str] = None,
     worker = worker_id or default_worker_id()
     pump = (_HeartbeatPump(queue, worker, heartbeat_s).start()
             if heartbeat_s else None)
-    # The queue's artefact store becomes this process's ambient one for
+    # The server's artefact store becomes this process's ambient one for
     # the life of the loop, so jobs that consume trained agents resolve
     # them from (and publish them to) the fleet-shared database instead
     # of retraining per worker.
-    store = queue.artifact_store()
-    bound_store = store is not None
-    if bound_store:
-        from repro.agents.artifacts import set_artifact_store
-        previous_store = set_artifact_store(store)
+    from repro.agents.artifacts import set_artifact_store
+    previous_store = set_artifact_store(queue.artifact_store())
     executed = 0
     idle_since = time.monotonic()
     try:
@@ -156,29 +146,24 @@ def run_worker(queue: WorkQueue, *, worker_id: Optional[str] = None,
     finally:
         if pump is not None:
             pump.stop()
-        if bound_store:
-            set_artifact_store(previous_store)
+        set_artifact_store(previous_store)
     return executed
 
 
-def spawn_worker(queue_root: os.PathLike | str | None = None, *,
-                 addr: Optional[str] = None, worker_id: str,
-                 poll_s: float = 0.05,
+def spawn_worker(addr: str, *, worker_id: str, poll_s: float = 0.05,
                  idle_timeout_s: Optional[float] = None,
                  heartbeat_s: Optional[float] = None,
                  log_dir: os.PathLike | str | None = None
                  ) -> subprocess.Popen:
-    """Start ``python -m repro.experiments worker`` as a subprocess.
+    """Start ``python -m repro.experiments worker --addr ADDR`` as a
+    subprocess.
 
-    Give it a ``queue_root`` (directory transport) or an ``addr``
-    (socket transport, ``host:port``) — exactly one.  The child inherits
-    the current environment with this checkout's ``src`` prepended to
-    ``PYTHONPATH`` (tests and suites don't export it), and its output
-    goes to ``<log_dir>/<worker_id>.log`` — defaulting to the queue's
-    ``workers/`` directory, or a temp directory for socket workers.
+    The child inherits the current environment with this checkout's
+    ``src`` prepended to ``PYTHONPATH`` (tests and suites don't export
+    it), and its output goes to ``<log_dir>/<worker_id>.log`` —
+    defaulting to a ``pictor-workers`` temp directory.  Without
+    ``heartbeat_s`` it beats at the CLI default.
     """
-    if (queue_root is None) == (addr is None):
-        raise ValueError("spawn_worker needs exactly one of queue_root/addr")
     import repro
 
     src_root = Path(repro.__file__).resolve().parents[1]
@@ -187,18 +172,14 @@ def spawn_worker(queue_root: os.PathLike | str | None = None, *,
     env["PYTHONPATH"] = str(src_root) + (os.pathsep + existing
                                          if existing else "")
     command = [sys.executable, "-m", "repro.experiments", "worker",
-               "--worker-id", worker_id, "--poll", str(poll_s)]
-    if queue_root is not None:
-        command += ["--queue", str(queue_root)]
-    else:
-        command += ["--addr", str(addr)]
+               "--addr", str(addr), "--worker-id", worker_id,
+               "--poll", str(poll_s)]
     if idle_timeout_s is not None:
         command += ["--idle-timeout", str(idle_timeout_s)]
     if heartbeat_s is not None:
         command += ["--heartbeat", str(heartbeat_s)]
     if log_dir is None:
-        log_dir = (Path(queue_root) / "workers" if queue_root is not None
-                   else Path(tempfile.gettempdir()) / "pictor-workers")
+        log_dir = Path(tempfile.gettempdir()) / "pictor-workers"
     log_path = Path(log_dir) / f"{worker_id}.log"
     log_path.parent.mkdir(parents=True, exist_ok=True)
     with log_path.open("ab") as log:

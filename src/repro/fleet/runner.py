@@ -4,8 +4,8 @@ This layer is deliberately thin: a population sample is just a list of
 :class:`~repro.experiments.jobs.ExperimentJob` values, and every
 property of the execution subsystem — deduplication, the content-
 addressed result store (which makes interrupted fleet runs resumable
-for free), cost-packed submission, and the serial / parallel /
-distributed / socket backends — applies unchanged.
+for free), cost-packed submission, and the serial / parallel / socket
+backends — applies unchanged.
 """
 
 from __future__ import annotations

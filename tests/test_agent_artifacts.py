@@ -280,12 +280,6 @@ print(ic.rtt_stats.mean.hex())
 
 
 # -- transports: queue-served artefact stores -------------------------------
-def test_directory_queue_serves_its_result_store(tmp_path):
-    from repro.experiments.queue import DirectoryQueue
-    queue = DirectoryQueue(tmp_path)
-    assert queue.artifact_store() is queue.results
-
-
 def test_socket_queue_transfers_artifacts(tmp_path, artifact):
     from repro.experiments.server import QueueServer
     from repro.experiments.socket_queue import SocketQueue

@@ -1,15 +1,18 @@
-"""The distributed execution backend: queue protocol, workers, recovery.
+"""The queue backend: the queue's storage, workers, recovery, equivalence.
 
 The headline contract: running the same job set serially, on the
-process-pool backend, and through a multi-worker distributed queue
-produces bit-identical results — and the queue survives a worker dying
-mid-job (SIGKILL) without losing or corrupting anything.
+process-pool backend, and through a multi-worker socket queue produces
+bit-identical results — and the queue survives a worker dying mid-job
+(SIGKILL) without losing or corrupting anything.  The storage tests
+drive :class:`DirectoryQueue` directly, the way its one client, the
+queue server, does.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -22,6 +25,8 @@ from repro.experiments import (
     execute_job,
 )
 from repro.experiments.queue import DirectoryQueue
+from repro.experiments.server import QueueServer
+from repro.experiments.socket_queue import SocketQueue
 from repro.experiments.worker import run_worker, spawn_worker
 
 
@@ -55,8 +60,30 @@ def _wait_for(predicate, timeout_s=30.0, poll_s=0.01, what="condition"):
     raise AssertionError(f"timed out after {timeout_s}s waiting for {what}")
 
 
+def _claim(queue, worker):
+    """Claim the highest-priority pending job, as the server's CLAIM does."""
+    for _, path in queue.pending_files():
+        claimed = queue.claim_file(path, worker)
+        if claimed is not None:
+            return claimed
+    return None
+
+
+def _complete(queue, claimed, result, runtime_s=None):
+    """Store the result and drop the claim, as the server's COMPLETE does."""
+    queue.results.put(claimed.job, result, runtime_s=runtime_s)
+    queue.release_claim(claimed.key, claimed.worker_id)
+
+
+def _claim_path(queue, claimed):
+    [path] = [path for path in queue.claimed_dir.iterdir()
+              if path.name.endswith(f"@{claimed.worker_id}")
+              and claimed.key in path.name]
+    return path
+
+
 # ---------------------------------------------------------------------------
-# DirectoryQueue protocol
+# DirectoryQueue storage
 # ---------------------------------------------------------------------------
 
 def test_submit_claim_complete_roundtrip(tmp_path, config):
@@ -66,17 +93,17 @@ def test_submit_claim_complete_roundtrip(tmp_path, config):
     assert key == job.key()
     assert queue.counts().pending == 1
 
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
     assert claimed is not None
     assert claimed.key == key
     assert claimed.job == job
     assert claimed.worker_id == "w1"
     assert queue.counts().pending == 0
     assert queue.counts().claimed == 1
-    assert queue.claim("w2") is None            # nothing left to claim
+    assert _claim(queue, "w2") is None            # nothing left to claim
 
     result = execute_job(job)
-    queue.complete(claimed, result, runtime_s=0.5)
+    _complete(queue, claimed, result, runtime_s=0.5)
     counts = queue.counts()
     assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
 
@@ -92,11 +119,11 @@ def test_submit_is_idempotent_per_content_hash(tmp_path, config):
     assert queue.submit(job) == queue.submit(job)
     assert queue.counts().pending == 1
     # Claimed (in flight) jobs are not resubmitted either...
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
     queue.submit(job)
     assert queue.counts().pending == 0
     # ...nor are completed ones.
-    queue.complete(claimed, execute_job(job))
+    _complete(queue, claimed, execute_job(job))
     queue.submit(job)
     assert queue.counts().pending == 0
 
@@ -109,7 +136,7 @@ def test_claims_drain_in_submission_priority_order(tmp_path, config):
                  for i in range(5)]
     for job in submitted:
         queue.submit(job)
-    drained = [queue.claim("w1").job for _ in submitted]
+    drained = [_claim(queue, "w1").job for _ in submitted]
     assert drained == submitted
 
 
@@ -122,32 +149,32 @@ def test_sequence_survives_queue_reopening(tmp_path, config):
     second = DirectoryQueue(tmp_path / "q")
     job_b = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
     second.submit(job_b)
-    assert second.claim("w").job == job_a
-    assert second.claim("w").job == job_b
+    assert _claim(second, "w").job == job_a
+    assert _claim(second, "w").job == job_b
 
 
 def test_requeue_stale_recovers_an_expired_claim(tmp_path, config):
     queue = DirectoryQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
 
     # A fresh claim is inside its lease: nothing to requeue.
     assert queue.requeue_stale(lease_s=60.0) == []
     # Age the claim past the lease and it returns to pending.
     old = time.time() - 120.0
-    os.utime(claimed.path, (old, old))
+    os.utime(_claim_path(queue, claimed), (old, old))
     assert queue.requeue_stale(lease_s=60.0) == [claimed.key]
     assert queue.counts().pending == 1
     assert queue.counts().claimed == 0
 
     # The requeued job is claimable again, and a late completion of the
     # original claim handle is harmless (at-least-once delivery).
-    reclaimed = queue.claim("w2")
+    reclaimed = _claim(queue, "w2")
     assert reclaimed.job == job
     result = execute_job(job)
-    queue.complete(claimed, result)             # stale handle, path gone
-    queue.complete(reclaimed, result)
+    _complete(queue, claimed, result)             # stale handle, claim gone
+    _complete(queue, reclaimed, result)
     assert queue.result_entry(job.key()) is not None
 
 
@@ -163,10 +190,10 @@ def test_claiming_an_aged_pending_job_starts_a_fresh_lease(tmp_path, config):
     old = time.time() - 3600.0
     os.utime(pending, (old, old))
 
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
     assert claimed is not None
     assert queue.requeue_stale(lease_s=60.0) == []
-    queue.complete(claimed, execute_job(job))
+    _complete(queue, claimed, execute_job(job))
     assert queue.result_entry(job.key()) is not None
 
 
@@ -177,7 +204,7 @@ def test_wall_clock_jump_forward_does_not_expire_a_watched_claim(tmp_path,
     queue = DirectoryQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
     # First sweep establishes the monotonic mark for the claim.
     assert queue.requeue_stale(lease_s=60.0) == []
 
@@ -199,9 +226,9 @@ def test_future_stamped_claim_still_expires_on_monotonic_time(tmp_path,
     queue = DirectoryQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
     future = time.time() + 3600.0
-    os.utime(claimed.path, (future, future))
+    os.utime(_claim_path(queue, claimed), (future, future))
 
     # First sighting clamps the future stamp to zero age instead of
     # computing a negative one.
@@ -214,49 +241,19 @@ def test_future_stamped_claim_still_expires_on_monotonic_time(tmp_path,
     assert queue.counts().claimed == 0
 
 
-def test_distributed_suite_rejects_tampered_queue_results(tmp_path, config,
-                                                          caplog):
-    """A pre-existing tampered result in a shared queue is logged,
-    invalidated and re-executed — same contract as ResultStore.get."""
-    import logging
-
-    queue = DirectoryQueue(tmp_path / "q")
-    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    key = queue.submit(job)
-    executed = run_worker(queue, worker_id="w1", poll_s=0.01, max_jobs=1)
-    assert executed == 1
-
-    entry = dict(queue.result_entry(key))
-    entry["scenario_hash"] = "0" * 64
-    queue.results.put_entry(entry)
-
-    reference = execute_job(job)
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
-        with ExperimentSuite(workers=1, backend="distributed",
-                             queue_dir=tmp_path / "q",
-                             timeout_s=300) as suite:
-            [result] = suite.run([job])
-    assert any("tampered cache entry" in record.message
-               for record in caplog.records)
-    assert result.as_dict() == reference.as_dict()
-    # The queue's store now holds an honestly stamped entry again.
-    assert queue.result_entry(key)["scenario_hash"] \
-        == job.scenario.content_hash()
-
-
 def test_requeue_worker_recovers_a_known_dead_workers_claims(tmp_path, config):
     queue = DirectoryQueue(tmp_path / "q")
     job_a = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     job_b = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
     queue.submit(job_a)
     queue.submit(job_b)
-    queue.claim("dead-worker")
-    survivor = queue.claim("live-worker")
+    _claim(queue, "dead-worker")
+    survivor = _claim(queue, "live-worker")
     assert queue.requeue_worker("dead-worker") == [job_a.key()]
     # The live worker's claim is untouched.
     assert queue.counts().claimed == 1
     assert queue.counts().pending == 1
-    queue.complete(survivor, execute_job(job_b))
+    _complete(queue, survivor, execute_job(job_b))
 
 
 def test_requeue_worker_with_no_claims_is_a_noop(tmp_path, config):
@@ -266,8 +263,8 @@ def test_requeue_worker_with_no_claims_is_a_noop(tmp_path, config):
     assert queue.requeue_worker("never-seen") == []
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    claimed = queue.claim("w1")
-    queue.complete(claimed, execute_job(job))
+    claimed = _claim(queue, "w1")
+    _complete(queue, claimed, execute_job(job))
     assert queue.requeue_worker("w1") == []       # claim already released
     assert queue.counts().pending == 0
     assert queue.counts().completed == 1
@@ -284,7 +281,7 @@ def test_requeue_worker_racing_a_complete_loses_gracefully(tmp_path, config,
     queue = DirectoryQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    claimed = queue.claim("slow-worker")
+    claimed = _claim(queue, "slow-worker")
     result = execute_job(job)
 
     real_rename = os.rename
@@ -293,7 +290,7 @@ def test_requeue_worker_racing_a_complete_loses_gracefully(tmp_path, config,
     def racing_rename(src, dst, *args, **kwargs):
         if Path(src).parent == queue.claimed_dir and not raced["done"]:
             raced["done"] = True
-            queue.complete(claimed, result)       # worker wins the race
+            _complete(queue, claimed, result)       # worker wins the race
         return real_rename(src, dst, *args, **kwargs)
 
     monkeypatch.setattr(os, "rename", racing_rename)
@@ -305,16 +302,37 @@ def test_requeue_worker_racing_a_complete_loses_gracefully(tmp_path, config,
         == result.as_dict()
 
 
-def test_worker_records_failures_as_markers(tmp_path, config, monkeypatch):
+# ---------------------------------------------------------------------------
+# Workers and the suite over the queue server
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def server(tmp_path):
+    with QueueServer(tmp_path / "q", heartbeat_timeout_s=600.0,
+                     sweep_interval_s=0.1) as srv:
+        yield srv
+
+
+@pytest.fixture
+def client(server):
+    queue = SocketQueue(server.address, retries=3, backoff_s=0.02)
+    yield queue
+    queue.close()
+
+
+def _raise_injected(job):
+    raise RuntimeError("injected failure")
+
+
+def test_worker_records_failures_as_markers(server, client, config,
+                                            monkeypatch):
     """A job that raises becomes a failure marker the submitter can see;
     the worker moves on instead of dying."""
     from repro.experiments import worker as worker_module
 
-    queue = DirectoryQueue(tmp_path / "q")
     bad = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     good = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
-    queue.submit(bad)
-    queue.submit(good)
+    client.submit_many([bad, good])
 
     real_execute = worker_module.execute_job
 
@@ -324,69 +342,123 @@ def test_worker_records_failures_as_markers(tmp_path, config, monkeypatch):
         return real_execute(job)
 
     monkeypatch.setattr(worker_module, "execute_job", flaky_execute)
-    executed = run_worker(queue, worker_id="w1", poll_s=0.01,
+    executed = run_worker(client, worker_id="w1", poll_s=0.01,
                           idle_timeout_s=0.05)
     assert executed == 1                        # only the good job completed
-    failure = queue.failure(bad.key())
+    failure = client.failure(bad.key())
     assert "injected failure" in failure["error"]
     assert failure["worker"] == "w1"
     assert "RuntimeError" in failure["traceback"]
-    assert queue.result_entry(good.key()) is not None
-    assert queue.failure(good.key()) is None
+    assert client.result_entry(good.key()) is not None
+    assert client.failure(good.key()) is None
 
 
-def test_distributed_suite_surfaces_worker_failures(tmp_path, config,
-                                                    monkeypatch):
+def test_socket_suite_surfaces_worker_failures(server, config, monkeypatch):
+    """A job the worker fails raises in the submitting suite, with the
+    worker's error and traceback."""
     from repro.experiments import worker as worker_module
 
-    monkeypatch.setattr(worker_module, "execute_job",
-                        lambda job: (_ for _ in ()).throw(
-                            RuntimeError("injected failure")))
-    queue = DirectoryQueue(tmp_path / "q")
+    monkeypatch.setattr(worker_module, "execute_job", _raise_injected)
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    queue.submit(job)
-    run_worker(queue, worker_id="w1", poll_s=0.01, idle_timeout_s=0.05)
+    with SocketQueue(server.address) as worker_queue:
+        # An in-process worker (so the patch applies) that outlives the
+        # suite's submission by its idle timeout.
+        worker = threading.Thread(
+            target=run_worker, args=(worker_queue,),
+            kwargs={"worker_id": "w1", "poll_s": 0.01,
+                    "idle_timeout_s": 2.0})
+        worker.start()
+        try:
+            with ExperimentSuite(queue_addr=server.address,
+                                 spawn_workers=False, timeout_s=30) as suite:
+                with pytest.raises(RuntimeError,
+                                   match="queued job .*injected failure"):
+                    suite.run([job])
+        finally:
+            worker.join()
 
-    with ExperimentSuite(backend="distributed", queue_dir=tmp_path / "q",
-                         spawn_workers=False, timeout_s=30) as suite:
-        with pytest.raises(RuntimeError, match="injected failure"):
-            suite.run([job])
+
+def test_resubmitting_a_failed_job_clears_its_stale_failure_marker(
+        server, client, config):
+    """A failure marker left by an earlier attempt must not fail a fresh
+    submission of the same job: enqueueing the key again drops it."""
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+    server.queue.record_failure(job.key(), "old-worker",
+                                "RuntimeError('transient')", "")
+    assert client.counts().failed == 1
+
+    with ExperimentSuite(queue_addr=server.address, workers=1,
+                         timeout_s=300) as suite:
+        [result] = suite.run([job])
+    assert result.as_dict() == execute_job(job).as_dict()
+    assert client.failure(job.key()) is None
+    counts = client.counts()
+    assert (counts.failed, counts.completed) == (0, 1)
+
+
+def test_socket_suite_rejects_tampered_queue_results(server, client, config,
+                                                     caplog):
+    """A pre-existing tampered result in a shared queue is logged,
+    invalidated and re-executed — same contract as ResultStore.get."""
+    import logging
+
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+    key = client.submit(job)
+    executed = run_worker(client, worker_id="w1", poll_s=0.01, max_jobs=1)
+    assert executed == 1
+
+    entry = dict(client.result_entry(key))
+    entry["scenario_hash"] = "0" * 64
+    server.queue.results.put_entry(entry)
+
+    reference = execute_job(job)
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
+        with ExperimentSuite(workers=1, queue_addr=server.address,
+                             timeout_s=300) as suite:
+            [result] = suite.run([job])
+    assert any("tampered cache entry" in record.message
+               for record in caplog.records)
+    assert result.as_dict() == reference.as_dict()
+    # The queue's store now holds an honestly stamped entry again.
+    assert client.result_entry(key)["scenario_hash"] \
+        == job.scenario.content_hash()
 
 
 # ---------------------------------------------------------------------------
 # Backend equivalence: the headline deliverable
 # ---------------------------------------------------------------------------
 
-def test_serial_parallel_and_distributed_agree(tmp_path, jobs):
+def test_serial_parallel_and_socket_agree(server, jobs):
+    """The three backends agree; the socket leg runs against an external
+    server with suite-spawned workers."""
     serial = ExperimentSuite(backend="serial").run(jobs)
 
     with ExperimentSuite(workers=2, backend="parallel") as suite:
         parallel = suite.run(jobs)
 
-    with ExperimentSuite(workers=2, backend="distributed",
-                         queue_dir=tmp_path / "q", timeout_s=300) as suite:
-        distributed = suite.run(jobs)
+    with ExperimentSuite(workers=2, queue_addr=server.address,
+                         timeout_s=300) as suite:
+        socketed = suite.run(jobs)
         assert suite.stats.executed == len(jobs)
 
     assert _report_dicts(serial) == _report_dicts(parallel)
-    assert _report_dicts(serial) == _report_dicts(distributed)
-    assert [r.as_dict() for r in serial] == [r.as_dict() for r in distributed]
+    assert _report_dicts(serial) == _report_dicts(socketed)
+    assert [r.as_dict() for r in serial] == [r.as_dict() for r in socketed]
 
 
-def test_distributed_results_replay_from_suite_cache(tmp_path, jobs):
-    """A distributed run fills the ordinary result cache: a later serial
+def test_socket_results_replay_from_suite_cache(tmp_path, jobs):
+    """A socket run fills the ordinary result cache: a later serial
     suite replays it without executing anything."""
     cache_dir = tmp_path / "cache"
-    with ExperimentSuite(workers=2, backend="distributed",
-                         queue_dir=tmp_path / "q", cache_dir=cache_dir,
+    with ExperimentSuite(workers=2, backend="socket", cache_dir=cache_dir,
                          timeout_s=300) as suite:
-        distributed = suite.run(jobs)
+        socketed = suite.run(jobs)
 
     replay = ExperimentSuite(backend="serial", cache_dir=cache_dir)
     replayed = replay.run(jobs)
     assert replay.stats.executed == 0
     assert replay.stats.cache_hits == len(jobs)
-    assert _report_dicts(distributed) == _report_dicts(replayed)
+    assert _report_dicts(socketed) == _report_dicts(replayed)
 
 
 def test_cache_entries_identical_across_backends(tmp_path, jobs):
@@ -402,11 +474,9 @@ def test_cache_entries_identical_across_backends(tmp_path, jobs):
     from repro.experiments import ResultStore
 
     entries_by_backend = {}
-    for backend in ("serial", "parallel", "distributed"):
+    for backend in ("serial", "parallel", "socket"):
         cache_dir = tmp_path / f"cache-{backend}"
         with ExperimentSuite(workers=2, backend=backend,
-                             queue_dir=(tmp_path / "q" if backend ==
-                                        "distributed" else None),
                              cache_dir=cache_dir, timeout_s=300) as suite:
             suite.run(jobs)
         entries = {}
@@ -422,55 +492,30 @@ def test_cache_entries_identical_across_backends(tmp_path, jobs):
         entries_by_backend[backend] = entries
 
     assert entries_by_backend["serial"] == entries_by_backend["parallel"]
-    assert entries_by_backend["serial"] == entries_by_backend["distributed"]
-
-
-def test_external_workers_drain_a_suite_submission(tmp_path, jobs):
-    """spawn_workers=False: the suite only submits and waits; standalone
-    workers (the `python -m repro.experiments worker` entrypoint) do the
-    executing — the multi-machine deployment shape."""
-    queue_root = tmp_path / "q"
-    queue = DirectoryQueue(queue_root)
-    workers = [spawn_worker(queue_root, worker_id=f"external-{i}",
-                            poll_s=0.02, idle_timeout_s=60.0)
-               for i in range(2)]
-    try:
-        with ExperimentSuite(backend="distributed", queue_dir=queue_root,
-                             spawn_workers=False, timeout_s=300) as suite:
-            distributed = suite.run(jobs)
-    finally:
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            proc.wait(timeout=10)
-
-    serial = ExperimentSuite(backend="serial").run(jobs)
-    assert _report_dicts(distributed) == _report_dicts(serial)
-    assert queue.counts().completed == len(jobs)
+    assert entries_by_backend["serial"] == entries_by_backend["socket"]
 
 
 # ---------------------------------------------------------------------------
 # Crash recovery: SIGKILL a worker mid-job
 # ---------------------------------------------------------------------------
 
-def test_sigkilled_worker_job_is_requeued_and_results_unaffected(tmp_path,
-                                                                 config):
+def test_sigkilled_worker_job_is_requeued_and_results_unaffected(
+        server, client, config, tmp_path):
     """Kill -9 a worker while it holds a claim; the lease requeues the
     job and a second worker produces the exact same results a serial
-    run does."""
-    queue_root = tmp_path / "q"
-    queue = DirectoryQueue(queue_root)
+    run does.  (The server's heartbeat timeout is far away here, so the
+    lease alone does the recovering.)"""
     # ~3s of wall time on the victim (duration=120 simulated seconds),
     # so the SIGKILL lands mid-execution; the second job stays pending.
     slow = ExperimentJob(Scenario.single("RE", config, seed_offset=1),
                          duration=120.0)
     fast = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
-    queue.submit(slow)
-    queue.submit(fast)
+    client.submit_many([slow, fast])
 
-    victim = spawn_worker(queue_root, worker_id="victim", poll_s=0.02)
+    victim = spawn_worker(server.address, worker_id="victim", poll_s=0.02,
+                          log_dir=tmp_path / "logs")
     try:
-        _wait_for(lambda: queue.counts().claimed == 1,
+        _wait_for(lambda: client.counts().claimed == 1,
                   what="the victim to claim the slow job")
         os.kill(victim.pid, signal.SIGKILL)
         victim.wait(timeout=10)
@@ -481,54 +526,55 @@ def test_sigkilled_worker_job_is_requeued_and_results_unaffected(tmp_path,
 
     # The claim leaked: still marked claimed, no result, nothing pending
     # beyond the fast job.
-    counts = queue.counts()
+    counts = client.counts()
     assert counts.claimed == 1
     assert counts.completed == 0
-    assert queue.result_entry(slow.key()) is None
+    assert client.result_entry(slow.key()) is None
 
     # The lease mechanism recovers it (lease 0: the worker is known dead).
-    assert queue.requeue_stale(lease_s=0.0) == [slow.key()]
-    assert queue.counts().pending == 2
-    assert queue.counts().claimed == 0
+    assert client.requeue_stale(lease_s=0.0) == [slow.key()]
+    assert client.counts().pending == 2
+    assert client.counts().claimed == 0
 
     # A healthy worker drains the queue; results match serial execution
     # exactly, so the crash left no trace in the data.
-    executed = run_worker(queue, worker_id="rescuer", poll_s=0.01,
+    executed = run_worker(client, worker_id="rescuer", poll_s=0.01,
                           max_jobs=2)
     assert executed == 2
-    assert queue.counts().failed == 0
+    assert client.counts().failed == 0
     for job in (slow, fast):
-        entry = queue.result_entry(job.key())
+        entry = client.result_entry(job.key())
         reference = execute_job(job)
         assert entry["result"].as_dict() == reference.as_dict()
         assert [r.as_dict() for r in entry["result"].reports] \
             == [r.as_dict() for r in reference.reports]
 
 
-def test_suite_requeues_claims_of_dead_spawned_workers(tmp_path, config):
-    """The distributed suite notices a spawned worker died (it owns the
+def test_suite_requeues_claims_of_dead_spawned_workers(server, client,
+                                                       config):
+    """The socket suite notices a spawned worker died (it owns the
     process handle), requeues its claims, and raises only when nobody is
     left to make progress."""
-    queue = DirectoryQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=3))
-    queue.submit(job)
-    claimed = queue.claim("suite-0-w0")
+    client.submit(job)
+    claimed = client.claim("suite-0-w0")
     assert claimed is not None
 
-    suite = ExperimentSuite(workers=1, backend="distributed",
-                            queue_dir=tmp_path / "q", timeout_s=300)
+    suite = ExperimentSuite(workers=1, queue_addr=server.address,
+                            timeout_s=300)
     try:
+        queue = suite._ensure_queue()
         # Simulate: the suite's spawned worker (already holding a claim)
         # dies instantly.  _reap_dead_workers must requeue and raise.
-        dead = spawn_worker(tmp_path / "q", worker_id="suite-0-w0",
-                            poll_s=0.02)
+        dead = spawn_worker(server.address, worker_id="suite-0-w0",
+                            poll_s=0.02, log_dir=suite._worker_log_dir)
         os.kill(dead.pid, signal.SIGKILL)
         dead.wait(timeout=10)
         suite._worker_procs = [(dead, "suite-0-w0")]
         with pytest.raises(RuntimeError, match="workers exited"):
             suite._reap_dead_workers(queue)
-        assert queue.counts().pending == 1      # the claim was requeued
-        assert queue.counts().claimed == 0
+        assert client.counts().pending == 1     # the claim was requeued
+        assert client.counts().claimed == 0
     finally:
         suite._worker_procs = []
         suite.close()
@@ -538,11 +584,11 @@ def test_suite_requeues_claims_of_dead_spawned_workers(tmp_path, config):
 # Validation
 # ---------------------------------------------------------------------------
 
-def test_suite_backend_validation(tmp_path):
-    with pytest.raises(ValueError, match="unknown backend"):
-        ExperimentSuite(backend="quantum")
-    with pytest.raises(ValueError, match="queue_dir"):
-        ExperimentSuite(backend="serial", queue_dir=tmp_path)
+def test_suite_backend_validation():
+    # "distributed" was the retired shared-filesystem backend.
+    for unknown in ("quantum", "distributed"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            ExperimentSuite(backend=unknown)
     assert ExperimentSuite().backend == "serial"
     assert ExperimentSuite(workers=4).backend == "parallel"
-    assert ExperimentSuite(queue_dir=tmp_path / "q").backend == "distributed"
+    assert ExperimentSuite(queue_addr="127.0.0.1:1").backend == "socket"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.__main__ import build_parser, main, make_config
 
 
@@ -31,6 +33,28 @@ def test_make_config_profiles_and_overrides():
     assert paper.duration_s > smoke.duration_s
 
 
+def test_serve_binds_to_loopback_by_default():
+    parser = build_parser()
+    assert parser.parse_args(["serve", "--queue", "q"]).host == "127.0.0.1"
+    assert parser.parse_args(["serve", "--queue", "q", "--host",
+                              "0.0.0.0"]).host == "0.0.0.0"
+
+
+def test_queue_options_name_only_the_socket_transport(capsys):
+    """Workers need --addr and heartbeat by default; no run path takes a
+    queue directory or the retired backend."""
+    parser = build_parser()
+    worker = parser.parse_args(["worker", "--addr", "127.0.0.1:7781"])
+    assert worker.heartbeat == 2.0
+    for argv in (["worker", "--queue", "q"],
+                 ["--figure", "fig15", "--queue", "q"],
+                 ["scenario", "RE", "--backend", "distributed"]):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
 def test_scenario_subcommand_runs_a_mix_shorthand(capsys):
     assert main(["scenario", "RE+ITP+D2", "--profile", "smoke"]) == 0
     out = capsys.readouterr().out
@@ -47,7 +71,7 @@ def test_scenario_subcommand_rejects_bad_specs(capsys):
 
 
 def test_scenario_subcommand_is_backend_invariant(capsys, tmp_path):
-    """Serial, parallel, distributed and cache-replay runs print
+    """Serial, parallel, socket and cache-replay runs print
     bit-identical stdout."""
     spec = tmp_path / "mixes.json"
     spec.write_text(
@@ -63,9 +87,8 @@ def test_scenario_subcommand_is_backend_invariant(capsys, tmp_path):
     assert main(base + ["--workers", "2"]) == 0
     parallel = capsys.readouterr().out
 
-    assert main(base + ["--backend", "distributed", "--workers", "2",
-                        "--queue", str(tmp_path / "queue")]) == 0
-    distributed = capsys.readouterr().out
+    assert main(base + ["--backend", "socket", "--workers", "2"]) == 0
+    socketed = capsys.readouterr().out
 
     cache_dir = str(tmp_path / "cache")
     assert main(base + ["--cache-dir", cache_dir]) == 0
@@ -73,7 +96,7 @@ def test_scenario_subcommand_is_backend_invariant(capsys, tmp_path):
     assert main(base + ["--cache-dir", cache_dir]) == 0
     replayed = capsys.readouterr().out
 
-    assert serial == parallel == distributed == warm == replayed
+    assert serial == parallel == socketed == warm == replayed
 
 
 def test_runs_a_figure_and_reports_stats(capsys, tmp_path):

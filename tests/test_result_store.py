@@ -2,8 +2,8 @@
 
 The hard requirements under test: every backend reads and writes its
 results through :class:`ResultStore` and replays bit-identically to an
-in-process execution; concurrent writers (the distributed workers'
-reality) never corrupt the database; and ``results diff`` reports
+in-process execution; concurrent writers (a suite plus its pool
+workers) never corrupt the database; and ``results diff`` reports
 exactly zero deltas for two runs of the same deterministic scenarios.
 """
 
@@ -172,29 +172,31 @@ def test_cost_model_calibrates_from_sql_without_unpickling(tmp_path):
 
 def test_all_backends_write_the_store_and_match_a_pickle_replay(tmp_path,
                                                                 job, result):
-    """Serial, parallel and distributed all read/write through
-    ResultStore, and every path replays bit-identically to the
-    in-process execution of the same job."""
+    """Serial, parallel and socket all read/write through ResultStore,
+    and every path replays bit-identically to the in-process execution
+    of the same job."""
+    from repro.experiments.server import QueueServer
+
     expected = result.as_dict()
-    for backend in ("serial", "parallel", "distributed"):
-        cache_dir = tmp_path / f"store-{backend}"
-        with ExperimentSuite(workers=2, backend=backend, cache_dir=cache_dir,
-                             queue_dir=(tmp_path / "q" if backend ==
-                                        "distributed" else None),
-                             timeout_s=300) as suite:
-            [executed] = suite.run([job])
-        stored = ResultStore(cache_dir).get(job)
-        assert stored.as_dict() == executed.as_dict()
-        assert stored.as_dict() == expected
-        # The distributed queue's own result database holds the same row.
-        if backend == "distributed":
-            queued = ResultStore(tmp_path / "q" / "results").get(job)
-            assert queued.as_dict() == expected
+    with QueueServer(tmp_path / "q") as server:
+        for backend in ("serial", "parallel", "socket"):
+            cache_dir = tmp_path / f"store-{backend}"
+            with ExperimentSuite(workers=2, backend=backend,
+                                 cache_dir=cache_dir,
+                                 queue_addr=(server.address if backend ==
+                                             "socket" else None),
+                                 timeout_s=300) as suite:
+                [executed] = suite.run([job])
+            stored = ResultStore(cache_dir).get(job)
+            assert stored.as_dict() == executed.as_dict()
+            assert stored.as_dict() == expected
+        # The queue server's own result database holds the same row.
+        assert server.queue.results.get(job).as_dict() == expected
 
 
 def test_concurrent_writers_from_separate_processes(tmp_path):
-    """Two processes hammering one database (the distributed workers'
-    reality on a shared filesystem) both land every row intact."""
+    """Two processes hammering one database (several suites sharing a
+    --cache-dir) both land every row intact."""
     script = textwrap.dedent("""
         import sys
         from repro.experiments.jobs import CACHE_SCHEMA_VERSION

@@ -198,7 +198,7 @@ def test_golden_traces_identical_across_process_backends():
 
 
 def test_golden_trace_identical_in_a_cold_worker_process():
-    """A standalone interpreter — the distributed worker shape: a fresh
+    """A standalone interpreter — the queue worker shape: a fresh
     process with no inherited state, as started by `python -m
     repro.experiments worker` on any machine — records the committed
     bytes exactly.  Stronger than the pool test above, which forks and

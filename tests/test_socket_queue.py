@@ -1,10 +1,10 @@
 """The socket transport: server, client, heartbeats, recovery, equivalence.
 
-The headline contracts, mirroring the directory-queue suite:
+The headline contracts:
 
 * the socket transport inherits DirectoryQueue semantics (idempotent
-  submit, priority order, provenance stamps) — it fronts the same
-  directory;
+  submit, priority order, provenance stamps) — the server keeps its
+  queue in one;
 * heartbeats keep an in-flight claim alive past any lease, and a
   *silent* worker's claims requeue within the heartbeat timeout;
 * every client call retries over fresh connections, so a restarted
@@ -110,7 +110,6 @@ def test_submit_claim_complete_roundtrip_over_tcp(server, client, config):
     assert claimed.key == key
     assert claimed.job == job
     assert claimed.worker_id == "w1"
-    assert claimed.path is None                  # the server holds the file
     assert client.counts().claimed == 1
     assert client.claim("w2") is None
 
@@ -125,8 +124,8 @@ def test_submit_claim_complete_roundtrip_over_tcp(server, client, config):
     assert entry["result"].as_dict() == result.as_dict()
     assert client.failure(key) is None
 
-    # The wire changes nothing on disk: a DirectoryQueue over the same
-    # root sees exactly what a directory worker would have written.
+    # The wire changes nothing on disk: the server's DirectoryQueue
+    # holds the stored result.
     assert server.queue.result_entry(key)["result"].as_dict() \
         == result.as_dict()
 
@@ -271,15 +270,15 @@ def test_restarted_server_adopts_existing_claims(tmp_path, config):
     """A new server inherits claim files from its predecessor: their
     workers are registered provisionally, and ones that never heartbeat
     again requeue after the heartbeat timeout — not the full lease."""
-    queue_root = tmp_path / "q"
+    root = tmp_path / "q"
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    with QueueServer(queue_root, heartbeat_timeout_s=60.0) as first:
+    with QueueServer(root, heartbeat_timeout_s=60.0) as first:
         client = SocketQueue(first.address)
         client.submit(job)
         assert client.claim("ghost-worker") is not None
         client.close()
 
-    with QueueServer(queue_root, heartbeat_timeout_s=0.5,
+    with QueueServer(root, heartbeat_timeout_s=0.5,
                      sweep_interval_s=0.1) as second:
         client = SocketQueue(second.address)
         _wait_for(lambda: client.counts().pending == 1, timeout_s=10.0,
@@ -323,8 +322,8 @@ def test_requests_ride_out_a_server_restart(tmp_path, config):
     comes back inside the retry window — the worker never notices."""
     import threading
 
-    queue_root = tmp_path / "q"
-    with QueueServer(queue_root) as first:
+    root = tmp_path / "q"
+    with QueueServer(root) as first:
         addr = first.address
         client = SocketQueue(addr, retries=10, backoff_s=0.05)
         job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
@@ -337,7 +336,7 @@ def test_requests_ride_out_a_server_restart(tmp_path, config):
 
     def restart():
         time.sleep(0.4)
-        second["server"] = QueueServer(queue_root, host=host,
+        second["server"] = QueueServer(root, host=host,
                                        port=port).start()
 
     restarter = threading.Thread(target=restart)
@@ -361,7 +360,7 @@ def test_requests_ride_out_a_server_restart(tmp_path, config):
 def test_serial_and_socket_suites_agree(tmp_path, jobs):
     serial = ExperimentSuite(backend="serial").run(jobs)
     with ExperimentSuite(workers=2, backend="socket",
-                         queue_dir=tmp_path / "q", timeout_s=300) as suite:
+                         timeout_s=300) as suite:
         socketed = suite.run(jobs)
         assert suite.stats.executed == len(jobs)
     assert _report_dicts(serial) == _report_dicts(socketed)
@@ -370,10 +369,9 @@ def test_serial_and_socket_suites_agree(tmp_path, jobs):
 
 def test_external_addr_workers_drain_a_suite_submission(tmp_path, jobs):
     """spawn_workers=False + an external --addr worker fleet: the
-    multi-machine deployment shape, over TCP instead of a shared
-    filesystem."""
+    multi-machine deployment shape."""
     with QueueServer(tmp_path / "q") as server:
-        workers = [spawn_worker(addr=server.address,
+        workers = [spawn_worker(server.address,
                                 worker_id=f"external-{i}", poll_s=0.02,
                                 idle_timeout_s=60.0, heartbeat_s=0.5,
                                 log_dir=tmp_path / "logs")
@@ -395,16 +393,13 @@ def test_external_addr_workers_drain_a_suite_submission(tmp_path, jobs):
     assert _report_dicts(socketed) == _report_dicts(serial)
 
 
-def test_suite_backend_validation(tmp_path):
+def test_suite_backend_validation():
     with pytest.raises(ValueError, match="queue_addr"):
         ExperimentSuite(backend="serial", queue_addr="127.0.0.1:1")
-    with pytest.raises(ValueError, match="exclusive"):
-        ExperimentSuite(queue_dir=tmp_path / "q", queue_addr="127.0.0.1:1",
-                        backend="socket")
+    with pytest.raises(ValueError, match="queue_addr"):
+        ExperimentSuite(backend="parallel", queue_addr="127.0.0.1:1")
     assert ExperimentSuite(queue_addr="127.0.0.1:1").backend == "socket"
     assert ExperimentSuite(backend="socket").backend == "socket"
-    assert ExperimentSuite(queue_dir=tmp_path / "q",
-                           backend="socket").backend == "socket"
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +411,20 @@ def test_chaos_worker_sigkill_and_server_restart_mid_drain(tmp_path, config):
     and restart it on the same port: the adopted claim requeues via the
     heartbeat timeout, a rescue worker drains everything, and every
     result is bit-identical to serial execution."""
-    queue_root = tmp_path / "q"
+    root = tmp_path / "q"
     # Medium jobs (~1.5s wall each) so the SIGKILL lands mid-execution.
     jobs = [ExperimentJob(Scenario.single(name, config, seed_offset=i),
                           duration=60.0)
             for i, name in enumerate(["RE", "ITP", "D2", "STK"])]
 
-    first = QueueServer(queue_root, heartbeat_timeout_s=1.0,
+    first = QueueServer(root, heartbeat_timeout_s=1.0,
                         sweep_interval_s=0.2).start()
     addr = first.address
     client = SocketQueue(addr, retries=10, backoff_s=0.05)
     keys = client.submit_many(jobs)
     assert len(keys) == len(jobs)
 
-    victim = spawn_worker(addr=addr, worker_id="victim", poll_s=0.02,
+    victim = spawn_worker(addr, worker_id="victim", poll_s=0.02,
                           heartbeat_s=0.2, log_dir=tmp_path / "logs")
     try:
         _wait_for(lambda: client.counts().claimed >= 1,
@@ -443,18 +438,18 @@ def test_chaos_worker_sigkill_and_server_restart_mid_drain(tmp_path, config):
 
     # Chaos, part two: the server dies with a claim outstanding...
     first.stop()
-    claimed_before = DirectoryQueue(queue_root).counts().claimed
+    claimed_before = DirectoryQueue(root).counts().claimed
     assert claimed_before >= 1
 
     # ...and its replacement adopts the claim files it finds.  The dead
     # victim never heartbeats again, so its claim requeues within the
     # heartbeat timeout instead of any lease.
     host, port = parse_addr(addr)
-    with QueueServer(queue_root, host=host, port=port,
+    with QueueServer(root, host=host, port=port,
                      heartbeat_timeout_s=1.0, sweep_interval_s=0.2):
         _wait_for(lambda: client.counts().claimed == 0, timeout_s=15.0,
                   what="the dead victim's claim to requeue")
-        rescuer = spawn_worker(addr=addr, worker_id="rescuer", poll_s=0.02,
+        rescuer = spawn_worker(addr, worker_id="rescuer", poll_s=0.02,
                                heartbeat_s=0.2, log_dir=tmp_path / "logs")
         try:
             _wait_for(lambda: client.counts().completed == len(jobs),
