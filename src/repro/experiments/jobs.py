@@ -17,17 +17,17 @@ in a worker process, or replayed from the result store.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 # A submodule import (not the repro.scenarios facade): this module loads
 # while repro.scenarios may itself still be initializing.
-from repro.scenarios.scenario import SCENARIO_SCHEMA_VERSION, Scenario, SeedPolicy
+from repro.scenarios.scenario import (SCENARIO_SCHEMA_VERSION, Scenario,
+                                     SeedPolicy, canonical_hash,
+                                     hashed_content)
 from repro.server.host import CloudHost, HostResult
 
-__all__ = ["CACHE_SCHEMA_VERSION", "ExperimentJob", "execute_job"]
+__all__ = ["CACHE_SCHEMA_VERSION", "ExperimentJob", "execute_job", "job_key"]
 
 #: Bump when the stored result layout (or the scenario schema) changes.
 #: Stored *inside* every result-store entry so stale provenance is
@@ -121,15 +121,7 @@ class ExperimentJob:
     # -- identity ---------------------------------------------------------------------
     def key(self) -> str:
         """Content hash identifying this job's result in the cache."""
-        payload = {
-            "kind": self.kind,
-            "duration": self.duration,
-            "scenario": {key: value
-                         for key, value in self.scenario.to_dict().items()
-                         if key != "schema"},
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return job_key(self.kind, self.duration, self.scenario.to_dict())
 
     def describe(self) -> str:
         """A short human-readable label for progress output."""
@@ -139,6 +131,15 @@ class ExperimentJob:
         if self.duration is not None:
             label += f" dur={self.duration:g}s"
         return label
+
+
+def job_key(kind: str, duration: Optional[float], scenario: dict) -> str:
+    """:meth:`ExperimentJob.key` from the job's fields, with the scenario
+    already in :meth:`Scenario.to_dict` form — so a caller that needs the
+    dict anyway (:func:`~repro.experiments.store.build_entry`) builds it
+    once."""
+    return canonical_hash({"kind": kind, "duration": duration,
+                           "scenario": hashed_content(scenario)})
 
 
 def build_job_host(job: ExperimentJob) -> CloudHost:

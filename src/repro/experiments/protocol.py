@@ -173,25 +173,26 @@ def read_frame(stream: BinaryIO) -> Optional[tuple[MessageType, object]]:
     peer closed between frames).  An end-of-stream *inside* a frame is a
     truncation: logged and raised, never silently swallowed.
     """
-    header = _read_exact(stream.read, HEADER.size, allow_clean_eof=True)
+    return _read_frame(stream.read)
+
+
+def recv_frame(sock: socket.socket) -> Optional[tuple[MessageType, object]]:
+    """:func:`read_frame` over a connected socket (``recv`` semantics)."""
+    return _read_frame(sock.recv)
+
+
+def _read_frame(read) -> Optional[tuple[MessageType, object]]:
+    """One frame from ``read(n)``, a blocking call returning at most ``n``
+    bytes and ``b""`` at end-of-stream (see :func:`read_frame`)."""
+    header = _read_exact(read, HEADER.size, allow_clean_eof=True)
     if header is None:
         return None
     length = HEADER.unpack(header)[3]
     if length > MAX_PAYLOAD:
         raise _reject_corrupt(f"declared payload of {length} bytes exceeds the {MAX_PAYLOAD} cap")
-    body = _read_exact(stream.read, length, prefix=header)
+    body = _read_exact(read, length, prefix=header)
     kind, payload, _ = decode_frame(header + body)
     return kind, payload
-
-
-def recv_frame(sock: socket.socket) -> Optional[tuple[MessageType, object]]:
-    """:func:`read_frame` over a connected socket (``recv`` semantics)."""
-
-    class _SocketStream:
-        def read(self, n: int) -> bytes:
-            return sock.recv(n)
-
-    return read_frame(_SocketStream())
 
 
 def send_frame(sock: socket.socket, kind: Union[MessageType, int], payload: object = None) -> None:

@@ -102,10 +102,10 @@ class DirectoryQueue:
                           self.failed_dir):
             directory.mkdir(parents=True, exist_ok=True)
         #: Completed results: the SQLite result database, in the same
-        #: provenance-stamped rows the in-process backends write.
-        #: Rollback-journal mode (wal=False, a full sync per commit) makes
-        #: every result the server acknowledges durable.
-        self.results = ResultStore(self.root / "results", wal=False)
+        #: provenance-stamped rows the in-process backends write.  Its
+        #: full sync per commit makes every result the server
+        #: acknowledges durable.
+        self.results = ResultStore(self.root / "results")
         self._sequence = self._next_sequence()
         # Lease aging state for requeue_stale(): claim-file name ->
         # (st_mtime_ns, base) where ``base`` is the _mono() instant the

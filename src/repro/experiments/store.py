@@ -23,22 +23,25 @@ for a key; determinism makes any row equally valid, and the two
 documented rejection paths ("rejecting stale cache entry", "rejecting
 tampered cache entry") are checked on every read.
 
-Concurrency: by default the database opens in WAL mode with a generous
-busy timeout, so any number of processes on one machine (a suite plus
-its pool workers, or several suites) write simultaneously — writers
-queue on the WAL lock instead of failing, readers never block.  WAL's
+Concurrency and durability: every connection runs one journal mode —
+WAL with ``synchronous = FULL`` and a generous busy timeout.  Any
+number of processes on one machine (a suite plus its pool workers, or
+several suites) write simultaneously: writers queue on the WAL lock
+instead of failing, and readers never block.  ``FULL`` syncs the WAL on
+every commit, so a write is on disk before it returns — in particular
+every result the queue server acknowledges is durable.  WAL's
 cross-process coordination lives in a shared-memory file, which does
 **not** span machines, so a database is written from one host only;
-remote workers reach the queue server's database over TCP instead.
-That database opens with ``wal=False`` — the rollback journal with a
-full sync per commit — so every result the server acknowledges is
-durable.
+remote workers reach the queue server's database over TCP instead.  A
+filesystem that refuses WAL leaves the connection in its previous
+journal mode, still with a full sync per commit, and logs a warning.
+Every write of more than one statement runs in one ``BEGIN IMMEDIATE``
+transaction.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import logging
 import math
@@ -50,12 +53,14 @@ import subprocess
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, is_dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.experiments.jobs import CACHE_SCHEMA_VERSION
+from repro.experiments.jobs import CACHE_SCHEMA_VERSION, job_key
+from repro.scenarios.scenario import canonical_hash, hashed_content
 
 if TYPE_CHECKING:
     from repro.experiments.jobs import ExperimentJob
@@ -211,13 +216,16 @@ def build_entry(job: "ExperimentJob", result,
     cross-backend equivalence tests compare byte-for-byte after
     pickling — cannot diverge between backends.
     """
+    # One to_dict() per completion: the key and the scenario hash are
+    # derived from the same dict the entry stores.
+    scenario = job.scenario.to_dict()
     return {
         "schema": CACHE_SCHEMA_VERSION,
-        "key": job.key(),
+        "key": job_key(job.kind, job.duration, scenario),
         "kind": job.kind,
         "duration": job.duration,
-        "scenario": job.scenario.to_dict(),
-        "scenario_hash": job.scenario.content_hash(),
+        "scenario": scenario,
+        "scenario_hash": canonical_hash(hashed_content(scenario)),
         # Explicit fidelity stamp: fast-forwarded results carry the flag
         # at the top level (not just inside the scenario dict), so no
         # tooling can mistake a temporally upscaled run for an exact one.
@@ -236,14 +244,12 @@ class ResultStore:
     ``<root>/results.sqlite``) or a ``.sqlite`` / ``.db`` file path.
     Instances are cheap; each thread of each process opens its own
     connection (re-opened transparently after a fork — SQLite
-    connections are affine to both), and the journal mode + busy
-    timeout make concurrent writers from other processes safe.
-    ``wal=False`` selects the rollback journal instead of WAL (see the
-    module docstring).
+    connections are affine to both).  Every connection runs WAL with a
+    full sync per commit and a busy timeout (see the module docstring),
+    so concurrent writers are safe and a committed write is durable.
     """
 
-    def __init__(self, root: os.PathLike | str, wal: bool = True):
-        self.wal = wal
+    def __init__(self, root: os.PathLike | str):
         given = Path(root)
         if given.suffix in (".sqlite", ".db"):
             self.root = given.parent
@@ -268,20 +274,33 @@ class ResultStore:
             conn = sqlite3.connect(self.db_path, timeout=BUSY_TIMEOUT_S,
                                    isolation_level=None)
             conn.execute(f"PRAGMA busy_timeout = {int(BUSY_TIMEOUT_S * 1000)}")
-            if self.wal:
-                try:
-                    conn.execute("PRAGMA journal_mode = WAL")
-                    conn.execute("PRAGMA synchronous = NORMAL")
-                except sqlite3.OperationalError:
-                    pass             # filesystems without WAL still work
-            else:
-                # The rollback journal with the default full sync: a
-                # commit is on disk before the writer acknowledges it.
-                conn.execute("PRAGMA journal_mode = DELETE")
+            mode = conn.execute("PRAGMA journal_mode = WAL").fetchone()[0]
+            if mode != "wal":
+                logger.warning(
+                    "result store %s could not enter WAL mode (journal mode "
+                    "is %r); writes still sync fully but readers may block",
+                    self.db_path, mode)
+            # Set after the journal mode, whatever it turned out to be: a
+            # commit is on disk before the writer acknowledges it.
+            conn.execute("PRAGMA synchronous = FULL")
             conn.executescript(_SCHEMA_SQL)
             self._local.conn = conn
             self._local.conn_pid = os.getpid()
         return self._local.conn
+
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """This thread's connection inside one ``BEGIN IMMEDIATE`` …
+        ``COMMIT``, rolled back when the body raises — so a multi-
+        statement write is atomic and costs one sync."""
+        conn = self.connection()
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield conn
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
 
     def close(self) -> None:
         """Close *this thread's* connection (others close on GC)."""
@@ -358,9 +377,7 @@ class ResultStore:
         """
         key = entry.get("key")
         git_rev = entry.get("git_rev", "unknown")
-        conn = self.connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO results (key, git_rev, schema, "
                 "kind, duration, scenario_json, scenario_hash, runtime_s, "
@@ -380,17 +397,13 @@ class ResultStore:
                 "value) VALUES (?, ?, ?, ?)",
                 [(key, git_rev, name, value) for name, value
                  in sorted(numeric_metrics(entry).items())])
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def invalidate(self, key: str) -> None:
         """Drop every revision's row for ``key`` (e.g. one that failed
-        validation)."""
-        conn = self.connection()
-        conn.execute("DELETE FROM results WHERE key = ?", (key,))
-        conn.execute("DELETE FROM metrics WHERE key = ?", (key,))
+        validation) in one transaction."""
+        with self._transaction() as conn:
+            conn.execute("DELETE FROM results WHERE key = ?", (key,))
+            conn.execute("DELETE FROM metrics WHERE key = ?", (key,))
 
     def __len__(self) -> int:
         """Distinct result keys on file."""
@@ -556,15 +569,16 @@ class ResultStore:
         Every current-schema result row without metrics rows gets its
         payload unpickled once and its numeric leaves written — after
         which the query path above never touches a payload again.
-        Idempotent; unreadable payloads are logged and skipped.
+        Idempotent; unreadable payloads are logged and skipped.  Every
+        metric row is written in one transaction.
         """
-        conn = self.connection()
-        pending = conn.execute(
+        pending = self.connection().execute(
             "SELECT key, git_rev, entry FROM results r WHERE schema = ? "
             "AND NOT EXISTS (SELECT 1 FROM metrics m WHERE m.key = r.key "
             "AND m.git_rev = r.git_rev)",
             (CACHE_SCHEMA_VERSION,)).fetchall()
         report = BackfillReport()
+        metric_rows: list[tuple] = []
         for key, git_rev, blob in pending:
             try:
                 entry = pickle.loads(blob)
@@ -577,11 +591,14 @@ class ResultStore:
             if not rows:
                 report.skipped += 1
                 continue
-            conn.executemany(
-                "INSERT OR REPLACE INTO metrics (key, git_rev, name, value) "
-                "VALUES (?, ?, ?, ?)",
-                [(key, git_rev, name, value) for name, value in rows])
+            metric_rows.extend((key, git_rev, name, value)
+                               for name, value in rows)
             report.backfilled += 1
+        if metric_rows:
+            with self._transaction() as conn:
+                conn.executemany(
+                    "INSERT OR REPLACE INTO metrics (key, git_rev, name, "
+                    "value) VALUES (?, ?, ?, ?)", metric_rows)
         if report.backfilled:
             logger.info("backfilled metrics for %d result row(s) in %s "
                         "(%d skipped)", report.backfilled, self.db_path,
@@ -627,18 +644,13 @@ class ResultStore:
                          "WHERE key = ? AND git_rev = ?", pair).fetchone()[0]
             for pair in doomed)
         if doomed and not dry_run:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
+            with self._transaction():
                 conn.executemany(
                     "DELETE FROM results WHERE key = ? AND git_rev = ?",
                     doomed)
                 conn.executemany(
                     "DELETE FROM metrics WHERE key = ? AND git_rev = ?",
                     doomed)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
             if vacuum:
                 conn.execute("VACUUM")
                 report.vacuumed = True
@@ -666,9 +678,7 @@ class ResultStore:
                            runtime_s: Optional[float] = None) -> bool:
         """Store one artefact payload under its content hash (idempotent);
         returns whether a new row was written."""
-        conn = self.connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as conn:
             cursor = conn.execute(
                 "INSERT OR IGNORE INTO artifacts (hash, schema, kind, "
                 "benchmark, spec_json, git_rev, created_at, runtime_s, "
@@ -677,10 +687,6 @@ class ResultStore:
                  json.dumps(spec or {}, sort_keys=True, default=list),
                  current_git_rev(), time.time(), runtime_s, len(payload),
                  payload))
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         return cursor.rowcount > 0
 
     def get_artifact_bytes(self, hash: str,
@@ -751,14 +757,9 @@ class ResultStore:
                     hash_[:12], group[0], group[1] or "-", keep)
         report.dropped = len(doomed)
         if doomed and not dry_run:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
+            with self._transaction():
                 conn.executemany("DELETE FROM artifacts WHERE hash = ?",
                                  doomed)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
             if vacuum:
                 conn.execute("VACUUM")
                 report.vacuumed = True
@@ -981,15 +982,8 @@ def rekey_ignoring_fast_forward(entries: dict[str, dict]) -> dict[str, dict]:
         scenario = copy.deepcopy(entry.get("scenario", {}))
         if isinstance(scenario.get("config"), dict):
             scenario["config"].pop("fast_forward", None)
-        payload = {
-            "kind": entry.get("kind"),
-            "duration": entry.get("duration"),
-            "scenario": {key: value for key, value in scenario.items()
-                         if key != "schema"},
-        }
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"), default=list)
-        rekeyed[hashlib.sha256(canonical.encode("utf-8")).hexdigest()] = entry
+        rekeyed[job_key(entry.get("kind"), entry.get("duration"),
+                        scenario)] = entry
     return rekeyed
 
 

@@ -29,12 +29,27 @@ from repro.scenarios.variants import SessionVariant, variant_name
 from repro.server.host import CloudHost, HostConfig, HostResult
 
 __all__ = ["AGENT_FACTORIES", "Placement", "SCENARIO_SCHEMA_VERSION",
-           "Scenario", "SeedPolicy", "agent_factory", "register_agent",
-           "split_agent_name"]
+           "Scenario", "SeedPolicy", "agent_factory", "canonical_hash",
+           "hashed_content", "register_agent", "split_agent_name"]
 
 #: Bump when the serialized scenario layout (or the result layout the
 #: executor caches) changes, so stale provenance is always detectable.
 SCENARIO_SCHEMA_VERSION = 2
+
+
+def canonical_hash(payload) -> str:
+    """SHA-256 over ``payload``'s canonical JSON (sorted keys, no
+    whitespace) — the one encoding behind every scenario content hash
+    and job key."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def hashed_content(data: dict) -> dict:
+    """The part of a :meth:`Scenario.to_dict` output that its content hash
+    covers: everything but the schema version."""
+    return {key: value for key, value in data.items() if key != "schema"}
+
 
 #: Named driving agents a placement may request.  ``None`` means the
 #: host's default (the synthetic human player).  Factories must be
@@ -377,10 +392,7 @@ class Scenario:
         silently keyed away (see
         :class:`repro.experiments.store.ResultStore`).
         """
-        payload = {key: value for key, value in self.to_dict().items()
-                   if key != "schema"}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_hash(hashed_content(self.to_dict()))
 
     def short_hash(self) -> str:
         return self.content_hash()[:12]

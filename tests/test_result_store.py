@@ -12,9 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,10 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import main
 from repro.experiments.jobs import CACHE_SCHEMA_VERSION
-from repro.experiments.store import entry_metrics, flatten_metrics
+from repro.experiments.server import QueueServer
+from repro.experiments.store import (build_entry, current_git_rev,
+                                     entry_metrics, flatten_metrics)
+from repro.sim.fastforward import FastForwardConfig
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +155,101 @@ def test_store_rejects_unreadable_blobs_with_a_log(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
         assert store.get_entry(entry["key"]) is None
     assert any("unreadable" in record.message for record in caplog.records)
+
+
+def _journal_settings(store: ResultStore) -> tuple:
+    conn = store.connection()
+    return (conn.execute("PRAGMA journal_mode").fetchone()[0],
+            conn.execute("PRAGMA synchronous").fetchone()[0])
+
+
+def test_every_store_connection_runs_wal_with_a_full_sync(tmp_path):
+    """One journal mode everywhere: WAL, synchronous = FULL (2) — for a
+    suite store, the queue server's store and a second thread's
+    connection alike."""
+    store = ResultStore(tmp_path / "store")
+    assert _journal_settings(store) == ("wal", 2)
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(
+        _journal_settings(store)))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert seen == [("wal", 2)]
+    with QueueServer(tmp_path / "q") as server:
+        assert _journal_settings(server.queue.results) == ("wal", 2)
+
+
+def test_result_store_takes_no_journal_mode_option(tmp_path):
+    with pytest.raises(TypeError):
+        ResultStore(tmp_path / "store", **{"wal": False})
+
+
+def _traced_statements(store: ResultStore) -> list[str]:
+    statements: list[str] = []
+    store.connection().set_trace_callback(statements.append)
+    return statements
+
+
+def test_invalidate_deletes_in_one_transaction(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    entry = _synthetic_entry(0, 1.0)
+    store.put_entry(entry)
+    statements = _traced_statements(store)
+    store.invalidate(entry["key"])
+    assert [s.split()[0] for s in statements] == [
+        "BEGIN", "DELETE", "DELETE", "COMMIT"]
+    assert store.get_entry(entry["key"]) is None
+    assert store.connection().execute(
+        "SELECT COUNT(*) FROM metrics").fetchone()[0] == 0
+
+
+def test_backfill_writes_every_metric_row_in_one_transaction(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    for index in range(3):
+        store.put_entry(_synthetic_entry(index, float(index)))
+    conn = store.connection()
+    before = set(conn.execute("SELECT * FROM metrics"))
+    conn.execute("DELETE FROM metrics")
+    statements = _traced_statements(store)
+    assert store.backfill_metrics().backfilled == 3
+    writes = [s.split()[0] for s in statements if not s.startswith("SELECT")]
+    assert writes[0] == "BEGIN" and writes[-1] == "COMMIT"
+    assert set(writes[1:-1]) == {"INSERT"}
+    assert len(writes[1:-1]) == len(before)
+    assert set(conn.execute("SELECT * FROM metrics")) == before
+
+
+@pytest.mark.parametrize("stamped_job", [
+    ExperimentJob(Scenario.single("RE", replace(
+        ExperimentConfig.smoke(seed=5),
+        fast_forward=FastForwardConfig(enabled=True)))),
+    ExperimentJob(Scenario.mixed(["RE", "ITP", "D2"],
+                                 ExperimentConfig.smoke(seed=7),
+                                 seed_offset=2, variant="optimized"),
+                  duration=0.75),
+], ids=["fast-forward", "optimized-mix-duration-override"])
+def test_build_entry_pickles_like_separately_hashed_fields(stamped_job):
+    """build_entry derives the key and the scenario hash from one
+    to_dict(); the stored bytes must equal those of an entry assembled
+    from the separate key() / to_dict() / content_hash() calls."""
+    result = {"fps": 30.0, "series": [1.0, 2.0]}
+    reference = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "key": stamped_job.key(),
+        "kind": stamped_job.kind,
+        "duration": stamped_job.duration,
+        "scenario": stamped_job.scenario.to_dict(),
+        "scenario_hash": stamped_job.scenario.content_hash(),
+        "fast_forward": stamped_job.scenario.config.fast_forward.enabled,
+        "git_rev": current_git_rev(),
+        "runtime_s": 0.25,
+        "cost_units": stamped_job.cost_units(),
+        "result": result,
+    }
+    entry = build_entry(stamped_job, result, runtime_s=0.25)
+    assert (pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+            == pickle.dumps(reference, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def test_cost_model_calibrates_from_sql_without_unpickling(tmp_path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import logging
 import pickle
+import socket
 import struct
 import zlib
 
@@ -31,6 +32,7 @@ from repro.experiments.protocol import (
     decode_frame,
     encode_frame,
     read_frame,
+    recv_frame,
 )
 
 # Arbitrary picklable payloads: scalars nested arbitrarily in
@@ -171,6 +173,25 @@ def test_read_frame_rejects_mid_header_eof(caplog):
             read_frame(stream)
     assert any("rejecting truncated frame" in record.message
                for record in caplog.records)
+
+
+def test_recv_frame_reads_a_socket_stream_and_logs_a_mid_frame_close(caplog):
+    messages = [(MessageType.COMPLETE, {"key": "k" * 64}), (MessageType.OK, {})]
+    frame = encode_frame(MessageType.CLAIM, {"worker": "w-1"})
+    ours, peer = socket.socketpair()
+    with ours, peer:
+        peer.sendall(b"".join(encode_frame(kind, payload)
+                              for kind, payload in messages))
+        peer.sendall(frame[:-3])
+        peer.shutdown(socket.SHUT_WR)
+        assert [recv_frame(ours) for _ in messages] == messages
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.experiments.protocol"):
+            with pytest.raises(TruncatedFrameError):
+                recv_frame(ours)
+    [record] = [r for r in caplog.records
+                if "rejecting truncated frame" in r.message]
+    assert f"{len(frame) - 3} of {len(frame)} frame bytes" in record.message
 
 
 def test_read_frame_caps_declared_length_before_allocating():
