@@ -34,8 +34,7 @@ autoscaled by a :class:`~repro.experiments.coordinator.Coordinator`), or
 out of the
 content-addressed SQLite result database
 (:mod:`repro.experiments.store`) — always with bit-identical results,
-submitted largest-estimated-cost first
-(:mod:`repro.experiments.cost`).  ``python -m repro.experiments``
+submitted in the caller's order.  ``python -m repro.experiments``
 exposes the whole registry (plus a ``scenario`` subcommand for running
 ad-hoc scenario specs and a ``results`` subcommand for listing,
 showing, diffing and exporting stored results) on the command line (see
@@ -43,7 +42,6 @@ showing, diffing and exporting stored results) on the command line (see
 """
 
 from repro.experiments.accuracy import run_custom
-from repro.experiments.cost import CostModel, order_by_cost
 from repro.experiments.executor import (
     BACKENDS,
     ExperimentSuite,
@@ -64,7 +62,6 @@ from repro.scenarios.variants import SessionVariant, session_variant
 __all__ = [
     "BACKENDS",
     "Coordinator",
-    "CostModel",
     "ExperimentConfig",
     "ExperimentJob",
     "ExperimentSuite",
@@ -79,7 +76,6 @@ __all__ = [
     "diff_result_sets",
     "execute_job",
     "n_way_mixes",
-    "order_by_cost",
     "run_custom",
     "run_jobs",
     "run_worker",

@@ -21,13 +21,11 @@ and returns their results in the same order.  Three layers cooperate:
   spawned locally by the suite, or started by hand with ``python -m
   repro.experiments worker --addr HOST:PORT``.
 
-Whatever the backend, jobs are submitted **largest-estimated-cost
-first** (:func:`~repro.experiments.cost.order_by_cost`, calibrated from
-the runtimes stamped into result-store rows), which bounds the idle
-tail of a pool without affecting any result.  Because
-:func:`repro.experiments.jobs.execute_job` is deterministic, the choice
-of backend (or a store replay) never changes a result — only how fast
-it arrives.
+Whatever the backend, jobs are handed over in the caller's order, in
+two waves: ``train`` jobs first (later jobs consume their artefacts),
+then the rest.  Because :func:`repro.experiments.jobs.execute_job` is
+deterministic, the choice of backend (or a store replay) never changes
+a result — only how fast it arrives.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments.cost import CostCalibration, CostModel, order_by_cost
 from repro.experiments.jobs import ExperimentJob, execute_job
 from repro.experiments.socket_queue import SocketQueue
 from repro.experiments.store import ResultStore
@@ -168,7 +165,6 @@ class ExperimentSuite:
         self._worker_log_dir: Optional[Path] = None
         self._worker_procs: list[tuple[subprocess.Popen, str]] = []
         self._worker_seq = 0
-        self._calibration: Optional[CostCalibration] = None
         # Results live for the suite's lifetime, so figures sharing runs
         # (10-13 share a sweep, 8-9 the characterization runs) execute
         # them once per suite even without an on-disk cache.  Callers
@@ -258,10 +254,6 @@ class ExperimentSuite:
                                                         self._map(wave)):
                         unique[job] = result
                         self._memo[job] = result
-                        if self._calibration is not None:
-                            self._calibration.observe(job.kind,
-                                                      job.cost_units(),
-                                                      runtime_s)
                         if self._cache is not None:
                             self._cache.put(job, result, runtime_s=runtime_s)
             finally:
@@ -270,39 +262,21 @@ class ExperimentSuite:
 
         return [unique[job] for job in jobs]
 
-    def submission_order(self,
-                         jobs: Sequence[ExperimentJob]) -> list[ExperimentJob]:
-        """The order ``jobs`` would be handed to the backend: largest
-        estimated cost first, under the current calibration."""
-        return order_by_cost(jobs, self._cost_model())
-
-    def _cost_model(self) -> CostModel:
-        # The store scan (one SQL pass over the provenance columns, no
-        # result payloads unpickled) happens once per suite; every batch
-        # executed afterwards feeds the calibration in memory via run().
-        if self._calibration is None:
-            self._calibration = (CostCalibration.from_cache(self._cache)
-                                 if self._cache is not None
-                                 else CostCalibration())
-        return self._calibration.model()
-
     def _map(self, jobs: list[ExperimentJob]) -> list[tuple]:
-        """(result, runtime_s) per job, aligned with ``jobs``."""
-        ordered = order_by_cost(jobs, self._cost_model())
+        """(result, runtime_s) per job, aligned with ``jobs`` and handed
+        to the backend in that order."""
         if self.backend == "socket":
-            by_job = self._run_queued(ordered)
-        elif self.backend == "parallel" and self.workers > 1 and len(jobs) > 1:
+            gathered = self._run_queued(jobs)
+            return [gathered[job] for job in jobs]
+        if self.backend == "parallel" and self.workers > 1 and len(jobs) > 1:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_pool_initializer,
                     initargs=(self.cache_dir,))
-            futures = [(job, self._pool.submit(_timed_execute, job))
-                       for job in ordered]
-            by_job = {job: future.result() for job, future in futures}
-        else:
-            by_job = {job: _timed_execute(job) for job in ordered}
-        return [by_job[job] for job in jobs]
+            futures = [self._pool.submit(_timed_execute, job) for job in jobs]
+            return [future.result() for future in futures]
+        return [_timed_execute(job) for job in jobs]
 
     # -- the socket backend -----------------------------------------------------------
     def _ensure_queue(self) -> SocketQueue:
@@ -361,11 +335,9 @@ class ExperimentSuite:
                 f"outstanding; see logs under {self._worker_log_dir}")
         self._worker_procs = alive
 
-    def _run_queued(self, ordered: list[ExperimentJob]) -> dict:
+    def _run_queued(self, jobs: list[ExperimentJob]) -> dict:
         queue = self._ensure_queue()
-        outstanding: dict[str, ExperimentJob] = {}
-        for key, job in zip(queue.submit_many(ordered), ordered):
-            outstanding[key] = job
+        outstanding = dict(zip(queue.submit_many(jobs), jobs))
         self._ensure_workers(queue)
 
         gathered: dict[ExperimentJob, tuple] = {}

@@ -108,13 +108,12 @@ class ExperimentJob:
                 else self.duration)
 
     def cost_units(self) -> float:
-        """The job's a-priori cost (see :meth:`Scenario.cost_units`).
+        """The job's a-priori cost (see :meth:`Scenario.cost_units`),
+        stamped into every result-store row as provenance.
 
-        Units are comparable within one job kind; the executor's
-        :class:`~repro.experiments.cost.CostModel` carries per-kind rates
-        (``accuracy``/``inference`` jobs spend their time training, not
-        simulating), calibrated from the runtimes stamped into cache
-        entries.
+        Units are comparable within one job kind only:
+        ``accuracy``/``inference`` jobs spend their time training, not
+        simulating.
         """
         return self.scenario.cost_units(self.duration)
 

@@ -26,15 +26,10 @@ requeued immediately — crashed-worker recovery in seconds instead of a
 full lease.  A claim a live worker does not name in its heartbeats (one
 orphaned by a retried CLAIM) still ages out via ``requeue_stale(lease_s)``.
 
-**Cost-ordered claims.**  Each submitter packs its own batch largest
--estimated-cost first, but with several submitters sharing one queue the
-interleaving is arbitrary.  The server re-establishes the global packing
-order at claim time: it remembers each submitted job's ``(kind,
-cost_units)`` stamp, calibrates a :class:`~repro.experiments.cost.
-CostModel` from the queue's result store, and hands out the pending job
-with the largest estimate (ties and unknown-cost jobs fall back to
-priority order).  Ordering never changes a result — only how well the
-fleet is packed.
+**A pending cache.**  Claims pop from an in-memory copy of the pending
+directory in its priority order, which is the order jobs arrived in
+across every submitter.  The copy is rebuilt only when the pending set
+changes, so a claim never rescans the directory.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from collections import deque
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.experiments.cost import CostCalibration
 from repro.experiments.protocol import (
     FrameError,
     MessageType,
@@ -138,13 +132,7 @@ class QueueServer:
         self._workers: dict[str, float] = {
             worker: time.monotonic() for worker in self.queue.claimed_workers()
         }
-        #: key -> (kind, cost_units) of jobs submitted through this
-        #: server; feeds cost-ordered claiming.  Jobs pending from
-        #: before a restart are absent and drain in priority order,
-        #: which already encodes their submitter's packing.
-        self._costs: dict[str, tuple[str, float]] = {}
-        self._calibration = CostCalibration.from_cache(self.queue.results)
-        #: Cost-ordered ``(key, path)`` cache of the pending directory.
+        #: Priority-ordered ``(key, path)`` cache of the pending directory.
         #: Claims pop from it in O(1); a full rescan happens only when
         #: the pending *set* changes shape (submits, requeues) — not per
         #: claim, which would be quadratic in queue depth.  Staleness is
@@ -275,28 +263,12 @@ class QueueServer:
         if jobs is None:
             jobs = [payload["job"]]
         keys = self.queue.submit_many(jobs)
-        for key, job in zip(keys, jobs):
-            self._costs[key] = (job.kind, job.cost_units())
         self._pending_dirty = True
         return {"keys": keys}
 
     def _refresh_pending(self) -> None:
-        """Rebuild the claim-order cache: largest estimate first.
-
-        Unknown-cost keys (pending from before a restart) rank ahead in
-        their priority order
-        — the order their submitter already packed them in.  Estimates
-        are frozen per refresh; calibration updates between refreshes
-        only affect ordering quality, never correctness.
-        """
-        model = self._calibration.model()
-        ranked = []
-        for position, (key, path) in enumerate(self.queue.pending_files()):
-            info = self._costs.get(key)
-            estimate = model.estimate_units(*info) if info is not None else float("inf")
-            ranked.append((-estimate, position, key, path))
-        ranked.sort(key=lambda entry: entry[:2])
-        self._pending = deque((key, path) for _, _, key, path in ranked)
+        """Rebuild the claim-order cache: submission order."""
+        self._pending = deque(self.queue.pending_files())
         self._pending_dirty = False
 
     def _op_claim(self, payload: dict) -> dict:
@@ -318,12 +290,10 @@ class QueueServer:
     def _op_complete(self, payload: dict) -> dict:
         worker = payload.get("worker")
         self._mark_alive(worker)
-        job = payload["job"]
-        runtime_s = payload.get("runtime_s")
-        self.queue.results.put(job, payload["result"], runtime_s=runtime_s)
+        self.queue.results.put(
+            payload["job"], payload["result"], runtime_s=payload.get("runtime_s")
+        )
         self.queue.release_claim(payload["key"], worker)
-        self._calibration.observe(job.kind, job.cost_units(), runtime_s)
-        self._costs.pop(payload["key"], None)
         return {}
 
     def _op_fail(self, payload: dict) -> dict:

@@ -2,18 +2,17 @@
 
 :class:`ResultStore` is the single result path of every execution
 backend — serial and parallel suites write their results through it,
-the queue server stores its workers' completions in it, and the cost
-model calibrates from it with one SQL scan over the provenance columns.
+and the queue server stores its workers' completions in it.
 
 Each row carries a full provenance stamp — result schema version, the
 scenario's dict and content hash, the job kind and duration override,
-the git revision, and the ``runtime_s`` / ``cost_units`` calibration
-pair — **plus** the pickled entry itself, so :meth:`ResultStore.get_entry`
-returns the complete provenance-stamped entry dict.  The provenance
-columns exist so the database is *queryable*: the ``python -m
-repro.experiments results`` CLI lists, shows, diffs and exports rows by
-kind / scenario hash / git revision without touching a single result
-payload.
+the git revision, and the wall-clock ``runtime_s`` and a-priori
+``cost_units`` of the run — **plus** the pickled entry itself, so
+:meth:`ResultStore.get_entry` returns the complete provenance-stamped
+entry dict.  The provenance columns exist so the database is
+*queryable*: the ``python -m repro.experiments results`` CLI lists,
+shows, diffs and exports rows by kind / scenario hash / git revision
+without touching a single result payload.
 
 Rows are keyed ``(key, git_rev)`` — the job's content hash plus the
 revision that produced it — so one durable database accumulates results
@@ -411,14 +410,6 @@ class ResultStore:
             "SELECT COUNT(DISTINCT key) FROM results").fetchone()[0]
 
     # -- SQL-side queries (no result unpickling) --------------------------------------
-    def calibration_rows(self) -> Iterator[tuple]:
-        """``(kind, cost_units, runtime_s)`` per row — the cost model's
-        calibration data, straight from SQL (no result payload is
-        unpickled)."""
-        yield from self.connection().execute(
-            "SELECT kind, cost_units, runtime_s FROM results "
-            "WHERE schema = ?", (CACHE_SCHEMA_VERSION,))
-
     def rows(self, kind: Optional[str] = None,
              scenario_hash: Optional[str] = None,
              git_rev: Optional[str] = None,

@@ -6,8 +6,8 @@ highest-priority pending job, executes it with the same
 :func:`~repro.experiments.jobs.execute_job` the in-process backends
 use, sends the result back for the server to store in its
 provenance-stamped SQLite :class:`~repro.experiments.store.ResultStore`,
-and repeats.  All scheduling intelligence (cost-ordered claims, crash
-recovery, lease management) lives with the server and the submitter.
+and repeats.  All scheduling (claim order, crash recovery, lease
+management) lives with the server and the submitter.
 
 Run one per core, on any machine that can reach the server::
 

@@ -4,7 +4,7 @@ This layer is deliberately thin: a population sample is just a list of
 :class:`~repro.experiments.jobs.ExperimentJob` values, and every
 property of the execution subsystem — deduplication, the content-
 addressed result store (which makes interrupted fleet runs resumable
-for free), cost-packed submission, and the serial / parallel / socket
+for free), and the serial / parallel / socket
 backends — applies unchanged.
 """
 
@@ -24,12 +24,9 @@ __all__ = ["population_digest", "population_jobs", "scenarios_by_key"]
 def population_jobs(spec: PopulationSpec, n: int, seed: int = 0,
                     config: Optional[ExperimentConfig] = None,
                     duration: Optional[float] = None) -> list[ExperimentJob]:
-    """The ``host`` jobs of a population sample, in sample order.
-
-    The suite reorders submissions by estimated cost itself, so sample
-    order carries no scheduling meaning — it is the stable identity
-    order reports and digests use.
-    """
+    """The ``host`` jobs of a population sample, in sample order: the
+    order the suite submits them in and the stable identity order
+    reports and digests use."""
     return [ExperimentJob(scenario, duration=duration)
             for scenario in sample(spec, n, seed=seed, config=config)]
 

@@ -276,18 +276,17 @@ class Scenario:
         ``duration`` when the caller overrides it) times the instance
         count: every instance adds its own event streams, so the event
         volume — and therefore wall time on any backend — grows roughly
-        with this product.  The executor's cost model turns units into
-        wall-clock estimates (calibrated from cached runtimes) to pack
-        backends largest-first; ordering never affects results, only how
-        well the pool is utilized.
+        with this product.  It is a provenance stamp: every result-store
+        row records it next to the measured ``runtime_s``, and ``fleet
+        report`` selects it as ``@cost_units``.  Nothing schedules by it.
         """
         span = self.config.duration_s if duration is None else duration
         ff = self.config.fast_forward
         if ff.enabled:
             # Fast-forward micro-simulates only enough windows to
             # establish steadiness plus the exit window; without this
-            # cap the queue packer would schedule a fast-forwarded
-            # two-minute run as if it cost a full-fidelity one.
+            # cap a fast-forwarded two-minute run would be stamped as
+            # if it cost a full-fidelity one.
             micro_cap = (ff.window_s * (ff.min_steady_windows + 1)
                          + ff.exit_window_s)
             span = min(span, micro_cap)

@@ -130,7 +130,7 @@ def test_submit_is_idempotent_per_content_hash(tmp_path, config):
 
 def test_claims_drain_in_submission_priority_order(tmp_path, config):
     """The lexicographic order of pending/ is the submission order, so
-    whatever the submitter's packing decided is what workers see."""
+    workers see jobs in the order they were submitted."""
     queue = DirectoryQueue(tmp_path / "q")
     submitted = [ExperimentJob(Scenario.single("RE", config, seed_offset=i))
                  for i in range(5)]

@@ -173,8 +173,8 @@ def test_cache_entries_are_provenance_stamped(tmp_path, config):
     assert entry["scenario"] == job.scenario.to_dict()
     assert entry["kind"] == "host"
     assert "git_rev" in entry
-    # The cost model's calibration data: how long the run actually took
-    # and its a-priori cost.
+    # Provenance stamps: how long the run actually took and its
+    # a-priori cost.
     assert entry["runtime_s"] > 0
     assert entry["cost_units"] == job.cost_units()
 
@@ -263,70 +263,29 @@ def test_run_jobs_uses_default_suite(config, monkeypatch, tmp_path):
     assert len(ResultStore(tmp_path)) == 1
 
 
-def test_cost_based_packing_reorders_submission(config, monkeypatch):
-    """Jobs reach the backend largest-estimated-cost first, while results
-    stay aligned with the caller's submission order and are unchanged."""
+def test_train_jobs_run_first_then_caller_order(config, monkeypatch):
+    """A ``train`` job listed last executes first; the rest execute in
+    the caller's order, and results stay aligned with the input."""
     from repro.experiments import executor
-    from repro.experiments.cost import CostModel, order_by_cost
 
-    # Synthetic set submitted smallest-first: 1, 2 and 4 instances with
-    # growing duration overrides.
     jobs = [
-        ExperimentJob(Scenario.single("RE", config), duration=1.0),
         ExperimentJob(Scenario.mixed(("RE", "ITP"), config), duration=2.0),
+        ExperimentJob(Scenario.single("RE", config), duration=1.0),
         ExperimentJob(Scenario.mixed(("STK", "RE", "ITP", "D2"), config),
                       duration=3.0),
+        ExperimentJob(Scenario.single("ITP", config), kind="train"),
     ]
-    costs = [job.cost_units() for job in jobs]
-    assert costs == sorted(costs)               # submission order is smallest-first
-    assert order_by_cost(jobs) == list(reversed(jobs))
-
     executed_order = []
-    real_timed_execute = executor._timed_execute
 
     def recording_execute(job):
         executed_order.append(job)
-        return real_timed_execute(job)
+        return ("result of", job), 0.0
 
     monkeypatch.setattr(executor, "_timed_execute", recording_execute)
-    suite = ExperimentSuite(workers=1)
-    results = suite.run(jobs)
+    results = ExperimentSuite(workers=1).run(jobs)
 
-    assert executed_order == list(reversed(jobs))
-    assert suite.submission_order(jobs) == list(reversed(jobs))
-    # Reordering is invisible in the results: aligned and bit-identical.
-    reference = [execute_job(job) for job in jobs]
-    assert _stats_dicts(results) == _stats_dicts(reference)
-
-    # Ties break deterministically on the job key, so every process
-    # derives the same order.
-    tied = [ExperimentJob(Scenario.single("RE", config, seed_offset=i))
-            for i in range(4)]
-    assert order_by_cost(tied) == order_by_cost(list(reversed(tied)))
-    assert order_by_cost(tied) == sorted(tied, key=lambda job: job.key())
-    assert CostModel().estimate(tied[0]) == tied[0].cost_units()
-
-
-def test_cost_model_calibrates_from_cached_runtimes(tmp_path, config):
-    """Rates fit total runtime over total units per kind, and feed the
-    suite's submission order."""
-    from repro.experiments.cost import CostModel
-
-    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    result = execute_job(job)
-    cache = ResultStore(tmp_path)
-    cache.put(job, result, runtime_s=3.0)
-    other = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
-    cache.put(other, execute_job(other), runtime_s=1.0)
-
-    model = CostModel.calibrated(cache)
-    total_units = job.cost_units() + other.cost_units()
-    assert model.rates["host"] == pytest.approx(4.0 / total_units)
-    assert model.estimate(job) == pytest.approx(
-        job.cost_units() * model.rates["host"])
-    # Entries without runtime stamps (or unknown kinds) are ignored and
-    # fall back to raw units.
-    assert CostModel.calibrated(ResultStore(tmp_path / "empty")).rates == {}
+    assert executed_order == [jobs[3], jobs[0], jobs[1], jobs[2]]
+    assert results == [("result of", job) for job in jobs]
 
 
 def test_figure_registry_covers_the_benchmarks(config):

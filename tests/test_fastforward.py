@@ -139,8 +139,8 @@ def test_content_hash_sensitive_to_every_field(field_name, value):
 
 
 def test_cost_units_discounts_fast_forward():
-    """The cost model charges a fast-forwarded run for its micro windows
-    only, so the queue packer doesn't schedule it as a full run."""
+    """The provenance stamp charges a fast-forwarded run for its micro
+    windows only, not as a full run."""
     config = ExperimentConfig.paper()
     full = Scenario.mixed(["RE"], config=config)
     fast = Scenario.mixed(["RE"],
@@ -157,9 +157,8 @@ def test_cost_units_discounts_fast_forward():
 
 
 def test_cost_units_calibration_tracks_runtime():
-    """The discount reflects reality: measured runtime ratio must be at
-    least as large as the cost-unit ratio claims (the packer may only
-    ever *over*-estimate a fast-forwarded job)."""
+    """The discount reflects reality: a fast-forwarded run that is
+    stamped with fewer cost units also takes less CPU time."""
     import time
     config = ExperimentConfig.quick()
     full = Scenario.mixed(["RE"], config=config)

@@ -24,7 +24,6 @@ import pytest
 
 from repro.experiments import ExperimentSuite, ResultStore
 from repro.experiments.__main__ import main
-from repro.experiments.cost import CostCalibration, CostModel
 from repro.experiments.jobs import ExperimentJob
 from repro.experiments.store import build_entry, numeric_metrics
 from repro.fleet import (
@@ -315,17 +314,6 @@ def test_gc_keeps_newest_revisions(tmp_path, caplog):
                         "WHERE git_rev = ?", ("b" * 40,)).fetchone()[0] > 0
     with pytest.raises(ValueError):
         store.gc(keep_revs=0)
-
-
-def test_cost_model_blends_a_default_rate():
-    calibration = CostCalibration()
-    calibration.observe("host", units=10.0, runtime_s=20.0)
-    calibration.observe("accuracy", units=10.0, runtime_s=40.0)
-    model = calibration.model()
-    assert model.rates == {"host": 2.0, "accuracy": 4.0}
-    assert model.default_rate == pytest.approx(3.0)
-    assert model.estimate_units("never_seen", 2.0) == pytest.approx(6.0)
-    assert CostModel().estimate_units("anything", 2.0) == 2.0
 
 
 # -- fleet report: cohorts by pure SQL ----------------------------------------------------

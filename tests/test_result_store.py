@@ -252,21 +252,6 @@ def test_build_entry_pickles_like_separately_hashed_fields(stamped_job):
             == pickle.dumps(reference, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def test_cost_model_calibrates_from_sql_without_unpickling(tmp_path):
-    from repro.experiments.cost import CostModel
-
-    store = ResultStore(tmp_path / "store")
-    store.put_entry(_synthetic_entry(1, 10.0))
-    store.put_entry(_synthetic_entry(2, 20.0))
-    # Corrupt both blobs: the calibration must come from the provenance
-    # columns alone, never from the pickled payloads.
-    store.connection().execute("UPDATE results SET entry = ?",
-                               (b"not a pickle",))
-    model = CostModel.calibrated(store)
-    # Two rows of 0.5 s / 2.0 units: 1.0 s over 4.0 units.
-    assert model.rates["host"] == pytest.approx(0.25)
-
-
 # ---------------------------------------------------------------------------
 # Backend equivalence through the store (the acceptance bar)
 # ---------------------------------------------------------------------------

@@ -151,19 +151,28 @@ def test_submit_many_is_one_frame_and_keeps_order(server, client, config):
     assert client.counts().pending == 5
 
 
-def test_server_orders_claims_largest_estimated_cost_first(server, client,
-                                                           config):
-    """Submit cheapest-first; the server hands them out biggest-first —
-    cross-submitter packing happens at claim time, not submit time."""
-    small = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    medium = ExperimentJob(Scenario.mixed(("RE", "ITP"), config,
-                                          seed_offset=2))
-    large = ExperimentJob(Scenario.mixed(("RE", "ITP", "D2"), config,
-                                         seed_offset=3))
-    assert small.cost_units() < medium.cost_units() < large.cost_units()
-    client.submit_many([small, medium, large])
-    drained = [client.claim("w").job for _ in range(3)]
-    assert drained == [large, medium, small]
+def test_server_hands_out_claims_in_arrival_order(server, client, config):
+    """Claims follow arrival order across submitters, whatever a job's
+    size: a larger job submitted after a smaller one is claimed after it."""
+    other = SocketQueue(server.address, retries=3, backoff_s=0.02)
+    try:
+        small = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+        large = ExperimentJob(Scenario.mixed(("RE", "ITP", "D2"), config,
+                                             seed_offset=2))
+        medium = ExperimentJob(Scenario.mixed(("RE", "ITP"), config,
+                                              seed_offset=3))
+        single = ExperimentJob(Scenario.single("ITP", config, seed_offset=4))
+        last = ExperimentJob(Scenario.mixed(("STK", "RE"), config,
+                                            seed_offset=5))
+        assert small.cost_units() < large.cost_units()
+        client.submit_many([small, large])
+        other.submit_many([medium, single])
+        client.submit(last)
+        drained = [other.claim("w").job for _ in range(5)]
+        assert drained == [small, large, medium, single, last]
+        assert client.claim("w") is None
+    finally:
+        other.close()
 
 
 def test_failures_cross_the_wire_as_markers(server, client, config):
