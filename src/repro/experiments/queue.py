@@ -2,44 +2,41 @@
 
 The queue holds :class:`~repro.experiments.jobs.ExperimentJob` values
 (frozen, picklable, content-hashed) between their submission and their
-completion.  :class:`DirectoryQueue` is a plain directory owned by one
+completion.  :class:`JobQueue` keeps them as rows of two tables in the
+database of its own :class:`~repro.experiments.store.ResultStore`
+(``<queue>/results/results.sqlite``), owned by one
 :class:`~repro.experiments.server.QueueServer`; submitters and workers
 anywhere reach it through that server with
 :class:`~repro.experiments.socket_queue.SocketQueue`, and inherit every
-semantic below.
+semantic below::
 
-The directory layout::
+    queue_jobs(seq, key, job, worker)   pending (worker NULL) or claimed
+    queue_failures(key, marker)         error + traceback markers (JSON)
+    results, metrics, artifacts         the provenance-stamped ResultStore
 
-    <queue>/
-      pending/   00000003-<key>.job            submitted, unclaimed
-      claimed/   00000003-<key>.job@<worker>   claimed by one worker
-      results/   results.sqlite                provenance-stamped ResultStore
-      failed/    <key>.json                    error + traceback markers
-
-* **Submission** writes the pickled job atomically (temp file +
-  ``os.replace``) under a monotonically increasing priority prefix, so
-  the lexicographic order of ``pending/`` *is* the submission order.
+* **Submission** inserts the pickled job in one transaction per batch;
+  ``seq`` increases with every insert, so it *is* the submission order.
   Submitting a key that is already pending, claimed, or completed is a
   no-op (idempotent); a key that is enqueued again drops any failure
   marker an earlier attempt left behind.
-* **Claiming** (:meth:`claim_file`) is one ``os.rename`` from
-  ``pending/`` into ``claimed/`` — atomic on POSIX, so exactly one
-  claimant wins; a loser sees ``FileNotFoundError`` and moves to the
-  next file.
-* **Completion** is the server writing the result through the SQLite
+* **Claiming** (:meth:`JobQueue.claim`) is one ``UPDATE … RETURNING``
+  of the lowest pending ``seq``.
+* **Completion** is the server writing the result through the
   :class:`~repro.experiments.store.ResultStore` (the same
   provenance-stamped rows the in-process backends write) and
-  :meth:`release_claim` removing the claim file.
-* **Crash recovery**: a dead worker leaves its claim file behind.
-  :meth:`requeue_stale` renames claims older than a lease back into
-  ``pending/`` (a successful claim refreshes its mtime, starting the
-  lease); :meth:`requeue_worker` requeues a specific worker's claims
-  immediately when the server *knows* it died (missed heartbeats, or a
-  spawner that saw the process exit).  Delivery is therefore **at least
-  once** — a worker that merely stalled past its lease may complete a
-  job a second worker re-ran — which is safe because
-  :func:`execute_job` is deterministic: both completions write
-  byte-identical cache entries.
+  :meth:`JobQueue.release_claim` deleting the job row.
+* **Crash recovery**: a dead worker leaves its claimed row behind.
+  Leases live in memory: a claim, or a heartbeat naming it, stamps the
+  key with the monotonic clock, and :meth:`requeue_stale` returns
+  claims older than a lease to pending; :meth:`requeue_worker` requeues
+  a specific worker's claims immediately when the server *knows* it
+  died (missed heartbeats, or a spawner that saw the process exit).  A
+  requeued row keeps its ``seq``, so it keeps its place in line, and a
+  claim found on opening the queue (a restarted server) starts a fresh
+  lease.  Delivery is therefore **at least once** — a worker that
+  merely stalled past its lease may complete a job a second worker
+  re-ran — which is safe because :func:`execute_job` is deterministic:
+  both completions write byte-identical result rows.
 """
 
 from __future__ import annotations
@@ -56,13 +53,26 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments.jobs import ExperimentJob
-from repro.experiments.store import ResultStore, atomic_write_bytes
+from repro.experiments.store import ResultStore
 
-__all__ = ["ClaimedJob", "DirectoryQueue", "QueueCounts",
-           "default_worker_id"]
+__all__ = ["ClaimedJob", "JobQueue", "QueueCounts", "default_worker_id"]
 
-#: Zero-padded width of the submission-priority filename prefix.
-_PRIORITY_WIDTH = 8
+_SCHEMA_SQL = """
+BEGIN IMMEDIATE;
+CREATE TABLE IF NOT EXISTS queue_jobs (
+    seq    INTEGER PRIMARY KEY,
+    key    TEXT    NOT NULL UNIQUE,
+    job    BLOB    NOT NULL,
+    worker TEXT
+);
+CREATE INDEX IF NOT EXISTS idx_queue_jobs_pending
+    ON queue_jobs (seq) WHERE worker IS NULL;
+CREATE TABLE IF NOT EXISTS queue_failures (
+    key    TEXT NOT NULL PRIMARY KEY,
+    marker TEXT NOT NULL
+);
+COMMIT;
+"""
 
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -89,83 +99,49 @@ class QueueCounts:
     failed: int = 0
 
 
-class DirectoryQueue:
-    """The queue directory a :class:`QueueServer` serves (see the module
-    docstring for the layout)."""
+class JobQueue:
+    """The job tables a :class:`QueueServer` serves (see the module
+    docstring).  Not thread-safe on its own: the server calls it under
+    one lock."""
 
     def __init__(self, root: os.PathLike | str):
         self.root = Path(root)
-        self.pending_dir = self.root / "pending"
-        self.claimed_dir = self.root / "claimed"
-        self.failed_dir = self.root / "failed"
-        for directory in (self.pending_dir, self.claimed_dir,
-                          self.failed_dir):
-            directory.mkdir(parents=True, exist_ok=True)
         #: Completed results: the SQLite result database, in the same
         #: provenance-stamped rows the in-process backends write.  Its
-        #: full sync per commit makes every result the server
+        #: full sync per commit makes every job and result the server
         #: acknowledges durable.
         self.results = ResultStore(self.root / "results")
-        self._sequence = self._next_sequence()
-        # Lease aging state for requeue_stale(): claim-file name ->
-        # (st_mtime_ns, base) where ``base`` is the _mono() instant the
-        # claim was last known fresh.  Ages are measured on the
-        # monotonic clock so a wall-clock jump (NTP step, DST, manual
-        # reset) can neither expire a healthy lease nor immortalize a
-        # dead one; the wall clock is consulted only once per claim, on
-        # first sighting, to credit age accrued before this sweeper
-        # started watching.  Patchable clocks for tests.
-        self._wall = time.time
+        self._conn = self.results.connection
+        self._conn().executescript(_SCHEMA_SQL)
+        #: Claimed key -> _mono() instant of its claim or last named
+        #: heartbeat.  Patchable clock for tests.
         self._mono = time.monotonic
-        self._lease_marks: dict[str, tuple[int, float]] = {}
-
-    # -- filename helpers -------------------------------------------------------------
-    @staticmethod
-    def _key_of(name: str) -> str:
-        stem = name.split("@", 1)[0]             # drop any @worker suffix
-        stem = stem.split("-", 1)[1]             # drop the priority prefix
-        return stem[: -len(".job")]
-
-    def _next_sequence(self) -> int:
-        highest = -1
-        for directory in (self.pending_dir, self.claimed_dir):
-            for path in directory.iterdir():
-                prefix = path.name.split("-", 1)[0]
-                if prefix.isdigit():
-                    highest = max(highest, int(prefix))
-        return highest + 1
-
-    def _queued_keys(self) -> set[str]:
-        keys = set()
-        for directory in (self.pending_dir, self.claimed_dir):
-            for path in directory.iterdir():
-                if ".job" in path.name:
-                    keys.add(self._key_of(path.name))
-        return keys
+        now = self._mono()
+        self._leases: dict[str, float] = {key: now for (key,) in self._conn().execute(
+            "SELECT key FROM queue_jobs WHERE worker IS NOT NULL")}
 
     # -- submitter side ---------------------------------------------------------------
     def submit(self, job: ExperimentJob) -> str:
-        return self._submit(job, self._queued_keys())
+        return self.submit_many([job])[0]
 
     def submit_many(self, jobs: Sequence[ExperimentJob]) -> list[str]:
-        """Batch :meth:`submit`: one duplicate scan for the whole batch."""
-        queued = self._queued_keys()
-        return [self._submit(job, queued) for job in jobs]
-
-    def _submit(self, job: ExperimentJob, queued: set[str]) -> str:
-        key = job.key()
-        if key in queued or self.result_entry(key) is not None:
-            return key
-        queued.add(key)
-        # A marker from an earlier attempt would fail this fresh one at
-        # once: the submitter polls for failures as well as results.
-        (self.failed_dir / f"{key}.json").unlink(missing_ok=True)
-        name = f"{self._sequence:0{_PRIORITY_WIDTH}d}-{key}.job"
-        self._sequence += 1
-        atomic_write_bytes(self.root, self.pending_dir / name,
-                           pickle.dumps(job,
-                                        protocol=pickle.HIGHEST_PROTOCOL))
-        return key
+        """Enqueue every job not already queued or completed; one
+        transaction for the batch."""
+        keys = []
+        with self.results._transaction() as conn:
+            for job in jobs:
+                key = job.key()
+                keys.append(key)
+                if self.result_entry(key) is not None:
+                    continue
+                inserted = conn.execute(
+                    "INSERT OR IGNORE INTO queue_jobs (key, job) VALUES (?, ?)",
+                    (key, pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))).rowcount
+                if inserted:
+                    # A marker from an earlier attempt would fail this fresh
+                    # one at once: the submitter polls for failures too.
+                    conn.execute("DELETE FROM queue_failures WHERE key = ?", (key,))
+        return keys
 
     def result_entry(self, key: str) -> Optional[dict]:
         return self.results.get_entry(key)
@@ -174,150 +150,116 @@ class DirectoryQueue:
         self.results.invalidate(key)
 
     def failure(self, key: str) -> Optional[dict]:
-        path = self.failed_dir / f"{key}.json"
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {"key": key, "error": "unreadable failure marker"}
+        row = self._conn().execute(
+            "SELECT marker FROM queue_failures WHERE key = ?", (key,)).fetchone()
+        return None if row is None else json.loads(row[0])
 
+    # -- recovery ---------------------------------------------------------------------
     def requeue_stale(self, lease_s: float) -> list[str]:
-        wall_now = self._wall()
-        mono_now = self._mono()
-        marks = self._lease_marks
-        seen: set[str] = set()
-        requeued = []
-        for path in sorted(self.claimed_dir.iterdir()):
-            name = path.name
-            if "@" not in name:
-                continue
-            try:
-                stat = path.stat()
-            except FileNotFoundError:
-                continue                         # completed under our feet
-            seen.add(name)
-            mark = marks.get(name)
-            if mark is None or stat.st_mtime_ns < mark[0]:
-                # First sighting (or the claim file was replaced since):
-                # trust the wall clock once for age accrued before we
-                # started watching, clamping future stamps to zero age.
-                base = mono_now - max(wall_now - stat.st_mtime, 0.0)
-            elif stat.st_mtime_ns > mark[0]:
-                base = mono_now                  # witnessed a heartbeat
-            else:
-                base = mark[1]                   # unchanged: keep aging
-            marks[name] = (stat.st_mtime_ns, base)
-            if mono_now - base >= lease_s:
-                if self._requeue(path):
-                    requeued.append(self._key_of(name))
-                    marks.pop(name, None)
-        # Forget claims that vanished (completed or requeued elsewhere);
-        # a recycled name must re-enter through the first-sighting path.
-        for name in list(marks):
-            if name not in seen:
-                del marks[name]
-        return requeued
+        now = self._mono()
+        stale = [key for key, since in self._leases.items() if now - since >= lease_s]
+        if not stale:
+            return []
+        for key in stale:
+            del self._leases[key]
+        marks = ", ".join("?" * len(stale))
+        return self._requeue(f"key IN ({marks}) AND worker IS NOT NULL", stale)
 
     def requeue_worker(self, worker_id: str) -> list[str]:
-        suffix = f"@{_SAFE_ID.sub('_', worker_id)}"
-        requeued = []
-        for path in sorted(self.claimed_dir.iterdir()):
-            if path.name.endswith(suffix) and self._requeue(path):
-                requeued.append(self._key_of(path.name))
-        return requeued
+        return self._requeue("worker = ?", (worker_id,))
 
-    def _requeue(self, claimed_path: Path) -> bool:
-        pending_name = claimed_path.name.split("@", 1)[0]
-        try:
-            os.rename(claimed_path, self.pending_dir / pending_name)
-        except FileNotFoundError:
-            return False                         # raced with completion
-        return True
+    def _requeue(self, where: str, params: Sequence) -> list[str]:
+        """Return the matching claims to pending, in submission order."""
+        rows = self._conn().execute(
+            f"UPDATE queue_jobs SET worker = NULL WHERE {where} RETURNING seq, key",
+            params).fetchall()
+        for _, key in rows:
+            self._leases.pop(key, None)
+        return [key for _, key in sorted(rows)]
 
     def counts(self) -> QueueCounts:
-        return QueueCounts(
-            pending=sum(1 for p in self.pending_dir.iterdir()
-                        if p.name.endswith(".job")),
-            claimed=sum(1 for p in self.claimed_dir.iterdir()
-                        if "@" in p.name),
-            completed=len(self.results),
-            failed=sum(1 for p in self.failed_dir.iterdir()
-                       if p.name.endswith(".json")),
-        )
-
-    def pending_files(self) -> list[tuple[str, Path]]:
-        """``(key, path)`` of every pending job, in priority order.
-
-        The paths feed :meth:`claim_file` — the queue server scans once
-        and claims by file instead of re-scanning per claim.
-        """
-        return [(self._key_of(path.name), path)
-                for path in sorted(self.pending_dir.iterdir())
-                if path.name.endswith(".job")]
-
-    def pending_keys(self) -> list[str]:
-        """Every pending job key, in priority (i.e. submission) order."""
-        return [key for key, _ in self.pending_files()]
+        pending, claimed, completed, failed = self._conn().execute(
+            "SELECT (SELECT COUNT(*) FROM queue_jobs WHERE worker IS NULL), "
+            "(SELECT COUNT(*) FROM queue_jobs WHERE worker IS NOT NULL), "
+            "(SELECT COUNT(DISTINCT key) FROM results), "
+            "(SELECT COUNT(*) FROM queue_failures)").fetchone()
+        return QueueCounts(pending=pending, claimed=claimed,
+                           completed=completed, failed=failed)
 
     def claimed_workers(self) -> set[str]:
-        """The worker ids currently holding claims (from the filenames).
+        """The worker ids currently holding claims.
 
         A restarted coordinator (the queue server) adopts these into its
         liveness registry: a worker that never heartbeats again has its
         claims requeued after the heartbeat timeout instead of the full
         lease.
         """
-        return {path.name.split("@", 1)[1]
-                for path in self.claimed_dir.iterdir() if "@" in path.name}
+        return {worker for (worker,) in self._conn().execute(
+            "SELECT DISTINCT worker FROM queue_jobs WHERE worker IS NOT NULL")}
 
     # -- claims -----------------------------------------------------------------------
+    def claim(self, worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
+        """Claim the pending job submitted first, or None when none is.
+
+        A job row that will not unpickle becomes a failure marker and the
+        next one is tried.
+        """
+        worker = worker_id or default_worker_id()
+        while True:
+            rows = self._conn().execute(
+                "UPDATE queue_jobs SET worker = ? WHERE seq = (SELECT seq FROM "
+                "queue_jobs WHERE worker IS NULL ORDER BY seq LIMIT 1) "
+                "RETURNING key, job", (worker,)).fetchall()
+            if not rows:
+                return None
+            [(key, blob)] = rows
+            try:
+                job = pickle.loads(blob)
+            except Exception as error:
+                self.record_failure(key, worker, repr(error),
+                                    "".join(traceback.format_exception(error)))
+                self.release_claim(key, worker)
+                continue
+            self._leases[key] = self._mono()
+            return ClaimedJob(key=key, job=job, worker_id=worker)
+
     def heartbeat(self, worker_id: str,
                   keys: Optional[Sequence[str]] = None) -> list[str]:
-        """Refresh the lease clock (claim-file mtime) of a worker's claims.
+        """Restart the lease of a worker's claims; returns their keys.
 
         With ``keys``, only the listed claims are refreshed — a claim
         the worker does not acknowledge working on (e.g. one orphaned by
         a retried CLAIM whose first response was lost) keeps aging and
         is recovered by the ordinary lease expiry.
         """
-        worker = _SAFE_ID.sub("_", worker_id) if worker_id \
-            else default_worker_id()
-        suffix = f"@{worker}"
         wanted = None if keys is None else set(keys)
+        now = self._mono()
         refreshed = []
-        for path in self.claimed_dir.iterdir():
-            if not path.name.endswith(suffix):
-                continue
-            key = self._key_of(path.name)
-            if wanted is not None and key not in wanted:
-                continue
-            try:
-                os.utime(path)
-            except FileNotFoundError:
-                continue                         # completed under our feet
-            refreshed.append(key)
+        for (key,) in self._conn().execute(
+                "SELECT key FROM queue_jobs WHERE worker = ? ORDER BY seq",
+                (worker_id or default_worker_id(),)):
+            if wanted is None or key in wanted:
+                self._leases[key] = now
+                refreshed.append(key)
         return refreshed
 
     def release_claim(self, key: str, worker_id: str) -> bool:
         """Drop the claim ``worker_id`` holds on ``key`` (idempotent).
 
         The server-side half of a remote completion: the result has been
-        stored, so the claim file — if a requeue has not already taken
-        it — is simply removed.
+        stored, so the job row — if a requeue has not already taken it —
+        is deleted.
         """
-        worker = _SAFE_ID.sub("_", worker_id) if worker_id \
-            else default_worker_id()
-        suffix = f"@{worker}"
-        for path in self.claimed_dir.iterdir():
-            if path.name.endswith(suffix) and self._key_of(path.name) == key:
-                path.unlink(missing_ok=True)
-                return True
-        return False
+        deleted = self._conn().execute(
+            "DELETE FROM queue_jobs WHERE key = ? AND worker = ?",
+            (key, worker_id or default_worker_id())).rowcount
+        if deleted:
+            self._leases.pop(key, None)
+        return bool(deleted)
 
     def record_failure(self, key: str, worker_id: str, error_repr: str,
                        traceback_text: str = "") -> None:
-        """Write a failure marker from already-formatted error text (the
+        """Store a failure marker from already-formatted error text (the
         form a failure crosses the wire in)."""
         marker = {
             "key": key,
@@ -325,38 +267,6 @@ class DirectoryQueue:
             "error": error_repr,
             "traceback": traceback_text,
         }
-        atomic_write_bytes(self.root, self.failed_dir / f"{key}.json",
-                           json.dumps(marker, indent=2).encode("utf-8"))
-
-    def claim_file(self, path: Path,
-                   worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
-        """Atomically claim one specific pending file, or None.
-
-        None means the file is gone (another claimant won the rename
-        race) or unreadable (a failure marker was recorded and the file
-        dropped) — either way the caller just moves to its next
-        candidate.
-        """
-        worker = _SAFE_ID.sub("_", worker_id) if worker_id \
-            else default_worker_id()
-        target = self.claimed_dir / f"{path.name}@{worker}"
-        try:
-            # The lease clock is the claim file's mtime, and rename
-            # preserves mtime — so refresh it *before* the rename.
-            # Refreshing after would leave a window where a job that
-            # sat pending longer than the lease looks instantly
-            # stale and requeue_stale snatches the claim back.
-            os.utime(path)
-            os.rename(path, target)
-        except FileNotFoundError:
-            return None                          # another worker won the race
-        key = self._key_of(path.name)
-        try:
-            with target.open("rb") as handle:
-                job = pickle.load(handle)
-        except Exception as error:
-            self.record_failure(key, worker, repr(error),
-                                "".join(traceback.format_exception(error)))
-            target.unlink(missing_ok=True)
-            return None
-        return ClaimedJob(key=key, job=job, worker_id=worker)
+        self._conn().execute(
+            "INSERT OR REPLACE INTO queue_failures (key, marker) VALUES (?, ?)",
+            (key, json.dumps(marker, indent=2)))

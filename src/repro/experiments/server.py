@@ -1,35 +1,30 @@
 """The queue server: the socket transport's stateless-by-design front end.
 
 ``python -m repro.experiments serve --queue DIR --port N`` exposes a
-:class:`~repro.experiments.queue.DirectoryQueue` (and therefore its
+:class:`~repro.experiments.queue.JobQueue` (and therefore its
 provenance-stamped SQLite :class:`~repro.experiments.store.ResultStore`)
 over TCP, speaking the framed protocol of
-:mod:`repro.experiments.protocol`.  The directory is the server's private
-storage: every submitter and worker goes through the server.  The server
-keeps **no durable state outside it** — every job, claim, result and
-failure marker lives in the queue directory — so
+:mod:`repro.experiments.protocol`.  The queue's database is the server's
+private storage: every submitter and worker goes through the server.
+The server keeps **no durable state outside it** — every job, claim,
+result and failure marker is a row of ``DIR/results/results.sqlite`` —
+so
 
-* semantics (idempotent content-addressed submit, priority order, lease
-  recovery, provenance stamps) are the ``DirectoryQueue``'s, and
+* semantics (idempotent content-addressed submit, submission order,
+  lease recovery, provenance stamps) are the ``JobQueue``'s, and
 * a server crash or restart loses nothing — a new server adopts the
-  directory as found, re-registers the workers named in the claim files,
-  and carries on.
+  database as found, re-registers the workers named in the claimed
+  rows, and carries on.
 
-Two things are layered on top of the directory storage:
-
-**Worker liveness.**  Workers heartbeat (:class:`MessageType.HEARTBEAT`)
-every couple of seconds, naming the claims they are actually executing.
-A heartbeat refreshes those claims' lease clocks, so an in-flight job
-outlives any fixed lease while its worker is alive; a worker that
-misses heartbeats for ``heartbeat_timeout_s`` has **all** its claims
-requeued immediately — crashed-worker recovery in seconds instead of a
-full lease.  A claim a live worker does not name in its heartbeats (one
-orphaned by a retried CLAIM) still ages out via ``requeue_stale(lease_s)``.
-
-**A pending cache.**  Claims pop from an in-memory copy of the pending
-directory in its priority order, which is the order jobs arrived in
-across every submitter.  The copy is rebuilt only when the pending set
-changes, so a claim never rescans the directory.
+**Worker liveness** is layered on top.  Workers heartbeat
+(:class:`MessageType.HEARTBEAT`) every couple of seconds, naming the
+claims they are actually executing.  A heartbeat refreshes those
+claims' leases, so an in-flight job outlives any fixed lease while its
+worker is alive; a worker that misses heartbeats for
+``heartbeat_timeout_s`` has **all** its claims requeued immediately —
+crashed-worker recovery in seconds instead of a full lease.  A claim a
+live worker does not name in its heartbeats (one orphaned by a retried
+CLAIM) still ages out via ``requeue_stale(lease_s)``.
 """
 
 from __future__ import annotations
@@ -39,9 +34,8 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.experiments.protocol import (
     FrameError,
@@ -49,7 +43,7 @@ from repro.experiments.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.experiments.queue import DirectoryQueue
+from repro.experiments.queue import JobQueue
 
 __all__ = ["QueueServer"]
 
@@ -103,7 +97,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 
 
 class QueueServer:
-    """Serve a :class:`DirectoryQueue` over the framed TCP protocol.
+    """Serve a :class:`JobQueue` over the framed TCP protocol.
 
     ``start()`` runs the accept loop and the heartbeat/lease sweeper on
     daemon threads and returns; ``serve_forever()`` blocks (the CLI).
@@ -113,7 +107,7 @@ class QueueServer:
 
     def __init__(
         self,
-        queue: Union[DirectoryQueue, Path, str],
+        queue: Path | str,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -121,25 +115,17 @@ class QueueServer:
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         sweep_interval_s: float = DEFAULT_SWEEP_INTERVAL_S,
     ):
-        self.queue = queue if isinstance(queue, DirectoryQueue) else DirectoryQueue(queue)
+        self.queue = JobQueue(queue)
         self.lease_s = lease_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.sweep_interval_s = sweep_interval_s
         #: worker id -> monotonic time of the last claim/heartbeat/
-        #: complete/fail.  Seeded from the claim files on disk so a
+        #: complete/fail.  Seeded from the claimed rows on disk so a
         #: restarted server inherits responsibility for claims handed
         #: out by its predecessor.
         self._workers: dict[str, float] = {
             worker: time.monotonic() for worker in self.queue.claimed_workers()
         }
-        #: Priority-ordered ``(key, path)`` cache of the pending directory.
-        #: Claims pop from it in O(1); a full rescan happens only when
-        #: the pending *set* changes shape (submits, requeues) — not per
-        #: claim, which would be quadratic in queue depth.  Staleness is
-        #: safe: a cached file that is gone just fails its atomic claim
-        #: and is skipped.
-        self._pending: deque[tuple[str, Path]] = deque()
-        self._pending_dirty = True
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._connections: set = set()
@@ -175,8 +161,8 @@ class QueueServer:
     def stop(self) -> None:
         """Stop accepting, sever live connections, stop the sweeper.
 
-        The queue directory is left exactly as-is: outstanding claims
-        are recovered by the next server (adopted via the claim files)
+        The queue database is left exactly as-is: outstanding claims
+        are recovered by the next server (adopted via the claimed rows)
         or by plain lease expiry — a restart degrades to a requeue.
         """
         self._stop.set()
@@ -242,8 +228,6 @@ class QueueServer:
                     )
                 requeued.extend(keys)
             requeued.extend(self.queue.requeue_stale(self.lease_s))
-            if requeued:
-                self._pending_dirty = True
         return requeued
 
     # -- request dispatch -------------------------------------------------------------
@@ -262,30 +246,15 @@ class QueueServer:
         jobs = payload.get("jobs")
         if jobs is None:
             jobs = [payload["job"]]
-        keys = self.queue.submit_many(jobs)
-        self._pending_dirty = True
-        return {"keys": keys}
-
-    def _refresh_pending(self) -> None:
-        """Rebuild the claim-order cache: submission order."""
-        self._pending = deque(self.queue.pending_files())
-        self._pending_dirty = False
+        return {"keys": self.queue.submit_many(jobs)}
 
     def _op_claim(self, payload: dict) -> dict:
         worker = payload.get("worker")
         self._mark_alive(worker)
-        while True:
-            if self._pending_dirty or not self._pending:
-                self._refresh_pending()
-                if not self._pending:
-                    return {"claimed": None}
-            key, path = self._pending.popleft()
-            claimed = self.queue.claim_file(path, worker)
-            if claimed is not None:
-                claim = {"key": claimed.key, "job": claimed.job, "worker": claimed.worker_id}
-                return {"claimed": claim}
-            # The file is gone (requeue raced the cache) or was corrupt
-            # and became a failure marker; try the next one.
+        claimed = self.queue.claim(worker)
+        if claimed is None:
+            return {"claimed": None}
+        return {"claimed": {"key": claimed.key, "job": claimed.job, "worker": claimed.worker_id}}
 
     def _op_complete(self, payload: dict) -> dict:
         worker = payload.get("worker")
@@ -324,8 +293,6 @@ class QueueServer:
             self._workers.pop(payload["worker"], None)
         else:
             keys = self.queue.requeue_stale(payload.get("lease_s", self.lease_s))
-        if keys:
-            self._pending_dirty = True
         return {"keys": keys}
 
     def _op_result(self, payload: dict) -> dict:

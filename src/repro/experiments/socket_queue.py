@@ -3,10 +3,11 @@
 The one queue client: every method is one request frame to a
 :class:`~repro.experiments.server.QueueServer` (see
 :mod:`repro.experiments.protocol` for the wire format).  The server keeps
-its queue in a private :class:`~repro.experiments.queue.DirectoryQueue`,
-so the semantics — idempotent content-addressed submit, priority order,
-lease recovery, provenance-stamped results — are that storage's, and
-submitters and workers need nothing but a route to the server.
+its queue in the tables of a private
+:class:`~repro.experiments.queue.JobQueue`, so the semantics —
+idempotent content-addressed submit, submission order, lease recovery,
+provenance-stamped results — are that storage's, and submitters and
+workers need nothing but a route to the server.
 
 **Failure model.**  Every call retries with exponential backoff over a
 fresh connection: a dropped connection, a restarted server, or a server

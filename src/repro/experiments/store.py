@@ -35,7 +35,8 @@ remote workers reach the queue server's database over TCP instead.  A
 filesystem that refuses WAL leaves the connection in its previous
 journal mode, still with a full sync per commit, and logs a warning.
 Every write of more than one statement runs in one ``BEGIN IMMEDIATE``
-transaction.
+transaction — the schema script included, so a fresh store costs one
+sync instead of one per ``CREATE``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import pickle
 import re
 import sqlite3
 import subprocess
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -66,9 +66,9 @@ if TYPE_CHECKING:
 
 __all__ = ["ArtifactGcReport", "BackfillReport", "DiffDelta", "DiffReport",
            "GcReport", "PROVENANCE_METRIC_COLUMNS", "RESULT_DB_FILENAME",
-           "ResultStore", "ToleranceTable", "atomic_write_bytes",
-           "current_git_rev", "diff_result_sets", "entry_metrics",
-           "flatten_metrics", "numeric_metrics", "rekey_ignoring_fast_forward"]
+           "ResultStore", "ToleranceTable", "current_git_rev",
+           "diff_result_sets", "entry_metrics", "flatten_metrics",
+           "numeric_metrics", "rekey_ignoring_fast_forward"]
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +81,7 @@ RESULT_DB_FILENAME = "results.sqlite"
 BUSY_TIMEOUT_S = 30.0
 
 _SCHEMA_SQL = """
+BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS results (
     key           TEXT    NOT NULL,
     git_rev       TEXT    NOT NULL,
@@ -121,31 +122,12 @@ CREATE TABLE IF NOT EXISTS artifacts (
 );
 CREATE INDEX IF NOT EXISTS idx_artifacts_benchmark
     ON artifacts (benchmark, created_at);
+COMMIT;
 """
 
 #: Provenance columns :meth:`ResultStore.provenance_values` may serve as
 #: per-key metric streams (the fleet report's ``@column`` selectors).
 PROVENANCE_METRIC_COLUMNS = ("runtime_s", "cost_units", "duration")
-
-
-def atomic_write_bytes(directory: Path, path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via temp file + rename, so readers
-    (and racing writers — last one wins whole) never see a partial file.
-
-    ``directory`` must be on the same filesystem as ``path`` (it is the
-    temp file's home; ``os.replace`` must not cross devices).
-    """
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 @lru_cache(maxsize=1)

@@ -4,7 +4,7 @@ The headline contract: running the same job set serially, on the
 process-pool backend, and through a multi-worker socket queue produces
 bit-identical results — and the queue survives a worker dying mid-job
 (SIGKILL) without losing or corrupting anything.  The storage tests
-drive :class:`DirectoryQueue` directly, the way its one client, the
+drive :class:`JobQueue` directly, the way its one client, the
 queue server, does.
 """
 
@@ -24,7 +24,7 @@ from repro.experiments import (
     Scenario,
     execute_job,
 )
-from repro.experiments.queue import DirectoryQueue
+from repro.experiments.queue import JobQueue
 from repro.experiments.server import QueueServer
 from repro.experiments.socket_queue import SocketQueue
 from repro.experiments.worker import run_worker, spawn_worker
@@ -60,47 +60,37 @@ def _wait_for(predicate, timeout_s=30.0, poll_s=0.01, what="condition"):
     raise AssertionError(f"timed out after {timeout_s}s waiting for {what}")
 
 
-def _claim(queue, worker):
-    """Claim the highest-priority pending job, as the server's CLAIM does."""
-    for _, path in queue.pending_files():
-        claimed = queue.claim_file(path, worker)
-        if claimed is not None:
-            return claimed
-    return None
-
-
 def _complete(queue, claimed, result, runtime_s=None):
     """Store the result and drop the claim, as the server's COMPLETE does."""
     queue.results.put(claimed.job, result, runtime_s=runtime_s)
     queue.release_claim(claimed.key, claimed.worker_id)
 
 
-def _claim_path(queue, claimed):
-    [path] = [path for path in queue.claimed_dir.iterdir()
-              if path.name.endswith(f"@{claimed.worker_id}")
-              and claimed.key in path.name]
-    return path
+def _advance_clock(queue, seconds):
+    """Move the queue's lease clock forward without sleeping."""
+    base = queue._mono
+    queue._mono = lambda: base() + seconds
 
 
 # ---------------------------------------------------------------------------
-# DirectoryQueue storage
+# JobQueue storage
 # ---------------------------------------------------------------------------
 
 def test_submit_claim_complete_roundtrip(tmp_path, config):
-    queue = DirectoryQueue(tmp_path / "q")
+    queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     key = queue.submit(job)
     assert key == job.key()
     assert queue.counts().pending == 1
 
-    claimed = _claim(queue, "w1")
+    claimed = queue.claim("w1")
     assert claimed is not None
     assert claimed.key == key
     assert claimed.job == job
     assert claimed.worker_id == "w1"
     assert queue.counts().pending == 0
     assert queue.counts().claimed == 1
-    assert _claim(queue, "w2") is None            # nothing left to claim
+    assert queue.claim("w2") is None              # nothing left to claim
 
     result = execute_job(job)
     _complete(queue, claimed, result, runtime_s=0.5)
@@ -114,12 +104,12 @@ def test_submit_claim_complete_roundtrip(tmp_path, config):
 
 
 def test_submit_is_idempotent_per_content_hash(tmp_path, config):
-    queue = DirectoryQueue(tmp_path / "q")
+    queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     assert queue.submit(job) == queue.submit(job)
     assert queue.counts().pending == 1
     # Claimed (in flight) jobs are not resubmitted either...
-    claimed = _claim(queue, "w1")
+    claimed = queue.claim("w1")
     queue.submit(job)
     assert queue.counts().pending == 0
     # ...nor are completed ones.
@@ -129,48 +119,53 @@ def test_submit_is_idempotent_per_content_hash(tmp_path, config):
 
 
 def test_claims_drain_in_submission_priority_order(tmp_path, config):
-    """The lexicographic order of pending/ is the submission order, so
-    workers see jobs in the order they were submitted."""
-    queue = DirectoryQueue(tmp_path / "q")
+    """Workers see jobs in the order they were submitted, and a requeued
+    job keeps its place ahead of jobs submitted after it."""
+    queue = JobQueue(tmp_path / "q")
     submitted = [ExperimentJob(Scenario.single("RE", config, seed_offset=i))
                  for i in range(5)]
     for job in submitted:
         queue.submit(job)
-    drained = [_claim(queue, "w1").job for _ in submitted]
+    drained = [queue.claim("w1").job for _ in submitted]
     assert drained == submitted
+
+    later = ExperimentJob(Scenario.single("ITP", config, seed_offset=9))
+    queue.submit(later)
+    assert queue.requeue_worker("w1") == [job.key() for job in submitted]
+    drained = [queue.claim("w2").job for _ in range(len(submitted) + 1)]
+    assert drained == submitted + [later]
 
 
 def test_sequence_survives_queue_reopening(tmp_path, config):
     """A second submitter (or a restarted one) continues the priority
     sequence instead of jumping its jobs ahead of the existing backlog."""
-    first = DirectoryQueue(tmp_path / "q")
+    first = JobQueue(tmp_path / "q")
     job_a = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     first.submit(job_a)
-    second = DirectoryQueue(tmp_path / "q")
+    second = JobQueue(tmp_path / "q")
     job_b = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
     second.submit(job_b)
-    assert _claim(second, "w").job == job_a
-    assert _claim(second, "w").job == job_b
+    assert second.claim("w").job == job_a
+    assert second.claim("w").job == job_b
 
 
 def test_requeue_stale_recovers_an_expired_claim(tmp_path, config):
-    queue = DirectoryQueue(tmp_path / "q")
+    queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    claimed = _claim(queue, "w1")
+    claimed = queue.claim("w1")
 
     # A fresh claim is inside its lease: nothing to requeue.
     assert queue.requeue_stale(lease_s=60.0) == []
     # Age the claim past the lease and it returns to pending.
-    old = time.time() - 120.0
-    os.utime(_claim_path(queue, claimed), (old, old))
+    _advance_clock(queue, 120.0)
     assert queue.requeue_stale(lease_s=60.0) == [claimed.key]
     assert queue.counts().pending == 1
     assert queue.counts().claimed == 0
 
     # The requeued job is claimable again, and a late completion of the
     # original claim handle is harmless (at-least-once delivery).
-    reclaimed = _claim(queue, "w2")
+    reclaimed = queue.claim("w2")
     assert reclaimed.job == job
     result = execute_job(job)
     _complete(queue, claimed, result)             # stale handle, claim gone
@@ -179,76 +174,70 @@ def test_requeue_stale_recovers_an_expired_claim(tmp_path, config):
 
 
 def test_claiming_an_aged_pending_job_starts_a_fresh_lease(tmp_path, config):
-    """A job that waited in pending/ longer than the lease must not look
-    stale the instant it is claimed (the lease clock is the claim file's
-    mtime, refreshed at claim time — not the submission time)."""
-    queue = DirectoryQueue(tmp_path / "q")
+    """A job that waited pending longer than the lease must not look
+    stale the instant it is claimed: the lease starts at the claim, not
+    at the submission."""
+    queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    # Age the pending file far past any lease.
-    [pending] = list(queue.pending_dir.iterdir())
-    old = time.time() - 3600.0
-    os.utime(pending, (old, old))
+    # Let the job wait far past any lease before anyone claims it.
+    _advance_clock(queue, 3600.0)
 
-    claimed = _claim(queue, "w1")
+    claimed = queue.claim("w1")
     assert claimed is not None
     assert queue.requeue_stale(lease_s=60.0) == []
     _complete(queue, claimed, execute_job(job))
     assert queue.result_entry(job.key()) is not None
 
 
-def test_wall_clock_jump_forward_does_not_expire_a_watched_claim(tmp_path,
-                                                                 config):
-    """Lease aging is monotonic: an NTP step / DST jump of the wall clock
-    must not mass-requeue claims whose workers are alive and on time."""
-    queue = DirectoryQueue(tmp_path / "q")
+def test_reopened_queue_gives_found_claims_a_fresh_lease(tmp_path, config):
+    """A restarted server cannot know how old the claims it finds are:
+    each starts a fresh lease on reopening, and its worker is still
+    named for the heartbeat registry to adopt."""
+    first = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    queue.submit(job)
-    claimed = _claim(queue, "w1")
-    # First sweep establishes the monotonic mark for the claim.
-    assert queue.requeue_stale(lease_s=60.0) == []
+    first.submit(job)
+    claimed = first.claim("w1")
+    _advance_clock(first, 120.0)
 
-    # The wall clock leaps an hour forward; monotonic time barely moves.
-    queue._wall = lambda: time.time() + 3600.0
-    assert queue.requeue_stale(lease_s=60.0) == []
-    # A heartbeat during the jump keeps the claim fresh too.
-    assert queue.heartbeat("w1") == [claimed.key]
-    assert queue.requeue_stale(lease_s=60.0) == []
-    assert queue.counts().claimed == 1
+    second = JobQueue(tmp_path / "q")
+    assert second.claimed_workers() == {"w1"}
+    assert second.requeue_stale(lease_s=60.0) == []
+    _advance_clock(second, 120.0)
+    assert second.requeue_stale(lease_s=60.0) == [claimed.key]
+    assert second.counts().pending == 1
 
 
-def test_future_stamped_claim_still_expires_on_monotonic_time(tmp_path,
-                                                              config):
-    """A claim whose mtime is in the future (the wall clock stepped back
-    after it was written) must not be immortal: it ages from first
-    sighting on the monotonic clock and is recovered once the worker
-    really stops heartbeating."""
-    queue = DirectoryQueue(tmp_path / "q")
-    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    queue.submit(job)
-    claimed = _claim(queue, "w1")
-    future = time.time() + 3600.0
-    os.utime(_claim_path(queue, claimed), (future, future))
+def test_unreadable_job_row_becomes_a_failure_and_the_next_is_claimed(
+        tmp_path, config):
+    """A job row whose blob does not unpickle is recorded as a failure
+    marker, and the claim moves on to the next pending job."""
+    queue = JobQueue(tmp_path / "q")
+    broken = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+    good = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
+    queue.submit_many([broken, good])
+    queue.results.connection().execute(
+        "UPDATE queue_jobs SET job = ? WHERE key = ?",
+        (b"not a pickle", broken.key()))
 
-    # First sighting clamps the future stamp to zero age instead of
-    # computing a negative one.
-    assert queue.requeue_stale(lease_s=60.0) == []
-    # Advance only the monotonic clock past the lease: recovered.
-    mono_base = time.monotonic
-    queue._mono = lambda: mono_base() + 120.0
-    assert queue.requeue_stale(lease_s=60.0) == [claimed.key]
-    assert queue.counts().pending == 1
-    assert queue.counts().claimed == 0
+    claimed = queue.claim("w1")
+    assert claimed.job == good
+    marker = queue.failure(broken.key())
+    assert marker["key"] == broken.key()
+    assert marker["worker"] == "w1"
+    assert "UnpicklingError" in marker["error"]
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed, counts.failed) == (0, 1, 1)
 
 
 def test_requeue_worker_recovers_a_known_dead_workers_claims(tmp_path, config):
-    queue = DirectoryQueue(tmp_path / "q")
+    queue = JobQueue(tmp_path / "q")
     job_a = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     job_b = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
     queue.submit(job_a)
     queue.submit(job_b)
-    _claim(queue, "dead-worker")
-    survivor = _claim(queue, "live-worker")
+    queue.claim("dead-worker")
+    survivor = queue.claim("live-worker")
     assert queue.requeue_worker("dead-worker") == [job_a.key()]
     # The live worker's claim is untouched.
     assert queue.counts().claimed == 1
@@ -259,47 +248,15 @@ def test_requeue_worker_recovers_a_known_dead_workers_claims(tmp_path, config):
 def test_requeue_worker_with_no_claims_is_a_noop(tmp_path, config):
     """Requeueing an unknown or already-drained worker id returns [] —
     the coordinator calls this for every dead process, claims or not."""
-    queue = DirectoryQueue(tmp_path / "q")
+    queue = JobQueue(tmp_path / "q")
     assert queue.requeue_worker("never-seen") == []
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     queue.submit(job)
-    claimed = _claim(queue, "w1")
+    claimed = queue.claim("w1")
     _complete(queue, claimed, execute_job(job))
     assert queue.requeue_worker("w1") == []       # claim already released
     assert queue.counts().pending == 0
     assert queue.counts().completed == 1
-
-
-def test_requeue_worker_racing_a_complete_loses_gracefully(tmp_path, config,
-                                                           monkeypatch):
-    """The narrow race: a worker finishes its job between requeue's
-    directory scan and its rename.  The rename hits FileNotFoundError,
-    the requeue reports nothing, and the completed result stands —
-    the job neither duplicates nor requeues."""
-    from pathlib import Path
-
-    queue = DirectoryQueue(tmp_path / "q")
-    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    queue.submit(job)
-    claimed = _claim(queue, "slow-worker")
-    result = execute_job(job)
-
-    real_rename = os.rename
-    raced = {"done": False}
-
-    def racing_rename(src, dst, *args, **kwargs):
-        if Path(src).parent == queue.claimed_dir and not raced["done"]:
-            raced["done"] = True
-            _complete(queue, claimed, result)       # worker wins the race
-        return real_rename(src, dst, *args, **kwargs)
-
-    monkeypatch.setattr(os, "rename", racing_rename)
-    assert queue.requeue_worker("slow-worker") == []
-    assert raced["done"]
-    counts = queue.counts()
-    assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
-    assert queue.result_entry(job.key())["result"].as_dict() \
-        == result.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The headline contracts:
 
-* the socket transport inherits DirectoryQueue semantics (idempotent
+* the socket transport inherits JobQueue semantics (idempotent
   submit, priority order, provenance stamps) — the server keeps its
   queue in one;
 * heartbeats keep an in-flight claim alive past any lease, and a
@@ -31,7 +31,7 @@ from repro.experiments import (
     execute_job,
 )
 from repro.experiments.protocol import MessageType
-from repro.experiments.queue import DirectoryQueue
+from repro.experiments.queue import JobQueue
 from repro.experiments.server import QueueServer
 from repro.experiments.socket_queue import (
     QueueConnectionError,
@@ -87,7 +87,7 @@ def _wait_for(predicate, timeout_s=30.0, poll_s=0.01, what="condition"):
 
 
 # ---------------------------------------------------------------------------
-# Protocol roundtrip over the wire: DirectoryQueue semantics inherited
+# Protocol roundtrip over the wire: JobQueue semantics inherited
 # ---------------------------------------------------------------------------
 
 def test_parse_addr():
@@ -124,8 +124,8 @@ def test_submit_claim_complete_roundtrip_over_tcp(server, client, config):
     assert entry["result"].as_dict() == result.as_dict()
     assert client.failure(key) is None
 
-    # The wire changes nothing on disk: the server's DirectoryQueue
-    # holds the stored result.
+    # The wire changes nothing on disk: the server's JobQueue holds the
+    # stored result.
     assert server.queue.result_entry(key)["result"].as_dict() \
         == result.as_dict()
 
@@ -215,6 +215,13 @@ def test_server_reported_errors_raise_without_retry(server, client):
 # Heartbeats and liveness
 # ---------------------------------------------------------------------------
 
+def _age_leases(server, seconds):
+    """Backdate every claim's lease, as if ``seconds`` had passed."""
+    with server._lock:
+        for key in server.queue._leases:
+            server.queue._leases[key] -= seconds
+
+
 def test_heartbeat_refreshes_only_the_named_claims(server, client, config):
     job_a = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     job_b = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
@@ -222,11 +229,8 @@ def test_heartbeat_refreshes_only_the_named_claims(server, client, config):
     claim_a = client.claim("w1")
     claim_b = client.claim("w1")
 
-    # Age both claim files past a 5s lease, then heartbeat only one.
-    queue = server.queue
-    old = time.time() - 60.0
-    for path in queue.claimed_dir.iterdir():
-        os.utime(path, (old, old))
+    # Age both claims past a 5s lease, then heartbeat only one.
+    _age_leases(server, 60.0)
     assert client.heartbeat("w1", keys=[claim_a.key]) == [claim_a.key]
 
     # The acknowledged claim survives the lease sweep; the orphan —
@@ -234,7 +238,7 @@ def test_heartbeat_refreshes_only_the_named_claims(server, client, config):
     assert client.requeue_stale(lease_s=5.0) == [claim_b.key]
     counts = client.counts()
     assert (counts.pending, counts.claimed) == (1, 1)
-    assert claim_b.key in queue.pending_keys()
+    assert client.claim("w2").key == claim_b.key
 
 
 def test_heartbeat_with_empty_keys_is_a_pure_liveness_ping(server, client,
@@ -242,9 +246,7 @@ def test_heartbeat_with_empty_keys_is_a_pure_liveness_ping(server, client,
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     client.submit(job)
     claimed = client.claim("w1")
-    old = time.time() - 60.0
-    for path in server.queue.claimed_dir.iterdir():
-        os.utime(path, (old, old))
+    _age_leases(server, 60.0)
     assert client.heartbeat("w1", keys=[]) == []  # alive, but owns nothing
     assert client.requeue_stale(lease_s=5.0) == [claimed.key]
 
@@ -276,7 +278,7 @@ def test_silent_workers_claims_requeue_within_heartbeat_timeout(tmp_path,
 
 
 def test_restarted_server_adopts_existing_claims(tmp_path, config):
-    """A new server inherits claim files from its predecessor: their
+    """A new server inherits claimed rows from its predecessor: their
     workers are registered provisionally, and ones that never heartbeat
     again requeue after the heartbeat timeout — not the full lease."""
     root = tmp_path / "q"
@@ -447,10 +449,10 @@ def test_chaos_worker_sigkill_and_server_restart_mid_drain(tmp_path, config):
 
     # Chaos, part two: the server dies with a claim outstanding...
     first.stop()
-    claimed_before = DirectoryQueue(root).counts().claimed
+    claimed_before = JobQueue(root).counts().claimed
     assert claimed_before >= 1
 
-    # ...and its replacement adopts the claim files it finds.  The dead
+    # ...and its replacement adopts the claimed rows it finds.  The dead
     # victim never heartbeats again, so its claim requeues within the
     # heartbeat timeout instead of any lease.
     host, port = parse_addr(addr)
