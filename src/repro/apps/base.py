@@ -258,12 +258,7 @@ class Application3D:
         shift = -steer * self.dynamics.viewpoint_sensitivity * dt
         updated: list[SceneObject] = []
         for obj in self.objects:
-            moved = obj.advanced(dt)
-            moved = SceneObject(
-                object_class=moved.object_class,
-                x=min(max(moved.x + shift, 0.0), 1.0),
-                y=moved.y, size=moved.size,
-                velocity_x=moved.velocity_x, velocity_y=moved.velocity_y)
+            moved = obj.advanced(dt, shift)
             if self.rng.random() > self.dynamics.despawn_rate * dt:
                 updated.append(moved)
         expected_spawns = self.dynamics.spawn_rate * dt

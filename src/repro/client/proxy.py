@@ -124,9 +124,7 @@ class ClientProxy:
                 kind=kind.value, timestamp=self.env.now, payload=action)
             tag = record.tag
             message.with_tag(tag)
-            self.instrumentation.hooks.fire(
-                HookPoint.HOOK1, timestamp=self.env.now, api="client_capture_input",
-                tag=tag)
+            self.instrumentation.hooks.fire(HookPoint.HOOK1)
 
         send_started = self.env.now
         yield from self.link.transmit(message, NetworkLink.UPLINK)
@@ -160,8 +158,6 @@ class ClientProxy:
             return
         tracker = self.instrumentation.tracker
         for tag in tags:
-            self.instrumentation.hooks.fire(
-                HookPoint.HOOK10, timestamp=self.env.now,
-                api="client_display_frame", tag=tag, frame_id=frame.frame_id)
+            self.instrumentation.hooks.fire(HookPoint.HOOK10)
             tracker.record_stage(tag, Stage.CD, decode_duration)
             tracker.complete(tag, self.env.now, frame_id=frame.frame_id)

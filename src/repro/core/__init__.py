@@ -3,8 +3,10 @@
 This package implements the paper's primary contribution on the
 measurement side (Section 3.2):
 
-* :mod:`repro.core.hooks` — the API-hook registry used to intercept
-  GL/X/proxy calls without modifying applications (Figure 4, Table 1);
+* :mod:`repro.core.hooks` — the ten API hook points that intercept
+  GL/X/proxy calls without modifying applications (Figure 4, Table 1),
+  and the registry that counts their fires and prices each one in CPU
+  time;
 * :mod:`repro.core.tags` / :mod:`repro.core.tracker` — tag-based input
   tracking that associates every user input with its response frame and
   measures every pipeline stage along the way;

@@ -10,23 +10,28 @@ queries.
 
 The registry below is that interception layer for the simulated stack:
 pipeline components *fire* hook points as they execute the corresponding
-API calls, and the measurement framework *installs* callbacks on them.
-Firing a hook costs a small amount of CPU time (the interception and
-timestamping work), which is how the framework's ~2.7% FPS overhead
-arises; when measurement is disabled the hooks are inert and free.
+API calls, and the registry counts the fires per hook point.  The
+timestamps and tags a real hook would extract are recorded by the input
+tracker (:mod:`repro.core.tracker`) at the same call sites, so the
+registry keeps no per-fire record.  Firing a hook costs a small amount of
+simulated CPU time (the interception and timestamping work), which is how
+the framework's ~2.7% FPS overhead arises; when measurement is disabled
+the hooks are inert and free.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
 
 __all__ = ["HookPoint", "HookRegistry", "HOOK_APIS"]
 
 
 class HookPoint(enum.Enum):
     """The ten hook points of Figure 4, client → server → client."""
+
+    # Identity hash: members are singletons, and ``Enum.__hash__`` hashes
+    # the name, which costs a Python call on every ``fire_counts`` lookup.
+    __hash__ = object.__hash__
 
     HOOK1 = "hook1"    # client proxy: tag a captured user input
     HOOK2 = "hook2"    # server proxy: extract tag from the network message
@@ -56,26 +61,18 @@ HOOK_APIS: dict[HookPoint, tuple[str, ...]] = {
 }
 
 
-@dataclass
-class HookEvent:
-    """One recorded hook invocation."""
-
-    hook: HookPoint
-    timestamp: float
-    api: str
-    tag: Optional[int] = None
-    frame_id: Optional[int] = None
-    context: dict[str, Any] = field(default_factory=dict)
-
-
 class HookRegistry:
-    """Holds installed hook callbacks and records every firing.
+    """Counts hook firings per hook point.
 
     ``overhead_per_fire`` is the CPU time one interception costs (parsing
     the call, reading the clock, touching the tag table).  Components that
     fire hooks from CPU-charged stages add ``registry.fire_overhead()`` to
     their stage time so enabling measurement slows the pipeline down by a
     small, realistic amount.
+
+    A fire keeps no per-fire state: only ``fire_counts`` grows, by one
+    integer per fire, so the registry's memory is bounded however long
+    the run.  Timestamps and tags are recorded by the input tracker.
     """
 
     def __init__(self, enabled: bool = True, overhead_per_fire: float = 80e-6):
@@ -83,53 +80,18 @@ class HookRegistry:
             raise ValueError("hook overhead cannot be negative")
         self.enabled = enabled
         self.overhead_per_fire = overhead_per_fire
-        self._callbacks: dict[HookPoint, list[Callable[[HookEvent], None]]] = {
-            hook: [] for hook in HookPoint}
-        self.events: list[HookEvent] = []
         self.fire_counts: dict[HookPoint, int] = {hook: 0 for hook in HookPoint}
 
-    # -- installation -----------------------------------------------------------
-    def install(self, hook: HookPoint,
-                callback: Callable[[HookEvent], None]) -> None:
-        """Install a callback to run whenever ``hook`` fires."""
-        self._callbacks[hook].append(callback)
-
-    def uninstall_all(self, hook: Optional[HookPoint] = None) -> None:
-        if hook is None:
-            for callbacks in self._callbacks.values():
-                callbacks.clear()
-        else:
-            self._callbacks[hook].clear()
-
-    # -- firing -------------------------------------------------------------------
-    def fire(self, hook: HookPoint, timestamp: float, api: str = "",
-             tag: Optional[int] = None, frame_id: Optional[int] = None,
-             **context: Any) -> Optional[HookEvent]:
-        """Fire a hook point; returns the recorded event (None when disabled)."""
-        if not self.enabled:
-            return None
-        if not api:
-            api = HOOK_APIS[hook][0]
-        event = HookEvent(hook=hook, timestamp=timestamp, api=api, tag=tag,
-                          frame_id=frame_id, context=context)
-        self.events.append(event)
-        self.fire_counts[hook] += 1
-        for callback in self._callbacks[hook]:
-            callback(event)
-        return event
+    def fire(self, hook: HookPoint) -> None:
+        """Count one firing of ``hook`` (nothing when disabled)."""
+        if self.enabled:
+            self.fire_counts[hook] += 1
 
     def fire_overhead(self, fires: int = 1) -> float:
         """CPU seconds consumed by ``fires`` hook interceptions."""
         if not self.enabled:
             return 0.0
         return self.overhead_per_fire * fires
-
-    # -- queries ----------------------------------------------------------------------
-    def events_for_tag(self, tag: int) -> list[HookEvent]:
-        return [event for event in self.events if event.tag == tag]
-
-    def events_for_hook(self, hook: HookPoint) -> list[HookEvent]:
-        return [event for event in self.events if event.hook is hook]
 
     def total_fires(self) -> int:
         return sum(self.fire_counts.values())

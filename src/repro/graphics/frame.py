@@ -86,11 +86,18 @@ class SceneObject:
         if self.size <= 0:
             raise ValueError(f"object size must be positive, got {self.size}")
 
-    def advanced(self, dt: float) -> "SceneObject":
-        """The same object after ``dt`` seconds of motion, clamped to the screen."""
+    def advanced(self, dt: float, shift: float = -0.0) -> "SceneObject":
+        """The same object after ``dt`` seconds of motion, clamped to the
+        screen, then moved ``shift`` horizontally by a viewpoint change and
+        clamped again.
+
+        The default shift is -0.0, the exact additive identity: adding 0.0
+        would turn a -0.0 position into 0.0.
+        """
+        x = min(max(float(self.x + self.velocity_x * dt), 0.0), 1.0)
         return SceneObject(
             object_class=self.object_class,
-            x=min(max(float(self.x + self.velocity_x * dt), 0.0), 1.0),
+            x=min(max(x + shift, 0.0), 1.0),
             y=min(max(float(self.y + self.velocity_y * dt), 0.0), 1.0),
             size=self.size,
             velocity_x=self.velocity_x,

@@ -144,20 +144,57 @@ class CpuThread:
         The actual elapsed time reflects core oversubscription and memory
         contention at the moment the work starts.  Yields exactly one
         timeout, so callers embed it with ``yield from thread.run(...)``.
+
+        The burst updates the CPU's busy-core integral and active and peak
+        demand, and the memory system's in-flight pressure, inline on
+        entry and again on exit; the exit update also runs when the
+        waiting process is interrupted or closed.  Then the thread's own
+        Top-Down accounting is charged.
         """
         if nominal_time < 0:
             raise SimulationError(f"negative CPU time requested: {nominal_time}")
         if nominal_time == 0:
             return 0.0
 
-        self.cpu._begin_work(profile.demand)
+        cpu = self.cpu
+        env = cpu.env
+        memory = cpu.memory
+        cores = cpu.spec.cores
+        demand = profile.demand
+
+        # Enter: integrate the busy cores up to now, then add this demand.
+        now = env.now
+        span = now - cpu._last_change
+        if span > 0:
+            active = cpu._active_demand
+            cpu._demand_integral += (cores if cores < active else active) * span
+            cpu._last_change = now
+        active = cpu._active_demand = cpu._active_demand + demand
+        if active > cpu._peak_demand:
+            cpu._peak_demand = active
+        if memory is not None:
+            memory._active_pressure += demand
         try:
-            slowdown = self.cpu.scheduling_slowdown()
-            memory_penalty = self.cpu.memory_penalty(profile)
-            actual = nominal_time * slowdown * memory_penalty
-            yield self.cpu.env.timeout(actual)
+            # Oversubscribed cores slow every running burst proportionally;
+            # memory contention stretches the memory-bound share.
+            slowdown = 1.0 if active <= cores else active / cores
+            stall = (1.0 if memory is None
+                     else memory.cpu_stall_factor(profile.memory_intensity))
+            actual = nominal_time * slowdown * stall
+            yield env.timeout(actual)
         finally:
-            self.cpu._end_work(profile.demand)
+            # Leave: integrate again, then remove this demand.
+            now = env.now
+            span = now - cpu._last_change
+            if span > 0:
+                active = cpu._active_demand
+                cpu._demand_integral += (cores if cores < active else active) * span
+                cpu._last_change = now
+            active = cpu._active_demand - demand
+            cpu._active_demand = active if active > 0.0 else 0.0
+            if memory is not None:
+                pressure = memory._active_pressure - demand
+                memory._active_pressure = pressure if pressure > 0.0 else 0.0
 
         self._account(nominal_time, actual, profile)
         return actual
@@ -165,14 +202,18 @@ class CpuThread:
     def _account(self, nominal: float, actual: float,
                  profile: StageCpuProfile) -> None:
         self.busy_time += actual
-        self.core_seconds += actual * min(profile.demand, self.cpu.spec.cores)
-        cycles = actual * self.cpu.spec.cycles_per_second * min(
-            profile.demand, self.cpu.spec.cores)
+        spec = self.cpu.spec
+        demand = profile.demand
+        cores_used = spec.cores if spec.cores < demand else demand
+        self.core_seconds += actual * cores_used
+        cycles = actual * spec.cycles_per_second * cores_used
         base_backend = 1.0 - (profile.base_retiring + profile.base_frontend
                               + profile.base_bad_speculation)
         # Extra stall cycles beyond the idle-machine baseline are attributed
         # to the back end: that is where memory contention shows up.
-        stretch = max(actual / nominal, 1.0) if nominal > 0 else 1.0
+        stretch = actual / nominal if nominal > 0 else 1.0
+        if stretch < 1.0:
+            stretch = 1.0
         extra_backend = 1.0 - 1.0 / stretch
         scale = 1.0 - extra_backend
         breakdown = self.cycles
@@ -212,31 +253,6 @@ class Cpu:
     @property
     def active_demand(self) -> float:
         return self._active_demand
-
-    def scheduling_slowdown(self) -> float:
-        """Slowdown due to runnable demand exceeding the core count."""
-        if self._active_demand <= self.spec.cores:
-            return 1.0
-        return self._active_demand / self.spec.cores
-
-    def memory_penalty(self, profile: StageCpuProfile) -> float:
-        """Slowdown from shared-cache / DRAM contention for this stage."""
-        if self.memory is None:
-            return 1.0
-        return self.memory.cpu_stall_factor(profile.memory_intensity)
-
-    def _begin_work(self, demand: float) -> None:
-        self._integrate()
-        self._active_demand += demand
-        self._peak_demand = max(self._peak_demand, self._active_demand)
-        if self.memory is not None:
-            self.memory.register_pressure(demand)
-
-    def _end_work(self, demand: float) -> None:
-        self._integrate()
-        self._active_demand = max(0.0, self._active_demand - demand)
-        if self.memory is not None:
-            self.memory.release_pressure(demand)
 
     def _integrate(self) -> None:
         now = self.env.now

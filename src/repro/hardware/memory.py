@@ -71,8 +71,9 @@ class MemorySystem:
     Workloads register their working sets; the resulting *cache pressure*
     (total co-runner working set relative to L3 capacity) drives both the
     reported miss rates and the stall factor applied to CPU stages.
-    Instantaneous pressure from in-flight CPU work is also tracked so the
-    stall factor reflects how many memory-hungry stages run concurrently.
+    Instantaneous pressure from in-flight CPU work (updated by
+    :meth:`repro.hardware.cpu.CpuThread.run`) is also tracked so the stall
+    factor reflects how many memory-hungry stages run concurrently.
     """
 
     def __init__(self, env: Environment, spec: Optional[MemorySpec] = None):
@@ -81,6 +82,9 @@ class MemorySystem:
         self._registered_working_set_mb = 0.0
         self._resident_workloads = 0
         self._active_pressure = 0.0
+        # The steady-state term of cpu_stall_factor, 0.7 * min(1, pressure);
+        # only (un)registering a workload changes it.
+        self._pressure_term = 0.0
         self.accesses = 0.0
         self.misses = 0.0
         self.dram_bytes = 0.0
@@ -92,18 +96,13 @@ class MemorySystem:
             raise ValueError("working set cannot be negative")
         self._registered_working_set_mb += working_set_mb
         self._resident_workloads += 1
+        self._pressure_term = 0.7 * min(1.0, self.cache_pressure())
 
     def unregister_workload(self, working_set_mb: float) -> None:
         self._registered_working_set_mb = max(
             0.0, self._registered_working_set_mb - working_set_mb)
         self._resident_workloads = max(0, self._resident_workloads - 1)
-
-    def register_pressure(self, demand: float) -> None:
-        """Instantaneous pressure from a CPU stage entering execution."""
-        self._active_pressure += demand
-
-    def release_pressure(self, demand: float) -> None:
-        self._active_pressure = max(0.0, self._active_pressure - demand)
+        self._pressure_term = 0.7 * min(1.0, self.cache_pressure())
 
     # -- derived quantities -----------------------------------------------------
     @property
@@ -131,12 +130,13 @@ class MemorySystem:
         """Multiplier applied to a CPU stage's nominal time.
 
         Combines steady-state cache pressure with the instantaneous number
-        of concurrently executing memory-hungry stages.
+        of concurrently executing memory-hungry stages (the demand the CPU
+        model adds to ``_active_pressure`` while a burst runs).
         """
-        pressure = self.cache_pressure()
-        concurrency = max(0.0, self._active_pressure - 1.0) / 8.0
-        raw = 1.0 + (self.spec.max_stall_factor - 1.0) * min(
-            1.0, 0.7 * min(1.0, pressure) + 0.3 * min(1.0, concurrency))
+        excess = self._active_pressure - 1.0
+        concurrency = (excess if excess > 0.0 else 0.0) / 8.0
+        load = self._pressure_term + 0.3 * (concurrency if concurrency < 1.0 else 1.0)
+        raw = 1.0 + (self.spec.max_stall_factor - 1.0) * (load if load < 1.0 else 1.0)
         return 1.0 + (raw - 1.0) * memory_intensity
 
     # -- counter bookkeeping -------------------------------------------------------

@@ -223,9 +223,9 @@ class RenderingSession:
                            compressed_bytes: float):
         return self.client.frame_queue.put((frame, tags, compressed_bytes))
 
-    def _fire(self, hook: HookPoint, **kwargs) -> None:
+    def _fire(self, hook: HookPoint) -> None:
         if self.measurement_enabled:
-            self.hooks.fire(hook, timestamp=self.env.now, **kwargs)
+            self.hooks.fire(hook)
 
     def _hook_overhead(self, fires: int = 1) -> float:
         return self.hooks.fire_overhead(fires) if self.measurement_enabled else 0.0
@@ -247,7 +247,7 @@ class RenderingSession:
             tags = [e.tag for e in events if e.tag is not None]
             if events and self.measurement_enabled:
                 for event in events:
-                    self._fire(HookPoint.HOOK4, api="XNextEvent", tag=event.tag)
+                    self.hooks.fire(HookPoint.HOOK4)
                     if event.tag is not None:
                         self.tracker.mark_hook(event.tag, "hook4", self.env.now)
             self.app.apply_actions(actions)
@@ -276,7 +276,7 @@ class RenderingSession:
             self.pcie_to_gpu_bytes += upload_bytes
 
             # Hook5: swap buffers, submitting the GPU rendering of this frame.
-            self._fire(HookPoint.HOOK5, api="glXSwapBuffers", frame_id=frame.frame_id)
+            self._fire(HookPoint.HOOK5)
             if self.measurement_enabled:
                 self.gpu_timer.begin_frame(frame)
             else:
@@ -286,9 +286,7 @@ class RenderingSession:
             if previous is not None:
                 prev_frame, prev_tags = previous
                 fc_started = self.env.now
-                self._fire(HookPoint.HOOK6, api="glReadPixels",
-                           frame_id=prev_frame.frame_id,
-                           tag=prev_tags[-1] if prev_tags else None)
+                self._fire(HookPoint.HOOK6)
                 if self.measurement_enabled and prev_tags:
                     prev_frame.embed_tag(prev_tags[-1])
 
@@ -341,8 +339,7 @@ class RenderingSession:
         while True:
             frame, tags = yield self.app_send_queue.get()
             as_started = self.env.now
-            self._fire(HookPoint.HOOK7, api="XShmPutImage", frame_id=frame.frame_id,
-                       tag=tags[-1] if tags else None)
+            self._fire(HookPoint.HOOK7)
             if self.ipc_factor > 1.0:
                 extra = (self.config.x_config.shm_put_base_ms * 1e-3
                          * (self.ipc_factor - 1.0))
@@ -374,7 +371,7 @@ class RenderingSession:
             actions = [e.payload for e in events if isinstance(e.payload, Action)]
             tags = [e.tag for e in events if e.tag is not None]
             for event in events:
-                self._fire(HookPoint.HOOK4, api="XNextEvent", tag=event.tag)
+                self._fire(HookPoint.HOOK4)
             self.app.apply_actions(actions)
 
             al_started = self.env.now
@@ -394,13 +391,13 @@ class RenderingSession:
             yield from self.gl.upload(upload_bytes)
             self.pcie_to_gpu_bytes += upload_bytes
 
-            self._fire(HookPoint.HOOK5, api="glXSwapBuffers", frame_id=frame.frame_id)
+            self._fire(HookPoint.HOOK5)
             self.gl.swap_buffers(frame)
             # Serialized: wait for the GPU before copying this same frame.
             job = yield from self.gl.wait_for_render(frame)
 
             fc_started = self.env.now
-            self._fire(HookPoint.HOOK6, api="glReadPixels", frame_id=frame.frame_id)
+            self._fire(HookPoint.HOOK6)
             if self.measurement_enabled and tags:
                 frame.embed_tag(tags[-1])
             yield from self.interposer.copy_frame(frame, self.app_thread)
@@ -408,7 +405,7 @@ class RenderingSession:
             self.pcie_from_gpu_bytes += frame.raw_bytes
 
             as_started = self.env.now
-            self._fire(HookPoint.HOOK7, api="XShmPutImage", frame_id=frame.frame_id)
+            self._fire(HookPoint.HOOK7)
             yield from self.interposer.deliver_frame(frame, self.vnc.frame_inbox,
                                                      self.app_send_thread)
             as_duration = self.env.now - as_started

@@ -119,9 +119,9 @@ class VncServer:
             return None
         return self.instrumentation.tracker
 
-    def _fire(self, hook: HookPoint, **kwargs) -> None:
+    def _fire(self, hook: HookPoint) -> None:
         if self.instrumentation is not None and self.instrumentation.enabled:
-            self.instrumentation.hooks.fire(hook, timestamp=self.env.now, **kwargs)
+            self.instrumentation.hooks.fire(hook)
 
     def _hook_overhead(self, fires: int = 1) -> float:
         if self.instrumentation is None:
@@ -143,7 +143,7 @@ class VncServer:
             tag = message.tag
 
             # Stage SP: parse the RFB message, extract the tag (hook2).
-            self._fire(HookPoint.HOOK2, api="rfbProcessClientMessage", tag=tag)
+            self._fire(HookPoint.HOOK2)
             sp_started = self.env.now
             sp_cost = (self.rng.jitter(self.config.input_parse_ms * 1e-3,
                                        self.config.jitter_fraction)
@@ -153,7 +153,7 @@ class VncServer:
             self.stage_timings.record(Stage.SP, sp_duration)
 
             # Stage PS: inject the input into the application (hook3).
-            self._fire(HookPoint.HOOK3, api="XTestFakeKeyEvent", tag=tag)
+            self._fire(HookPoint.HOOK3)
             ps_started = self.env.now
             event = XEvent(kind=message.kind.value, payload=message.payload, tag=tag)
             yield from self._inject_event(event)
@@ -206,11 +206,10 @@ class VncServer:
             # of growing for the whole run.
             tags = self.frame_tags.pop(frame.frame_id, None) or []
 
-            # Hook8: extract the embedded tag and restore the original pixels.
-            embedded_tag = frame.extract_tag()
+            # Hook8: restore the pixels under the embedded tag.  The frame's
+            # tags themselves travel in ``frame_tags``.
             frame.restore_tag_pixels()
-            self._fire(HookPoint.HOOK8, api="rfbTranslateFrame",
-                       tag=embedded_tag, frame_id=frame.frame_id)
+            self._fire(HookPoint.HOOK8)
 
             cp_started = self.env.now
             # Pixel-format translation of the damaged region.
@@ -231,8 +230,7 @@ class VncServer:
                     tracker.record_stage(tag, Stage.CP, cp_duration)
 
             self.server_fps.record_frame()
-            self._fire(HookPoint.HOOK9, api="rfbSendFramebufferUpdate",
-                       frame_id=frame.frame_id)
+            self._fire(HookPoint.HOOK9)
             yield self.compressed_queue.put((frame, tags, compressed))
 
     # -- frame path: stage SS ---------------------------------------------------------------------

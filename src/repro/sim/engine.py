@@ -288,7 +288,7 @@ class Timeout(Event):
         self._value = value
         self.delay = delay = float(delay)
         env._eid = eid = env._eid + 1
-        now = env._now
+        now = env.now
         when = now + delay
         if when > now:
             heappush(env._queue, (when, _NORMAL_KEY + eid, self))
@@ -573,14 +573,17 @@ class Environment:
     through the packed keys.
     """
 
-    __slots__ = ("_now", "_queue", "_fifo", "_urgent", "_eid", "_pid",
+    __slots__ = ("now", "_queue", "_fifo", "_urgent", "_eid", "_pid",
                  "_active_process", "_publish", "_bus", "_virtual_offset")
 
     PRIORITY_URGENT = 0
     PRIORITY_NORMAL = 1
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        # Current simulation time (seconds by convention in this repo).
+        # A plain slot, read on every hook and CPU burst; only the kernel
+        # writes it.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._fifo: deque[Event] = deque()
         self._urgent: deque[Event] = deque()
@@ -594,16 +597,11 @@ class Environment:
         self._publish: Optional[Callable[[float, Event], None]] = None
         self._bus = None
         # Virtual seconds credited by macro_advance(); the micro clock
-        # (_now) never jumps, so in-flight process-local timestamps can
+        # (now) never jumps, so in-flight process-local timestamps can
         # never straddle a discontinuity.
         self._virtual_offset = 0.0
 
     # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time (seconds by convention in this repo)."""
-        return self._now
-
     @property
     def bus(self):
         """The environment's :class:`~repro.sim.bus.EventBus` (created lazily)."""
@@ -626,7 +624,7 @@ class Environment:
         reached; ``now`` itself stays the micro clock so every scheduled
         event and in-flight duration remains consistent.
         """
-        return self._now + self._virtual_offset
+        return self.now + self._virtual_offset
 
     def macro_advance(self, delta: float) -> "MacroJump":
         """Credit ``delta`` virtual seconds in one coarse macro jump.
@@ -645,7 +643,7 @@ class Environment:
         jump = MacroJump(self, delta)
         publish = self._publish
         if publish is not None:
-            publish(self._now, jump)
+            publish(self.now, jump)
         return jump
 
     @property
@@ -671,7 +669,7 @@ class Environment:
         timeout._value = value
         timeout.delay = delay = delay if delay.__class__ is float else float(delay)
         self._eid = eid = self._eid + 1
-        now = self._now
+        now = self.now
         when = now + delay
         if when > now:
             heappush(self._queue, (when, _NORMAL_KEY + eid, timeout))
@@ -697,7 +695,7 @@ class Environment:
         if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         self._eid = eid = self._eid + 1
-        now = self._now
+        now = self.now
         when = now + delay
         if when > now:
             heappush(self._queue, (when, (priority << _KEY_SHIFT) + eid, event))
@@ -719,7 +717,7 @@ class Environment:
         time.  Callers must ensure at least one event is pending.
         """
         queue = self._queue
-        now = self._now
+        now = self.now
         urgent = self._urgent
         if urgent:
             if queue and queue[0][0] <= now and queue[0][1] < urgent[0]._key:
@@ -732,13 +730,13 @@ class Environment:
                 return heappop(queue)[2]
             return fifo.popleft()
         when, _key, event = heappop(queue)
-        self._now = when
+        self.now = when
         return event
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if nothing is pending."""
         if self._urgent or self._fifo:
-            return self._now
+            return self.now
         queue = self._queue
         return queue[0][0] if queue else inf
 
@@ -749,7 +747,7 @@ class Environment:
         event = self._pop_next()
         publish = self._publish
         if publish is not None:
-            publish(self._now, event)
+            publish(self.now, event)
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks is not None:
@@ -775,10 +773,10 @@ class Environment:
             stop_event = until
         elif until is not None:
             horizon = stop_time = float(until)
-            if not stop_time >= self._now:  # NaN fails too
+            if not stop_time >= self.now:  # NaN fails too
                 raise SimulationError(
                     f"until={stop_time!r} is in the past or not a number "
-                    f"(now={self._now!r})"
+                    f"(now={self.now!r})"
                 )
 
         # This loop is the single hottest code path of the repository, so
@@ -793,7 +791,7 @@ class Environment:
         pop = heappop
         fifo_pop = fifo.popleft
         fifo_append = fifo.append
-        now = self._now
+        now = self.now
         check_stop = stop_event is not None
 
         while True:
@@ -822,16 +820,16 @@ class Environment:
                     # the heap's internal arrangement but not its pop
                     # order — keys are unique, so (time, key) is total.
                     heappush(queue, entry)
-                    self._now = stop_time
+                    self.now = stop_time
                     return None
                 event = entry[2]
-                self._now = now = when
+                self.now = now = when
             else:
                 if stop_event is not None:
                     raise SimulationError(
                         "event queue drained before the stop event fired")
                 if stop_time is not None:
-                    self._now = stop_time
+                    self.now = stop_time
                 return None
 
             if publish is not None:

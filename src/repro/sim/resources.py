@@ -154,7 +154,7 @@ class Resource:
         users = self.users
         if len(users) < self.capacity:
             # Fast path: grant immediately (== _grant + succeed).
-            request.usage_since = env._now
+            request.usage_since = env.now
             users.append(request)
             request._ok = True
             request._value = self
@@ -223,7 +223,7 @@ class Resource:
         while self.queue and len(users) < capacity:
             request = self._pop_next()
             # == _grant + succeed, inlined.
-            request.usage_since = env._now
+            request.usage_since = env.now
             users.append(request)
             request._ok = True
             request._value = self

@@ -27,7 +27,7 @@ from repro.experiments.store import (
 )
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
-from repro.sim.engine import Environment, MacroJump, SimulationError
+from repro.sim.engine import MacroJump, SimulationError
 from repro.sim.fastforward import (
     FastForwardConfig,
     MacroModel,

@@ -44,12 +44,89 @@ def test_oversubscription_slows_work_down(env):
     assert max(finish_times) == pytest.approx(0.020, rel=0.01)
 
 
-def test_scheduling_slowdown_formula(env):
+def test_oversubscribed_burst_runs_at_demand_over_cores(env):
+    """Demand 8 on 4 cores runs at half speed: actual == 2 x nominal."""
     cpu = Cpu(env, CpuSpec(cores=4))
-    cpu._begin_work(8.0)
-    assert cpu.scheduling_slowdown() == pytest.approx(2.0)
-    cpu._end_work(8.0)
-    assert cpu.scheduling_slowdown() == 1.0
+    thread = cpu.thread("t0")
+    result = {}
+
+    def proc(env):
+        result["actual"] = yield from thread.run(0.010, StageCpuProfile(demand=8.0))
+
+    env.process(proc(env))
+    env.run()
+    assert result["actual"] == 2 * 0.010
+    assert env.now == 2 * 0.010
+    assert cpu.active_demand == 0.0
+
+
+def test_overlapping_bursts_account_exactly(env):
+    """Busy-core integral, peak and in-flight demand, by hand.
+
+    Two cores.  A (demand 1) runs 0 -> 1.0 uncontended.  B (demand 2)
+    starts at 0.5 with 3 cores' worth of demand in flight, so it runs
+    1.5x slower: 0.5 -> 2.0.  C (demand 1, nominal 0.5) starts at 0.75
+    with 4 in flight and runs 2x slower: 0.75 -> 1.75.  Busy cores,
+    capped at 2 from 0.5 on: 1 x 0.5 + 2 x 1.5 = 3.5.
+    """
+    memory = MemorySystem(env)
+    cpu = Cpu(env, CpuSpec(cores=2), memory=memory)
+    a, b, c = cpu.thread("a"), cpu.thread("b"), cpu.thread("c")
+    insensitive = dict(memory_intensity=0.0)
+    seen = {}
+
+    def burst(env, thread, start, nominal, demand):
+        yield env.timeout(start)
+        yield from thread.run(nominal, StageCpuProfile(demand=demand, **insensitive))
+
+    def probe(env):
+        yield env.timeout(0.875)
+        seen["active"] = cpu.active_demand
+        seen["pressure"] = memory._active_pressure
+        seen["integral"] = cpu.demand_core_seconds()
+
+    env.process(burst(env, a, 0.0, 1.0, 1.0))
+    env.process(burst(env, b, 0.5, 1.0, 2.0))
+    env.process(burst(env, c, 0.75, 0.5, 1.0))
+    env.process(probe(env))
+    env.run()
+    assert seen == {"active": 4.0, "pressure": 4.0, "integral": 0.5 + 2 * 0.375}
+    assert env.now == 2.0
+    assert cpu.demand_core_seconds() == 3.5
+    assert cpu.peak_demand == 4.0
+    assert cpu.active_demand == 0.0
+    assert memory._active_pressure == 0.0
+    assert (a.busy_time, a.core_seconds) == (1.0, 1.0)
+    assert (b.busy_time, b.core_seconds) == (1.5, 3.0)
+    assert (c.busy_time, c.core_seconds) == (1.0, 1.0)
+
+
+def test_stall_factor_follows_workloads_registered_mid_run(env):
+    """The memory system's cached pressure term tracks (un)registration."""
+    memory = MemorySystem(env, MemorySpec(l3_mb=10.0))
+    cpu = Cpu(env, CpuSpec(cores=8), memory=memory)
+    thread = cpu.thread("t0")
+    bound = StageCpuProfile(demand=1.0, memory_intensity=1.0)
+    actuals = []
+    factors = []
+
+    def proc(env):
+        memory.register_workload(12.0)
+        for change in (memory.register_workload, memory.unregister_workload,
+                       memory.register_workload):
+            factors.append(memory.cpu_stall_factor(1.0))
+            actuals.append((yield from thread.run(0.010, bound)))
+            change(12.0)
+        factors.append(memory.cpu_stall_factor(1.0))
+        actuals.append((yield from thread.run(0.010, bound)))
+
+    env.process(proc(env))
+    env.run()
+    # One workload: no pressure.  Two at 12 MB on a 10 MB L3: pressure
+    # 1.2 saturates the 0.7 share, so 1 + 0.5 * 0.7 = 1.35.
+    assert factors == [1.0, 1.35, 1.0, 1.35]
+    assert actuals == [0.010 * factor for factor in factors]
+    assert memory._active_pressure == 0.0
 
 
 def test_memory_contention_inflates_memory_bound_stage(env):
