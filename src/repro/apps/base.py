@@ -203,7 +203,6 @@ class Application3D:
         #: performance depend on *realistic* input generation (Section 1).
         self.activity_level = 1.0
         self._pending_actions: list[Action] = []
-        self._last_frame: Optional[Frame] = None
         self._populate_initial_scene()
 
     # -- scene management ----------------------------------------------------
@@ -275,7 +274,6 @@ class Application3D:
             scene_change=self._sample_scene_change(abs(steer)),
         )
         self.frame_index += 1
-        self._last_frame = frame
         return frame
 
     def _activity_factor(self) -> float:
@@ -333,10 +331,6 @@ class Application3D:
                     primary = True
                     break
         return Action(steer=steer, pitch=pitch, primary=primary)
-
-    @property
-    def last_frame(self) -> Optional[Frame]:
-        return self._last_frame
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} frame={self.frame_index} objects={len(self.objects)}>"

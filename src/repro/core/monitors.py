@@ -196,11 +196,6 @@ class ResourceMonitor:
             return 0.0
         return float(np.mean([s.cpu_utilization_cores for s in self.samples]))
 
-    def mean_gpu_utilization(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.mean([s.gpu_utilization for s in self.samples]))
-
     def final_sample(self) -> ResourceSample:
         if not self.samples:
             return self.sample()

@@ -1163,6 +1163,7 @@ def _run_worker(args) -> int:
 
 
 def _run_serve(args) -> int:
+    import signal
     import threading
 
     from repro.experiments.coordinator import Coordinator
@@ -1195,6 +1196,9 @@ def _run_serve(args) -> int:
               f"worker(s) every {args.scale_interval:g}s", file=sys.stderr,
               flush=True)
 
+    # SIGTERM (``kill PID``) shuts down like Ctrl-C, so the ``finally``
+    # below still kills the coordinator's workers.
+    signal.signal(signal.SIGTERM, lambda *_: server._stop.set())
     try:
         server._stop.wait()
     except KeyboardInterrupt:

@@ -1,36 +1,48 @@
-"""The ``Coordinator``: an elastic local worker fleet for a queue server.
+"""The ``Coordinator``: the one owner of locally spawned queue workers.
 
-``python -m repro.experiments serve --queue DIR --port N --min 0 --max 8``
-runs one inside the server process; tests and soaks drive the class
-directly.  Every ``scale_interval_s`` the coordinator asks the queue for
-its depth and sizes the fleet to::
+Two callers run one.  ``python -m repro.experiments serve --queue DIR
+--port N --min 0 --max 8`` runs an elastic fleet inside the server
+process, and the socket backend of
+:class:`~repro.experiments.executor.ExperimentSuite` runs a fixed one
+(``min = max = workers``) for its spawned workers.  Every
+``scale_once`` asks the queue for its depth and sizes the fleet to::
 
     target = clamp(pending + claimed, min_workers, max_workers)
 
 — one worker per outstanding job, bounded.  Scaling **up** spawns
 ``python -m repro.experiments worker --addr HOST:PORT`` subprocesses
 (heartbeating, so the server requeues their claims within seconds if
-they die).  Scaling **down** is left to the workers themselves: each is
-spawned with an idle timeout of a few scale intervals, so workers that
-find the queue empty exit on their own and the coordinator merely reaps
-them.  That keeps the shrink path race-free — the coordinator never
-kills a worker that might hold a claim.
+they die), each logging to ``<tmp>/pictor-workers/<worker_id>.log``.
+A worker that exits cleanly or is killed by ``stop`` has its log
+deleted; a crashed worker's log is kept, and the warning names it.
+The first ``min_workers`` are **floor** workers: they have no idle
+timeout and exit only on ``stop(kill=True)``.  Workers above the floor
+are spawned with an idle timeout of a few scale intervals, so the
+fleet shrinks by itself when they find the queue empty, and the
+coordinator merely reaps them.  That keeps the shrink path race-free:
+the coordinator never kills a worker that might hold a claim.
 
-A reaped worker that exited *without* being idle (crashed, killed) gets
-its claims requeued immediately via ``requeue_worker`` — the
+**The crash rule.**  A reaped worker that exited non-zero (crashed,
+killed) gets its claims requeued at once via ``requeue_worker``: the
 coordinator spawned it, so it knows the death for certain and need not
-wait for the missed-heartbeat sweep.
+wait for the missed-heartbeat sweep.  The coordinator also counts such
+crashes, and the count resets whenever the queue's completed count
+rises.  Once ``max_workers`` workers have crashed with no job completed
+in between, ``scale_once`` raises :class:`RuntimeError` naming the last
+crashed worker's log, instead of respawning forever.  Raising resets the
+count, so a caller that goes on scaling gets a fresh fleet.
 """
 
 from __future__ import annotations
 
 import logging
 import subprocess
+import threading
 import time
 from typing import Optional
 
 from repro.experiments.socket_queue import SocketQueue
-from repro.experiments.worker import spawn_worker
+from repro.experiments.worker import spawn_worker, worker_log
 
 __all__ = ["Coordinator"]
 
@@ -38,7 +50,7 @@ logger = logging.getLogger(__name__)
 
 
 class Coordinator:
-    """Autoscale local worker subprocesses against queue depth."""
+    """Spawn, reap and autoscale local worker subprocesses against queue depth."""
 
     def __init__(
         self,
@@ -62,43 +74,65 @@ class Coordinator:
         self.scale_interval_s = scale_interval_s
         self.poll_s = poll_s
         self.heartbeat_s = heartbeat_s
-        #: Idle workers exit on their own after this long; the fleet
-        #: shrinks itself without the coordinator ever killing a worker
-        #: that might hold a claim.
+        #: Workers above the floor exit on their own after idling this
+        #: long; the fleet shrinks itself without the coordinator ever
+        #: killing a worker that might hold a claim.
         self.idle_timeout_s = max(4 * scale_interval_s, 2.0)
         self.queue = queue if queue is not None else SocketQueue(addr)
         self.name = name
         self._workers: dict[str, subprocess.Popen] = {}
+        #: ``serve`` scales on a thread and stops from the main one: the
+        #: lock keeps a scaling step from spawning into a stopped fleet.
+        self._lock = threading.Lock()
+        self._stopped = False
         self._spawned = 0
+        #: Crashes since the completed count last rose, and the last one.
+        self._crashes = 0
+        self._last_crash = ""
+        self._completed = 0
         #: Most workers ever alive at once (the soak test's acceptance
         #: criterion: the fleet really did scale out).
         self.peak_workers = 0
 
     # -- one scaling step -------------------------------------------------------------
     def scale_once(self) -> int:
-        """Reap exits, spawn up to the target; returns the live count."""
-        self._reap()
-        counts = self.queue.counts()
-        outstanding = counts.pending + counts.claimed
-        target = max(self.min_workers, min(self.max_workers, outstanding))
-        while len(self._workers) < target:
-            worker_id = f"{self.name}-{self._spawned}"
-            self._spawned += 1
-            self._workers[worker_id] = spawn_worker(
-                self.addr,
-                worker_id=worker_id,
-                poll_s=self.poll_s,
-                idle_timeout_s=self.idle_timeout_s,
-                heartbeat_s=self.heartbeat_s,
-            )
-            logger.info(
-                "coordinator scaled up to %d/%d workers (%d outstanding)",
-                len(self._workers),
-                target,
-                outstanding,
-            )
-        self.peak_workers = max(self.peak_workers, len(self._workers))
-        return len(self._workers)
+        """Reap exits, apply the crash rule, spawn up to the target;
+        returns the live count."""
+        with self._lock:
+            if self._stopped:
+                return 0
+            counts = self.queue.counts()
+            if counts.completed > self._completed:
+                self._completed = counts.completed
+                self._crashes = 0
+            self._reap()
+            if self._crashes and self._crashes >= self.max_workers:
+                crashes, self._crashes = self._crashes, 0  # fires once per run of crashes
+                raise RuntimeError(
+                    f"{crashes} spawned queue worker(s) crashed with no job completed; "
+                    f"last: {self._last_crash}"
+                )
+            outstanding = counts.pending + counts.claimed
+            target = max(self.min_workers, min(self.max_workers, outstanding))
+            while len(self._workers) < target:
+                worker_id = f"{self.name}-{self._spawned}"
+                self._spawned += 1
+                floor = len(self._workers) < self.min_workers
+                self._workers[worker_id] = spawn_worker(
+                    self.addr,
+                    worker_id=worker_id,
+                    poll_s=self.poll_s,
+                    idle_timeout_s=None if floor else self.idle_timeout_s,
+                    heartbeat_s=self.heartbeat_s,
+                )
+                logger.info(
+                    "coordinator scaled up to %d/%d workers (%d outstanding)",
+                    len(self._workers),
+                    target,
+                    outstanding,
+                )
+            self.peak_workers = max(self.peak_workers, len(self._workers))
+            return len(self._workers)
 
     def _reap(self) -> None:
         for worker_id, process in list(self._workers.items()):
@@ -106,15 +140,17 @@ class Coordinator:
             if code is None:
                 continue
             del self._workers[worker_id]
-            if code != 0:
+            if code == 0:
+                worker_log(worker_id).unlink(missing_ok=True)
+            else:
                 # A crash, not an idle exit: we *know* it died, so
                 # requeue its claims now instead of waiting for the
                 # missed-heartbeat sweep.
-                logger.warning(
-                    "worker %s exited with code %d; requeueing its claims",
-                    worker_id,
-                    code,
+                self._crashes += 1
+                self._last_crash = (
+                    f"worker {worker_id} exited with code {code}; log: {worker_log(worker_id)}"
                 )
+                logger.warning("%s; requeueing its claims", self._last_crash)
                 try:
                     self.queue.requeue_worker(worker_id)
                 except Exception as error:
@@ -151,9 +187,13 @@ class Coordinator:
     def stop(self, *, kill: bool = False) -> None:
         """Reap everything; with ``kill``, terminate live workers too.
 
-        Idle timeouts normally wind the fleet down on their own —
-        ``kill`` is for tests and for ``serve`` shutting down.
+        Idle timeouts wind the workers above the floor down on their
+        own, but floor workers exit only here, with ``kill`` — what the
+        suite's ``close()`` and ``serve`` shutting down do.  A stopped
+        coordinator's ``scale_once`` spawns nothing and returns 0.
         """
+        with self._lock:
+            self._stopped = True
         self._reap()
         if kill:
             for process in self._workers.values():
@@ -163,5 +203,8 @@ class Coordinator:
                     process.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:
                     process.kill()
+                    process.wait()
+            for worker_id in self._workers:
+                worker_log(worker_id).unlink(missing_ok=True)
             self._workers.clear()
         self.queue.close()

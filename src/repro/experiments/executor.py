@@ -18,8 +18,11 @@ and returns their results in the same order.  Three layers cooperate:
   (:class:`~repro.experiments.socket_queue.SocketQueue`) — an external
   server named by ``queue_addr``, or one the suite starts in-process —
   drained by heartbeating workers anywhere the server is reachable:
-  spawned locally by the suite, or started by hand with ``python -m
-  repro.experiments worker --addr HOST:PORT``.
+  spawned locally by the suite's
+  :class:`~repro.experiments.coordinator.Coordinator` (a fixed fleet of
+  ``workers`` processes, kept alive between waves and killed on
+  ``close()``), or started by hand with ``python -m repro.experiments
+  worker --addr HOST:PORT``.
 
 Whatever the backend, jobs are handed over in the caller's order, in
 two waves: ``train`` jobs first (later jobs consume their artefacts),
@@ -34,7 +37,6 @@ import atexit
 import logging
 import os
 import shutil
-import subprocess
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -42,9 +44,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.experiments.coordinator import Coordinator
 from repro.experiments.jobs import ExperimentJob, execute_job
 from repro.experiments.socket_queue import SocketQueue
-from repro.experiments.store import ResultStore
+from repro.experiments.store import ResultStore, _check_scenario_hash
 
 __all__ = ["BACKENDS", "ExperimentSuite", "SuiteStats", "default_suite",
            "run_jobs"]
@@ -63,14 +66,6 @@ class SuiteStats:
     executed: int = 0
     deduplicated: int = 0
     cache_hits: int = 0
-
-    def merged_with(self, other: "SuiteStats") -> "SuiteStats":
-        return SuiteStats(
-            submitted=self.submitted + other.submitted,
-            executed=self.executed + other.executed,
-            deduplicated=self.deduplicated + other.deduplicated,
-            cache_hits=self.cache_hits + other.cache_hits,
-        )
 
 
 def _timed_execute(job: ExperimentJob) -> tuple:
@@ -119,7 +114,13 @@ class ExperimentSuite:
     can be pinned explicitly (the CLI's ``--backend``).
 
     On the socket backend ``workers`` is the number of local worker
-    processes the suite spawns against the queue server; with
+    processes the suite spawns against the queue server, through a
+    :class:`~repro.experiments.coordinator.Coordinator` with
+    ``min_workers = max_workers = workers``: they stay up between
+    waves, a crashed one has its claims requeued and is replaced, and
+    ``workers`` crashes with no job completed raise.  A crashed
+    worker's log, under ``<tmp>/pictor-workers/``, outlives the suite;
+    the others are deleted.  With
     ``spawn_workers=False`` the suite only submits and waits, leaving
     execution to externally started workers (``python -m
     repro.experiments worker --addr HOST:PORT``, on this or any other
@@ -162,9 +163,7 @@ class ExperimentSuite:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._queue: Optional[SocketQueue] = None
         self._server = None                      # suite-owned QueueServer
-        self._worker_log_dir: Optional[Path] = None
-        self._worker_procs: list[tuple[subprocess.Popen, str]] = []
-        self._worker_seq = 0
+        self._fleet: Optional[Coordinator] = None  # the spawned workers
         # Results live for the suite's lifetime, so figures sharing runs
         # (10-13 share a sweep, 8-9 the characterization runs) execute
         # them once per suite even without an on-disk cache.  Callers
@@ -182,15 +181,9 @@ class ExperimentSuite:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for proc, _ in self._worker_procs:
-            proc.terminate()
-        for proc, _ in self._worker_procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        self._worker_procs.clear()
+        if self._fleet is not None:
+            self._fleet.stop(kill=True)
+            self._fleet = None
         if self._queue is not None:
             self._queue.close()
         self._queue = None
@@ -198,9 +191,6 @@ class ExperimentSuite:
             self._server.stop()
             shutil.rmtree(self._server.queue.root, ignore_errors=True)
             self._server = None
-        if self._worker_log_dir is not None:
-            shutil.rmtree(self._worker_log_dir, ignore_errors=True)
-            self._worker_log_dir = None
 
     def __enter__(self) -> "ExperimentSuite":
         return self
@@ -292,78 +282,41 @@ class ExperimentSuite:
                     Path(tempfile.mkdtemp(prefix="pictor-queue-")),
                     lease_s=self.lease_s).start()
                 addr = self._server.address
-            self._worker_log_dir = Path(
-                tempfile.mkdtemp(prefix="pictor-socket-workers-"))
             self._queue = SocketQueue(addr)
+            if self.spawn_workers:
+                # External workers (``spawn_workers=False`` or other
+                # machines) are invisible here; the server's sweep
+                # requeues their claims once their heartbeats stop.
+                self._fleet = Coordinator(
+                    addr, min_workers=self.workers, max_workers=self.workers,
+                    queue=self._queue, name=f"suite-{os.getpid()}")
         return self._queue
-
-    def _ensure_workers(self, queue: SocketQueue) -> None:
-        from repro.experiments.worker import spawn_worker
-        if not self.spawn_workers:
-            return
-        alive = [(proc, wid) for proc, wid in self._worker_procs
-                 if proc.poll() is None]
-        self._worker_procs = alive
-        while len(self._worker_procs) < self.workers:
-            worker_id = f"suite-{os.getpid()}-w{self._worker_seq}"
-            self._worker_seq += 1
-            proc = spawn_worker(queue.addr, worker_id=worker_id,
-                                log_dir=self._worker_log_dir)
-            self._worker_procs.append((proc, worker_id))
-
-    def _reap_dead_workers(self, queue: SocketQueue) -> None:
-        """Requeue the claims of spawned workers that exited.
-
-        External workers (``spawn_workers=False`` or other machines) are
-        invisible here; the server's sweep requeues their claims once
-        their heartbeats stop (or, for a worker that never beat, once
-        its lease expires).
-        """
-        alive = []
-        for proc, worker_id in self._worker_procs:
-            if proc.poll() is None:
-                alive.append((proc, worker_id))
-                continue
-            requeued = queue.requeue_worker(worker_id)
-            logger.warning(
-                "spawned worker %s exited with code %s; requeued %d claimed "
-                "job(s); log: %s", worker_id, proc.returncode, len(requeued),
-                self._worker_log_dir / f"{worker_id}.log")
-        if self.spawn_workers and not alive and self._worker_procs:
-            raise RuntimeError(
-                "all spawned queue workers exited while jobs were "
-                f"outstanding; see logs under {self._worker_log_dir}")
-        self._worker_procs = alive
 
     def _run_queued(self, jobs: list[ExperimentJob]) -> dict:
         queue = self._ensure_queue()
         outstanding = dict(zip(queue.submit_many(jobs), jobs))
-        self._ensure_workers(queue)
+        if self._fleet is not None:
+            self._fleet.scale_once()
 
         gathered: dict[ExperimentJob, tuple] = {}
         deadline = (None if self.timeout_s is None
                     else time.monotonic() + self.timeout_s)
         last_warning = time.monotonic()
+        # Scaling costs a COUNTS round trip, so it runs at the fleet's
+        # own interval, not on every poll of the results.
+        next_scale = time.monotonic()
         while outstanding:
             progressed = False
             for key in list(outstanding):
                 entry = queue.result_entry(key)
                 if entry is not None:
                     job = outstanding[key]
-                    if entry.get("scenario_hash") \
-                            != job.scenario.content_hash():
+                    if not _check_scenario_hash(entry, job,
+                                                f"{queue.addr}#{key}"):
                         # Same contract as ResultStore.get: a tampered
                         # entry (here: pre-existing in a shared queue,
                         # since submit() skips already-completed keys) is
                         # rejected with a log line and re-executed.
-                        logger.warning(
-                            "rejecting tampered cache entry %s: stamped "
-                            "scenario hash %s does not match the job's "
-                            "scenario %s (written at git rev %s); "
-                            "recomputing", key,
-                            entry.get("scenario_hash"),
-                            job.scenario.content_hash(),
-                            entry.get("git_rev", "unknown"))
                         queue.invalidate(key)
                         queue.submit(job)
                         continue
@@ -380,14 +333,16 @@ class ExperimentSuite:
                         f"{failure.get('traceback', '')}")
             if not outstanding:
                 break
-            self._reap_dead_workers(queue)
+            if self._fleet is not None and time.monotonic() >= next_scale:
+                self._fleet.scale_once()
+                next_scale = time.monotonic() + self._fleet.scale_interval_s
             if not progressed:
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError(
                         f"socket backend timed out after "
                         f"{self.timeout_s:g}s with {len(outstanding)} job(s) "
                         f"outstanding in {queue.addr}")
-                if not self._worker_procs \
+                if self._fleet is None \
                         and time.monotonic() - last_warning > 30.0:
                     # No spawned workers to watch (spawn_workers=False):
                     # an external fleet may simply not be up yet, but

@@ -25,7 +25,7 @@ from typing import Optional
 from repro.scenarios.scenario import (SCENARIO_SCHEMA_VERSION, Scenario,
                                      SeedPolicy, canonical_hash,
                                      hashed_content)
-from repro.server.host import CloudHost, HostResult
+from repro.server.host import HostResult
 
 __all__ = ["CACHE_SCHEMA_VERSION", "ExperimentJob", "execute_job", "job_key"]
 
@@ -139,11 +139,6 @@ def job_key(kind: str, duration: Optional[float], scenario: dict) -> str:
     once."""
     return canonical_hash({"kind": kind, "duration": duration,
                            "scenario": hashed_content(scenario)})
-
-
-def build_job_host(job: ExperimentJob) -> CloudHost:
-    """Construct the (not yet run) testbed host a ``host`` job describes."""
-    return job.scenario.build_host()
 
 
 def _execute_host(job: ExperimentJob) -> HostResult:

@@ -22,10 +22,13 @@ claim it never acknowledged (orphaned by a retried CLAIM) still ages
 out normally.
 
 :func:`run_worker` is the loop behind that entrypoint;
-:func:`spawn_worker` starts one as a local subprocess (what
-``ExperimentSuite``'s socket backend and the
-:class:`~repro.experiments.coordinator.Coordinator` do for you, and
-what the crash-recovery tests kill).
+:func:`spawn_worker` starts one as a local subprocess, logging to
+:func:`worker_log`.  Spawned workers are owned by a
+:class:`~repro.experiments.coordinator.Coordinator` — the one behind
+``serve --min/--max`` or the one ``ExperimentSuite``'s socket backend
+runs for its own workers — which reaps them, requeues a crashed
+worker's claims at once and stops respawning after repeated crashes.
+The crash-recovery tests spawn and kill workers directly.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.experiments.jobs import execute_job
 from repro.experiments.queue import default_worker_id
 from repro.experiments.socket_queue import SocketQueue
 
-__all__ = ["run_worker", "spawn_worker"]
+__all__ = ["run_worker", "spawn_worker", "worker_log"]
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +104,7 @@ def run_worker(queue: SocketQueue, *, worker_id: Optional[str] = None,
 
     Runs until ``max_jobs`` jobs have completed or the queue has stayed
     empty for ``idle_timeout_s`` seconds (forever when both are None —
-    the spawning suite owns the process and terminates it on close).  A
+    a coordinator's floor worker, which it terminates on ``stop``).  A
     job that raises is recorded as a failure marker and the worker moves
     on; the submitter decides what a failure means.
 
@@ -150,6 +153,15 @@ def run_worker(queue: SocketQueue, *, worker_id: Optional[str] = None,
     return executed
 
 
+def worker_log(worker_id: str, log_dir: os.PathLike | str | None = None) -> Path:
+    """Where :func:`spawn_worker` sends ``worker_id``'s output:
+    ``<log_dir>/<worker_id>.log``, by default in a ``pictor-workers``
+    temp directory."""
+    if log_dir is None:
+        log_dir = Path(tempfile.gettempdir()) / "pictor-workers"
+    return Path(log_dir) / f"{worker_id}.log"
+
+
 def spawn_worker(addr: str, *, worker_id: str, poll_s: float = 0.05,
                  idle_timeout_s: Optional[float] = None,
                  heartbeat_s: Optional[float] = None,
@@ -160,8 +172,7 @@ def spawn_worker(addr: str, *, worker_id: str, poll_s: float = 0.05,
 
     The child inherits the current environment with this checkout's
     ``src`` prepended to ``PYTHONPATH`` (tests and suites don't export
-    it), and its output goes to ``<log_dir>/<worker_id>.log`` —
-    defaulting to a ``pictor-workers`` temp directory.  Without
+    it), and its output goes to :func:`worker_log`, truncated first.  Without
     ``heartbeat_s`` it beats at the CLI default.
     """
     import repro
@@ -178,9 +189,7 @@ def spawn_worker(addr: str, *, worker_id: str, poll_s: float = 0.05,
         command += ["--idle-timeout", str(idle_timeout_s)]
     if heartbeat_s is not None:
         command += ["--heartbeat", str(heartbeat_s)]
-    if log_dir is None:
-        log_dir = Path(tempfile.gettempdir()) / "pictor-workers"
-    log_path = Path(log_dir) / f"{worker_id}.log"
+    log_path = worker_log(worker_id, log_dir)
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    with log_path.open("ab") as log:
+    with log_path.open("wb") as log:
         return subprocess.Popen(command, env=env, stdout=log, stderr=log)

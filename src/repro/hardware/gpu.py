@@ -252,7 +252,3 @@ class Gpu:
     @property
     def allocated_memory_mb(self) -> float:
         return self._allocated_memory_mb
-
-    @property
-    def active_renders(self) -> int:
-        return self._active_renders

@@ -69,12 +69,6 @@ class HostResult:
             return 0.0
         return sum(r.client_fps for r in self.reports) / len(self.reports)
 
-    @property
-    def mean_server_fps(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.server_fps for r in self.reports) / len(self.reports)
-
     def as_dict(self) -> dict:
         """A plain-data summary of the run.
 

@@ -369,7 +369,7 @@ def test_socket_suite_rejects_tampered_queue_results(server, client, config,
     server.queue.results.put_entry(entry)
 
     reference = execute_job(job)
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
         with ExperimentSuite(workers=1, queue_addr=server.address,
                              timeout_s=300) as suite:
             [result] = suite.run([job])
@@ -509,32 +509,35 @@ def test_sigkilled_worker_job_is_requeued_and_results_unaffected(
 
 def test_suite_requeues_claims_of_dead_spawned_workers(server, client,
                                                        config):
-    """The socket suite notices a spawned worker died (it owns the
-    process handle), requeues its claims, and raises only when nobody is
-    left to make progress."""
+    """The socket suite's coordinator notices a spawned worker died (it
+    owns the process handle), requeues its claims, and raises once
+    ``workers`` of them crashed with no job completed.  The log the
+    error names outlives the suite."""
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=3))
     client.submit(job)
-    claimed = client.claim("suite-0-w0")
-    assert claimed is not None
 
     suite = ExperimentSuite(workers=1, queue_addr=server.address,
                             timeout_s=300)
     try:
-        queue = suite._ensure_queue()
-        # Simulate: the suite's spawned worker (already holding a claim)
-        # dies instantly.  _reap_dead_workers must requeue and raise.
-        dead = spawn_worker(server.address, worker_id="suite-0-w0",
-                            poll_s=0.02, log_dir=suite._worker_log_dir)
+        suite._ensure_queue()
+        fleet = suite._fleet
+        # Simulate: the suite's first spawned worker holds a claim and
+        # dies.  The next scaling step must requeue it and raise.
+        assert client.claim(f"{fleet.name}-0") is not None
+        assert fleet.scale_once() == 1
+        [dead] = fleet._workers.values()
         os.kill(dead.pid, signal.SIGKILL)
         dead.wait(timeout=10)
-        suite._worker_procs = [(dead, "suite-0-w0")]
-        with pytest.raises(RuntimeError, match="workers exited"):
-            suite._reap_dead_workers(queue)
+        with pytest.raises(RuntimeError, match="crashed") as raised:
+            fleet.scale_once()
         assert client.counts().pending == 1     # the claim was requeued
         assert client.counts().claimed == 0
     finally:
-        suite._worker_procs = []
         suite.close()
+    log = str(raised.value).rsplit("log: ", 1)[1]
+    assert log.endswith(f"{fleet.name}-0.log")
+    assert os.path.exists(log)
+    os.unlink(log)
 
 
 # ---------------------------------------------------------------------------
