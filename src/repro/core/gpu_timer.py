@@ -21,7 +21,11 @@ __all__ = ["GpuTimeQueryManager"]
 
 
 class GpuTimeQueryManager:
-    """Manages per-frame GPU time queries for one rendering session."""
+    """Manages per-frame GPU time queries for one rendering session.
+
+    It holds at most two live queries and keeps results only as the
+    ``gpu_times`` samples :meth:`mean_gpu_time` averages.
+    """
 
     def __init__(self, env: Environment, gl: GlContext,
                  double_buffered: bool = True):
@@ -31,7 +35,6 @@ class GpuTimeQueryManager:
         self._buffers: list[Optional[GlQuery]] = [None, None]
         self._active_buffer = 0
         self.gpu_times: list[float] = []
-        self.gpu_times_by_frame: dict[int, float] = {}
         self.stall_time_total = 0.0
 
     # -- hook5: begin a query around the new frame's rendering -----------------
@@ -70,7 +73,6 @@ class GpuTimeQueryManager:
         self._buffers[read_index] = None
         if gpu_time is not None:
             self.gpu_times.append(gpu_time)
-            self.gpu_times_by_frame[query.frame_id] = gpu_time
         return gpu_time
 
     # -- reporting -------------------------------------------------------------------
@@ -78,9 +80,6 @@ class GpuTimeQueryManager:
         if not self.gpu_times:
             return 0.0
         return sum(self.gpu_times) / len(self.gpu_times)
-
-    def gpu_time_for_frame(self, frame_id: int) -> Optional[float]:
-        return self.gpu_times_by_frame.get(frame_id)
 
     @property
     def collected(self) -> int:

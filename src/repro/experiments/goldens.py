@@ -28,6 +28,7 @@ from pathlib import Path
 
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
+from repro.scenarios.variants import session_variant
 
 __all__ = [
     "GOLDEN_DIR",
@@ -88,6 +89,14 @@ def golden_registry() -> dict[str, GoldenSpec]:
     for network in ("cellular_5g", "broadband_10g"):
         scenario = replace(degraded_base, network=network)
         name = f"mix3-0-{network}"
+        specs[name] = GoldenSpec(name, scenario)
+
+    # Session-variant twins of the 3-way mix: the asynchronous two-step
+    # frame copy, the measurement-off path and the serialized slow-motion
+    # loop each schedule GPU renders and PCIe copies their own way.
+    for variant in ("optimized", "native", "slow_motion"):
+        scenario = replace(degraded_base, variant=session_variant(variant))
+        name = f"mix3-0-{variant}"
         specs[name] = GoldenSpec(name, scenario)
     return specs
 

@@ -20,9 +20,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.hardware.gpu import GpuRenderJob
 
 __all__ = ["Frame", "ObjectClass", "SceneObject", "TAG_PIXEL_COUNT"]
 
@@ -120,6 +123,9 @@ class Frame:
     raster_height: int = 36
     _pixels: Optional[np.ndarray] = field(default=None, repr=False)
     _saved_tag_pixels: Optional[np.ndarray] = field(default=None, repr=False)
+    #: The finished GPU render, set by the GL context when it completes.
+    render_job: Optional[GpuRenderJob] = field(default=None, repr=False,
+                                               compare=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:

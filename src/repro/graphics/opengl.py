@@ -21,7 +21,6 @@ real names:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,15 +32,12 @@ from repro.sim.engine import Environment, Process, SimulationError
 
 __all__ = ["GlContext", "GlQuery"]
 
-_query_ids = itertools.count(1)
-
 
 @dataclass
 class GlQuery:
     """A GL_TIME_ELAPSED query covering one frame's GPU rendering."""
 
     frame_id: int
-    query_id: int
     submitted_at: float
     result_ready_at: Optional[float] = None
     gpu_time: Optional[float] = None
@@ -52,7 +48,11 @@ class GlQuery:
 
 
 class GlContext:
-    """One application's OpenGL rendering context."""
+    """One application's OpenGL rendering context.
+
+    It maps only the frames still on the GPU to their render processes: a
+    finished render drops its entry and leaves its job on the frame.
+    """
 
     def __init__(self, env: Environment, render_context: RenderContext,
                  pcie: PcieBus, framebuffer: Optional[Framebuffer] = None,
@@ -65,10 +65,9 @@ class GlContext:
         # glReadPixels forces a pipeline flush / format conversion before the
         # DMA starts; this is the fixed part of that stall.
         self.readback_stall_ms = readback_stall_ms
+        # Nominal GPU time for a complexity-1.0 frame on an idle GPU.
         self.base_render_time_s = base_render_time_s
         self._pending_renders: dict[int, Process] = {}
-        self._completed_jobs: dict[int, GpuRenderJob] = {}
-        self.queries: list[GlQuery] = []
         self.frames_submitted = 0
         self.frames_read_back = 0
 
@@ -87,9 +86,7 @@ class GlContext:
             self.framebuffer.attach_back(frame)
         query: Optional[GlQuery] = None
         if with_query:
-            query = GlQuery(frame_id=frame.frame_id, query_id=next(_query_ids),
-                            submitted_at=self.env.now)
-            self.queries.append(query)
+            query = GlQuery(frame_id=frame.frame_id, submitted_at=self.env.now)
 
         process = self.env.process(self._render(frame, query))
         self._pending_renders[frame.frame_id] = process
@@ -98,26 +95,23 @@ class GlContext:
 
     def _render(self, frame: Frame, query: Optional[GlQuery]):
         job = yield from self.render_context.render(
-            nominal_time=frame.complexity * self._base_render_time(),
+            nominal_time=frame.complexity * self.base_render_time_s,
             work_units=frame.complexity)
-        self._completed_jobs[frame.frame_id] = job
+        del self._pending_renders[frame.frame_id]
+        frame.render_job = job
         self.framebuffer.swap()
         if query is not None:
             query.gpu_time = job.gpu_time
             query.result_ready_at = self.env.now
         return job
 
-    def _base_render_time(self) -> float:
-        """Nominal GPU time for a complexity-1.0 frame on an idle GPU."""
-        return self.base_render_time_s
-
     # -- readback (hook6) --------------------------------------------------------
     def wait_for_render(self, frame: Frame):
         """Generator: block until the GPU has finished rendering ``frame``."""
         process = self._pending_renders.get(frame.frame_id)
-        if process is not None and process.is_alive:
+        if process is not None:
             yield process
-        return self._completed_jobs.get(frame.frame_id)
+        return frame.render_job
 
     def read_pixels(self, frame: Frame):
         """Generator: copy the rendered frame from GPU memory (glReadPixels)."""
@@ -133,8 +127,8 @@ class GlContext:
         if size_bytes < 0:
             raise SimulationError("upload size cannot be negative")
         if size_bytes == 0:
-            return None
-        return (yield from self.pcie.transfer(size_bytes, direction="to_gpu"))
+            return
+        yield from self.pcie.transfer(size_bytes, direction="to_gpu")
 
     # -- query results -------------------------------------------------------------
     def get_query_result(self, query: GlQuery, blocking: bool = True):
@@ -144,9 +138,9 @@ class GlContext:
         if not blocking:
             return None
         process = self._pending_renders.get(query.frame_id)
-        if process is not None and process.is_alive:
+        if process is not None:
             yield process
         return query.gpu_time
 
     def completed_job(self, frame: Frame) -> Optional[GpuRenderJob]:
-        return self._completed_jobs.get(frame.frame_id)
+        return frame.render_job

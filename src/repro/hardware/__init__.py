@@ -11,7 +11,7 @@ from repro.hardware.cpu import Cpu, CpuSpec, CpuThread, CycleBreakdown, StageCpu
 from repro.hardware.gpu import Gpu, GpuRenderJob, GpuSpec, GpuWorkloadProfile
 from repro.hardware.machine import ClientMachine, MachineSpec, ServerMachine
 from repro.hardware.memory import LlcModel, MemorySystem, MemorySpec
-from repro.hardware.pcie import PcieBus, PcieSpec, PcieTransfer
+from repro.hardware.pcie import PcieBus, PcieSpec
 from repro.hardware.power import PowerMeter, PowerModel, PowerSpec
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "MemorySystem",
     "PcieBus",
     "PcieSpec",
-    "PcieTransfer",
     "PowerMeter",
     "PowerModel",
     "PowerSpec",

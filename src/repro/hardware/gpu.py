@@ -91,14 +91,14 @@ class RenderContext:
         self.l2_misses = 0.0
         self.texture_accesses = 0.0
         self.texture_misses = 0.0
-        self.jobs: list[GpuRenderJob] = []
 
     # -- rendering -------------------------------------------------------------
     def render(self, nominal_time: float, work_units: float = 1.0):
         """Generator rendering one frame; returns the finished job.
 
         ``work_units`` scales the cache traffic attributed to the frame
-        (busier frames touch more data).
+        (busier frames touch more data).  The context folds the job into
+        its counters and keeps no reference to it.
         """
         if nominal_time <= 0:
             raise SimulationError(f"render time must be positive, got {nominal_time}")
@@ -122,7 +122,6 @@ class RenderContext:
     def _account(self, job: GpuRenderJob, work_units: float) -> None:
         self.frames_rendered += 1
         self.gpu_busy_time += job.gpu_time
-        self.jobs.append(job)
         # Cache traffic grows with the frame's work units.
         l2_accesses = 1e5 * work_units
         texture_accesses = 4e4 * work_units

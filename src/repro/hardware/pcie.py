@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.sim.engine import Environment, SimulationError
 
-__all__ = ["PcieBus", "PcieSpec", "PcieTransfer"]
+__all__ = ["PcieBus", "PcieSpec"]
 
 
 @dataclass(frozen=True)
@@ -31,26 +31,13 @@ class PcieSpec:
         return self.bandwidth_gbps * 1e9
 
 
-@dataclass
-class PcieTransfer:
-    """Record of one completed DMA transfer."""
-
-    direction: str          # "to_gpu" or "from_gpu"
-    size_bytes: float
-    started_at: float
-    finished_at: float
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-
 class PcieBus:
     """The shared PCIe link of one server machine.
 
     Transfers are modelled with an effective-bandwidth approach: a transfer
     observes the number of concurrent transfers when it starts and receives
-    an equal share of the link for its whole duration.
+    an equal share of the link for its whole duration.  The bus counts
+    bytes per direction; it keeps nothing per transfer.
     """
 
     VALID_DIRECTIONS = ("to_gpu", "from_gpu")
@@ -58,33 +45,29 @@ class PcieBus:
     def __init__(self, env: Environment, spec: Optional[PcieSpec] = None):
         self.env = env
         self.spec = spec or PcieSpec()
+        self._bandwidth = self.spec.bandwidth_bytes_per_s
+        self._latency = self.spec.latency_us * 1e-6
         self._active_transfers = 0
-        self.transfers: list[PcieTransfer] = []
         self.bytes_by_direction: dict[str, float] = {d: 0.0 for d in self.VALID_DIRECTIONS}
 
     def transfer(self, size_bytes: float, direction: str):
-        """Generator performing one DMA transfer; returns the record."""
+        """Generator performing one DMA transfer and counting its bytes."""
         if direction not in self.VALID_DIRECTIONS:
             raise SimulationError(
                 f"direction must be one of {self.VALID_DIRECTIONS}, got {direction!r}")
         if size_bytes < 0:
             raise SimulationError(f"transfer size cannot be negative: {size_bytes}")
 
-        started = self.env.now
         self._active_transfers += 1
         try:
-            share = max(1, self._active_transfers)
-            effective_bw = self.spec.bandwidth_bytes_per_s / share
-            duration = self.spec.latency_us * 1e-6 + size_bytes / effective_bw
+            share = self._active_transfers if self._active_transfers > 1 else 1
+            duration = self._latency + size_bytes / (self._bandwidth / share)
             yield self.env.timeout(duration)
         finally:
-            self._active_transfers = max(0, self._active_transfers - 1)
+            self._active_transfers = (self._active_transfers - 1
+                                      if self._active_transfers > 0 else 0)
 
-        record = PcieTransfer(direction=direction, size_bytes=size_bytes,
-                              started_at=started, finished_at=self.env.now)
-        self.transfers.append(record)
         self.bytes_by_direction[direction] += size_bytes
-        return record
 
     # -- reporting -------------------------------------------------------------
     def bandwidth_usage(self, direction: str, elapsed: Optional[float] = None) -> float:

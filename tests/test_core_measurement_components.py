@@ -59,16 +59,6 @@ def test_single_buffered_queries_stall_the_caller(env, gl_stack):
     assert timer.stall_time_total > 0.0
 
 
-def test_gpu_time_lookup_by_frame(env, gl_stack):
-    _machine, gl = gl_stack
-    timer = GpuTimeQueryManager(env, gl, double_buffered=True)
-    _run_frames(env, gl, timer, frames=3)
-    known_frames = list(timer.gpu_times_by_frame)
-    assert known_frames
-    assert timer.gpu_time_for_frame(known_frames[0]) > 0
-    assert timer.gpu_time_for_frame(10**9) is None
-
-
 # --- PMU readers ----------------------------------------------------------------------
 
 def test_cpu_pmu_reader_reports_topdown_and_l3(env):

@@ -1,14 +1,18 @@
 """Integration tests for a full rendering session and the VNC proxy path."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.agents.human import HumanPlayer
 from repro.core.hooks import HookPoint
 from repro.core.pictor import Pictor, PictorConfig
 from repro.graphics.pipeline import PipelineConfig, Stage
+from repro.hardware.gpu import GpuRenderJob
 from repro.hardware.machine import ServerMachine
 from repro.server.session import RenderingSession, SessionConfig
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Process
 from repro.sim.randomness import RandomStreams
 from repro.apps.registry import create_benchmark
 
@@ -132,6 +136,30 @@ def test_spoiled_frame_tags_are_popped_not_leaked():
     assert session.vnc.frames_spoiled > 0
     # Dropped frames' tag entries are carried forward then removed.
     assert len(session.frame_tags) < 20
+
+
+def _retained_after(duration):
+    """Frames produced, and the GpuRenderJob / Process objects alive while
+    only this run's session is referenced."""
+    _env, session = run_session(duration=duration)
+    # The GL context maps only frames still on the GPU...
+    assert len(session.gl._pending_renders) <= 3
+    # ...and the PCIe bus keeps counters, not a record per transfer.
+    assert not [name for name, value in vars(session.machine.pcie).items()
+                if isinstance(value, list)]
+    gc.collect()
+    alive = Counter(type(obj) for obj in gc.get_objects())
+    return session.frames_produced, alive[GpuRenderJob], alive[Process]
+
+
+def test_a_run_retains_only_the_frames_in_flight():
+    """No layer keeps a per-frame log: the render jobs and processes a run
+    holds alive do not grow with simulated time."""
+    short_frames, short_jobs, short_processes = _retained_after(4.0)
+    long_frames, long_jobs, long_processes = _retained_after(12.0)
+    assert long_frames > 2 * short_frames
+    assert long_jobs <= short_jobs + 5
+    assert long_processes <= short_processes + 5
 
 
 def test_session_close_releases_resources():

@@ -217,7 +217,9 @@ def test_golden_trace_identical_in_a_cold_worker_process():
 def test_goldens_cover_the_registered_scenarios():
     registry = golden_registry()
     assert set(registry) == {"single-re", "mix3-0", "mix3-1",
-                             "mix3-0-cellular_5g", "mix3-0-broadband_10g"}
+                             "mix3-0-cellular_5g", "mix3-0-broadband_10g",
+                             "mix3-0-optimized", "mix3-0-native",
+                             "mix3-0-slow_motion"}
     # mix3-1 exercises the optimized variant and a 4-way mix; single-re
     # is the single-app anchor.
     assert len(registry["mix3-1"].scenario.benchmarks) == 4
