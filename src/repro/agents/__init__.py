@@ -24,7 +24,7 @@ from repro.agents.human import HumanPlayer
 from repro.agents.recorder import RecordedSession, RecordedStep, SessionRecorder
 from repro.agents.cnn import ConvNet, ConvNetConfig
 from repro.agents.rnn import Lstm, LstmConfig
-from repro.agents.vision import DetectedObject, ObjectDetector
+from repro.agents.vision import ObjectDetector
 from repro.agents.intelligent_client import IntelligentClient, train_intelligent_client
 from repro.agents.baselines import (
     ChenMethodology,
@@ -37,7 +37,6 @@ __all__ = [
     "ConvNet",
     "ConvNetConfig",
     "DeskBenchClient",
-    "DetectedObject",
     "HumanPlayer",
     "IntelligentClient",
     "Lstm",

@@ -20,7 +20,9 @@ Three layers live here:
   instance, are irrelevant to training and deliberately excluded).
 * :class:`AgentArtifact` — the trained detector + policy + recording,
   with a ``to_bytes`` / ``from_bytes`` round trip (pickled, schema-
-  stamped) and :meth:`~AgentArtifact.client`, which materializes an
+  stamped; the recording rides along without pixel buffers, which
+  every frame redraws from its objects) and
+  :meth:`~AgentArtifact.client`, which materializes an
   :class:`~repro.agents.intelligent_client.IntelligentClient` whose RNG
   is advanced to **exactly** the state the fused train-then-measure path
   would have left it in — training consumes nothing from the training
@@ -159,7 +161,11 @@ class AgentArtifact:
     The recording rides along because two consumers need it beyond the
     client itself — the DeskBench baseline replays it, and
     ``imitation_error`` evaluates against it — and it is a training
-    *output*, produced from the same seed chain as the weights.
+    *output*, produced from the same seed chain as the weights.  It
+    rides without pixel buffers: training rasterizes it without caching,
+    and a pickled :class:`~repro.graphics.frame.Frame` drops whatever
+    pixel cache a replay filled, so the payload stays canonical and is
+    about a fifth of the size it had with pixels.
     """
 
     spec: ArtifactSpec

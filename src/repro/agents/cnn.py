@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["ConvNet", "ConvNetConfig"]
 
@@ -59,20 +60,16 @@ def _im2col(images: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Rearrange image patches into rows for matrix-multiply convolution.
 
     ``images`` has shape (N, H, W, C); the result has shape
-    (N, out_h, out_w, kernel*kernel*C).
+    (N, out_h, out_w, kernel*kernel*C), each row a patch flattened in
+    (row, column, channel) order.  The strided window view costs nothing;
+    the reshape makes the one copy.
     """
-    n, height, width, channels = images.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    columns = np.empty((n, out_h, out_w, kernel * kernel * channels),
-                       dtype=images.dtype)
-    for row in range(out_h):
-        for col in range(out_w):
-            r0 = row * stride
-            c0 = col * stride
-            patch = images[:, r0:r0 + kernel, c0:c0 + kernel, :]
-            columns[:, row, col, :] = patch.reshape(n, -1)
-    return columns
+    n, *_, channels = images.shape
+    windows = sliding_window_view(images, (kernel, kernel), axis=(1, 2))
+    # (N, out_h, out_w, C, kernel, kernel) -> (N, out_h, out_w, kernel, kernel, C)
+    patches = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    return patches.reshape(n, patches.shape[1], patches.shape[2],
+                           kernel * kernel * channels)
 
 
 class ConvNet:
@@ -176,11 +173,6 @@ class ConvNet:
         return loss
 
     # -- introspection ------------------------------------------------------------
-    @property
-    def parameter_count(self) -> int:
-        return int(self.conv_w.size + self.conv_b.size + self.dense1_w.size
-                   + self.dense1_b.size + self.dense2_w.size + self.dense2_b.size)
-
     @property
     def final_training_loss(self) -> Optional[float]:
         return self.training_losses[-1] if self.training_losses else None

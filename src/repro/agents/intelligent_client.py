@@ -150,8 +150,8 @@ class IntelligentClient:
         """Mean action-vector error against a recorded human session."""
         if len(session) == 0:
             raise ValueError("cannot evaluate on an empty recorded session")
-        features = np.stack([self.detector.features(step.frame)
-                             for step in session.steps])
+        features = np.stack([self.detector.net.predict(image)
+                             for image in session.images()])
         predictions = self.policy.predict_sequence(features)
         targets = session.action_matrix()
         return float(np.mean(np.abs(predictions - targets)))
@@ -179,11 +179,14 @@ def train_intelligent_client(app: Application3D,
                                            duration_s=recording_seconds,
                                            frame_rate=frame_rate)
 
+    # One uncached raster array feeds both models.  The LSTM features
+    # are predicted one image at a time, exactly as inference sees them:
+    # a batched forward may take another BLAS path and change bits.
+    images = recorded_session.images()
     detector = ObjectDetector()
-    detector.train(recorded_session, epochs=cnn_epochs)
+    detector.train(images, recorded_session.feature_matrix(), epochs=cnn_epochs)
 
-    features = np.stack([detector.features(step.frame)
-                         for step in recorded_session.steps])
+    features = np.stack([detector.net.predict(image) for image in images])
     actions = recorded_session.action_matrix()
     policy = Lstm(LstmConfig(input_units=features.shape[1]))
     policy.train(features, actions, epochs=lstm_epochs)

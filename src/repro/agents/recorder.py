@@ -84,6 +84,14 @@ class RecordedSession:
     def actions(self) -> list[Action]:
         return [step.action for step in self.steps]
 
+    def images(self) -> np.ndarray:
+        """Stacked pixel buffers (N × H × W × 3), the CNN's inputs.
+
+        Rasterized afresh, so the recorded frames keep no pixel cache: a
+        trained agent carries its recording without ~55 KB of pixels per frame.
+        """
+        return np.stack([step.frame.rasterize() for step in self.steps])
+
     def feature_matrix(self) -> np.ndarray:
         """Stacked label vectors (the CNN training targets)."""
         return np.stack([step.label_vector() for step in self.steps])

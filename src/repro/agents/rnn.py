@@ -36,7 +36,8 @@ class LstmConfig:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+    # np.minimum/np.maximum are np.clip's ufuncs without its wrapper.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -30.0), 30.0)))
 
 
 class Lstm:
@@ -141,13 +142,17 @@ class Lstm:
         dh_next = np.zeros(hidden)
         dc_next = np.zeros(hidden)
         steps = len(xs)
+        scale = steps * cfg.output_units
+        w_out_t = self.w_out.T
+        w_gates_t = self.w_gates.T
+        inputs = cfg.input_units
 
         for t in reversed(range(steps)):
             concat, i, f, g, o, c_prev, c_new = caches[t]
-            dout = 2.0 * errors[t] / (steps * cfg.output_units)
-            grad_w_out += np.outer(hs[t], dout)
+            dout = 2.0 * errors[t] / scale
+            grad_w_out += hs[t][:, np.newaxis] * dout
             grad_b_out += dout
-            dh = dout @ self.w_out.T + dh_next
+            dh = dout @ w_out_t + dh_next
             tanh_c = np.tanh(c_new)
             do = dh * tanh_c
             dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
@@ -161,13 +166,13 @@ class Lstm:
                 dg * (1.0 - g ** 2),
                 do * o * (1.0 - o),
             ])
-            grad_w_gates += np.outer(concat, d_gates)
+            grad_w_gates += concat[:, np.newaxis] * d_gates
             grad_b_gates += d_gates
-            dh_next = (d_gates @ self.w_gates.T)[cfg.input_units:]
+            dh_next = (d_gates @ w_gates_t)[inputs:]
 
         clip = cfg.gradient_clip
         for grad in (grad_w_gates, grad_b_gates, grad_w_out, grad_b_out):
-            np.clip(grad, -clip, clip, out=grad)
+            np.minimum(np.maximum(grad, -clip, out=grad), clip, out=grad)
 
         lr = cfg.learning_rate
         self.w_gates -= lr * grad_w_gates
@@ -177,11 +182,6 @@ class Lstm:
         return loss
 
     # -- introspection ------------------------------------------------------------
-    @property
-    def parameter_count(self) -> int:
-        return int(self.w_gates.size + self.b_gates.size
-                   + self.w_out.size + self.b_out.size)
-
     @property
     def final_training_loss(self) -> Optional[float]:
         return self.training_losses[-1] if self.training_losses else None

@@ -10,7 +10,9 @@ runs its CNN over it.  Frames carry:
   for 3D applications (Section 1);
 * a small rasterized pixel buffer (a downsampled stand-in for the
   1920×1080 framebuffer) used by the CNN, by DeskBench's frame
-  comparison, and by the tag-in-pixels tracking of hook6/hook8;
+  comparison, and by the tag-in-pixels tracking of hook6/hook8.  It is
+  drawn from the objects on demand and cached, and a pickled frame
+  leaves the cache behind unless a tag is embedded in it;
 * bookkeeping: frame id, nominal resolution, complexity (GPU work units),
   and the Pictor tag when input tracking is enabled.
 """
@@ -144,12 +146,23 @@ class Frame:
     # -- rasterization --------------------------------------------------------
     @property
     def pixels(self) -> np.ndarray:
-        """The downsampled pixel buffer (H × W × 3 floats in [0, 1])."""
+        """The downsampled pixel buffer (H × W × 3 floats in [0, 1]).
+
+        The cached form of :meth:`rasterize`: built on first use and kept,
+        because hook6/hook8 embed and restore a tag in this buffer.
+        """
         if self._pixels is None:
-            self._pixels = self._rasterize()
+            self._pixels = self.rasterize()
         return self._pixels
 
-    def _rasterize(self) -> np.ndarray:
+    def rasterize(self) -> np.ndarray:
+        """A fresh pixel buffer drawn from :attr:`objects`, not cached.
+
+        Deterministic: it equals :attr:`pixels` bit for bit whenever no
+        tag is embedded.  Callers that read a frame's pixels once (the
+        agents' training and evaluation) use it so the frame keeps no
+        buffer afterwards.
+        """
         buffer = np.zeros((self.raster_height, self.raster_width, 3), dtype=np.float64)
         # A faint background gradient stands in for the 3D environment so
         # that frames are never trivially identical.
@@ -167,6 +180,14 @@ class Frame:
         y0, y1 = max(0, cy - radius), min(self.raster_height, cy + radius + 1)
         x0, x1 = max(0, cx - radius), min(self.raster_width, cx + radius + 1)
         buffer[y0:y1, x0:x1, :] = colour
+
+    def __getstate__(self) -> dict:
+        # A pickled frame carries no pixel cache unless a tag is embedded
+        # in it: ``pixels`` rebuilds the untagged buffer bit for bit.
+        state = self.__dict__.copy()
+        if self._saved_tag_pixels is None:
+            state["_pixels"] = None
+        return state
 
     # -- tag embedding (hook6 / hook8) -------------------------------------------
     def embed_tag(self, tag: int) -> None:

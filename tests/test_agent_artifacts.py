@@ -113,6 +113,58 @@ def test_artifact_round_trips_through_bytes(artifact):
     assert retrained.client().imitation_error(retrained.recording) == error
 
 
+def _recorded_frames(artifact):
+    return [step.frame for step in artifact.recording.steps]
+
+
+def test_train_artifact_leaves_no_pixel_cache(config):
+    trained = train_artifact(ArtifactSpec.for_config("RE", config,
+                                                     seed_offset=2))
+    assert all(frame._pixels is None for frame in _recorded_frames(trained))
+
+
+def test_artifact_bytes_are_canonical_and_pixel_free(config, artifact):
+    from repro.agents.baselines.deskbench import DeskBenchClient
+    from repro.experiments.accuracy import methodology_result
+    blob = artifact.to_bytes()
+    artifact.client().imitation_error(artifact.recording)
+    assert artifact.to_bytes() == blob
+    # A DeskBench replay compares live frames with the recorded ones,
+    # which fills the recorded frames' pixel caches; the payload does
+    # not carry them.
+    app = create_benchmark("RE", rng=StreamRandom(5))
+    replay = DeskBenchClient(app, artifact.recording, rng=StreamRandom(6))
+    for index in range(30):
+        replay.decide(app.advance(1.0 / 30.0), now=index / 30.0)
+    assert any(frame._pixels is not None
+               for frame in _recorded_frames(artifact))
+    assert artifact.to_bytes() == blob
+    for method in ("IC", "DB"):
+        methodology_result("RE", config, method, client=artifact.client(),
+                           recording=artifact.recording)
+        assert artifact.to_bytes() == blob
+    rebuilt = AgentArtifact.from_bytes(blob)
+    assert all(frame._pixels is None for frame in _recorded_frames(rebuilt))
+
+
+def test_payloads_that_carry_pixels_still_load(artifact, monkeypatch):
+    from repro.graphics.frame import Frame
+    error = artifact.client().imitation_error(artifact.recording)
+    assert all(frame.pixels is not None
+               for frame in _recorded_frames(artifact))
+    # Pickle the way payloads were written before frames dropped the
+    # cache: the whole instance dict, pixel buffers included.
+    monkeypatch.setattr(Frame, "__getstate__",
+                        lambda frame: frame.__dict__.copy())
+    old_blob = artifact.to_bytes()
+    monkeypatch.undo()
+    assert len(old_blob) > len(artifact.to_bytes())
+    rebuilt = AgentArtifact.from_bytes(old_blob)
+    assert all(frame._pixels is not None
+               for frame in _recorded_frames(rebuilt))
+    assert rebuilt.client().imitation_error(rebuilt.recording) == error
+
+
 def test_from_bytes_rejects_garbage_and_foreign_schemas(artifact):
     with pytest.raises(ValueError):
         AgentArtifact.from_bytes(b"not a pickle")

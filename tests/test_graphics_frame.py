@@ -1,5 +1,7 @@
 """Tests for frames, scene objects, rasterization and tag embedding."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,22 @@ def test_tag_embed_extract_roundtrip():
     frame.restore_tag_pixels()
     assert np.allclose(frame.pixels[0, :TAG_PIXEL_COUNT, :], original)
     assert frame.extract_tag() is None
+
+
+def test_pickled_frame_drops_the_pixel_cache_unless_tagged():
+    frame = make_frame()
+    pixels = frame.pixels.copy()
+    plain = pickle.loads(pickle.dumps(frame))
+    assert plain._pixels is None
+    assert plain.pixels.tobytes() == pixels.tobytes()
+    assert frame.rasterize().tobytes() == pixels.tobytes()
+    # A tagged buffer is not what rasterize() draws, so it rides along.
+    frame.embed_tag(0x1234)
+    tagged = pickle.loads(pickle.dumps(frame))
+    assert tagged.pixels.tobytes() == frame.pixels.tobytes()
+    assert tagged.extract_tag() == 0x1234
+    tagged.restore_tag_pixels()
+    assert tagged.pixels.tobytes() == pixels.tobytes()
 
 
 def test_embed_tag_rejects_negative():
