@@ -22,12 +22,22 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.agents.recorder import RecordedSession
 from repro.apps.base import Action, Application3D, InputKind
 from repro.graphics.frame import Frame
 from repro.sim.randomness import StreamRandom
 
 __all__ = ["DeskBenchClient"]
+
+
+def _recorded_raster(frame: Frame) -> np.ndarray:
+    """A recorded frame's pixel buffer, owned by the caller: a fresh
+    raster, which equals ``frame.pixels`` bit for bit, so the frame (part
+    of a memoized recording) keeps no cache.  A tagged frame's cached
+    buffer may carry its embedded tag, so that buffer is used instead."""
+    return frame.rasterize() if frame.tag is None else frame.pixels
 
 
 class DeskBenchClient:
@@ -53,6 +63,8 @@ class DeskBenchClient:
         self.actions_replayed = 0
         self.actions_delayed = 0
         self.wait_times: list[float] = []
+        #: Step index -> its recorded raster, built on first comparison.
+        self._rasters: dict[int, np.ndarray] = {}
 
     # -- agent interface ------------------------------------------------------------
     @property
@@ -73,7 +85,7 @@ class DeskBenchClient:
         if self._waiting_since is None:
             self._waiting_since = now
 
-        matches = frame is not None and self._similar(frame, step.frame)
+        matches = frame is not None and self._similar(frame, self._index)
         timed_out = (now - self._waiting_since) >= self.timeout_s
         if not matches and not timed_out:
             return None  # keep waiting for the expected screen content
@@ -91,8 +103,12 @@ class DeskBenchClient:
         return action, replay_overhead
 
     # -- similarity gate -----------------------------------------------------------------
-    def _similar(self, current: Frame, recorded: Frame) -> bool:
-        return current.pixel_difference(recorded) <= self.similarity_threshold
+    def _similar(self, current: Frame, index: int) -> bool:
+        raster = self._rasters.get(index)
+        if raster is None:
+            raster = self._rasters[index] = _recorded_raster(
+                self.recording.steps[index].frame)
+        return current.pixel_difference(raster) <= self.similarity_threshold
 
     def match_rate(self) -> float:
         """Fraction of replayed actions issued by a genuine frame match."""
@@ -114,12 +130,13 @@ class DeskBenchClient:
             raise ValueError("need at least one threshold to sweep")
         probe = type(app)(rng=StreamRandom(12345))
         frames = [probe.advance(1.0 / 30.0) for _ in range(probe_frames)]
+        rasters = [_recorded_raster(step.frame) for step in recording.steps[:20]]
         best_threshold, best_matches = thresholds[0], -1
         for threshold in thresholds:
             matches = 0
             for frame in frames:
-                for step in recording.steps[:20]:
-                    if frame.pixel_difference(step.frame) <= threshold:
+                for raster in rasters:
+                    if frame.pixel_difference(raster) <= threshold:
                         matches += 1
                         break
             if matches > best_matches:

@@ -21,10 +21,14 @@ semantic below::
   marker an earlier attempt left behind.
 * **Claiming** (:meth:`JobQueue.claim`) is one ``UPDATE … RETURNING``
   of the lowest pending ``seq``.
-* **Completion** is the server writing the result through the
-  :class:`~repro.experiments.store.ResultStore` (the same
-  provenance-stamped rows the in-process backends write) and
-  :meth:`JobQueue.release_claim` deleting the job row.
+* **Completion** (:meth:`JobQueue.complete`) is one ``BEGIN IMMEDIATE``
+  transaction: the result row and its metric rows (the same
+  provenance-stamped rows the in-process backends write through
+  :class:`~repro.experiments.store.ResultStore`) and the delete of the
+  claimed job row commit together.  One sync per completion, and a
+  crash can never leave a stored result behind a still-claimed row.
+  :meth:`JobQueue.release_claim` drops a claim without a result (a
+  failure, or a row that will not unpickle).
 * **Crash recovery**: a dead worker leaves its claimed row behind.
   Leases live in memory: a claim, or a heartbeat naming it, stamps the
   key with the monotonic clock, and :meth:`requeue_stale` returns
@@ -53,7 +57,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments.jobs import ExperimentJob
-from repro.experiments.store import ResultStore
+from repro.experiments.store import ResultStore, _insert_entry
 
 __all__ = ["ClaimedJob", "JobQueue", "QueueCounts", "default_worker_id"]
 
@@ -102,7 +106,9 @@ class QueueCounts:
 class JobQueue:
     """The job tables a :class:`QueueServer` serves (see the module
     docstring).  Not thread-safe on its own: the server calls it under
-    one lock."""
+    one lock.  Every state change is one transaction; a completion
+    (:meth:`complete`) stores the result and deletes the job row in the
+    same one."""
 
     def __init__(self, root: os.PathLike | str):
         self.root = Path(root)
@@ -243,19 +249,30 @@ class JobQueue:
                 refreshed.append(key)
         return refreshed
 
-    def release_claim(self, key: str, worker_id: str) -> bool:
-        """Drop the claim ``worker_id`` holds on ``key`` (idempotent).
+    def complete(self, key: str, worker_id: str, entry: dict) -> bool:
+        """Store ``entry`` (a :func:`~repro.experiments.store.build_entry`
+        dict) and drop the claim ``worker_id`` holds on ``key``, in one
+        transaction; returns whether the claim was still held.
 
-        The server-side half of a remote completion: the result has been
-        stored, so the job row — if a requeue has not already taken it —
-        is deleted.
+        The result is stored either way: a worker that stalled past its
+        lease still completes a deterministic job, whose row a requeue
+        has already handed to someone else.
         """
-        deleted = self._conn().execute(
-            "DELETE FROM queue_jobs WHERE key = ? AND worker = ?",
-            (key, worker_id or default_worker_id())).rowcount
+        with self.results._transaction() as conn:
+            _insert_entry(conn, entry)
+            deleted = _delete_claim(conn, key, worker_id)
         if deleted:
             self._leases.pop(key, None)
-        return bool(deleted)
+        return deleted
+
+    def release_claim(self, key: str, worker_id: str) -> bool:
+        """Drop the claim ``worker_id`` holds on ``key`` without a result
+        (idempotent): the server-side half of a failure, and of a job row
+        that will not unpickle."""
+        deleted = _delete_claim(self._conn(), key, worker_id)
+        if deleted:
+            self._leases.pop(key, None)
+        return deleted
 
     def record_failure(self, key: str, worker_id: str, error_repr: str,
                        traceback_text: str = "") -> None:
@@ -270,3 +287,11 @@ class JobQueue:
         self._conn().execute(
             "INSERT OR REPLACE INTO queue_failures (key, marker) VALUES (?, ?)",
             (key, json.dumps(marker, indent=2)))
+
+
+def _delete_claim(conn, key: str, worker_id: str) -> bool:
+    """Delete ``key``'s job row if ``worker_id`` still holds it (a requeue
+    may already have taken it)."""
+    return bool(conn.execute(
+        "DELETE FROM queue_jobs WHERE key = ? AND worker = ?",
+        (key, worker_id or default_worker_id())).rowcount)

@@ -44,6 +44,7 @@ from repro.experiments.protocol import (
     send_frame,
 )
 from repro.experiments.queue import JobQueue
+from repro.experiments.store import build_entry
 
 __all__ = ["QueueServer"]
 
@@ -257,12 +258,11 @@ class QueueServer:
         return {"claimed": {"key": claimed.key, "job": claimed.job, "worker": claimed.worker_id}}
 
     def _op_complete(self, payload: dict) -> dict:
+        """Store the result and drop the claim in one commit (one sync)."""
         worker = payload.get("worker")
         self._mark_alive(worker)
-        self.queue.results.put(
-            payload["job"], payload["result"], runtime_s=payload.get("runtime_s")
-        )
-        self.queue.release_claim(payload["key"], worker)
+        entry = build_entry(payload["job"], payload["result"], runtime_s=payload.get("runtime_s"))
+        self.queue.complete(payload["key"], worker, entry)
         return {}
 
     def _op_fail(self, payload: dict) -> dict:

@@ -36,7 +36,29 @@ filesystem that refuses WAL leaves the connection in its previous
 journal mode, still with a full sync per commit, and logs a warning.
 Every write of more than one statement runs in one ``BEGIN IMMEDIATE``
 transaction — the schema script included, so a fresh store costs one
-sync instead of one per ``CREATE``.
+sync instead of one per ``CREATE``.  A completion is one such
+transaction: :func:`_insert_entry` writes the result row and its metric
+rows, and the queue server deletes the job's queue row in the same
+commit (:meth:`JobQueue.complete <repro.experiments.queue.JobQueue.complete>`),
+so storing a result costs one sync.
+
+Indexes, and the query each one serves (every index costs a write on
+every insert):
+
+* ``results`` primary key ``(key, git_rev)`` — :meth:`ResultStore.get_entry`,
+  :meth:`~ResultStore.entries` and the population lookups of
+  :meth:`~ResultStore.provenance_values`;
+* ``idx_results_kind`` — ``results list --kind`` (:meth:`~ResultStore.rows`);
+* ``idx_results_git_rev`` — :meth:`~ResultStore.git_revs`;
+* ``idx_results_scenario_hash`` — kept for ``results list --scenario-hash``,
+  though its prefix ``LIKE`` does not use it today;
+* ``metrics`` primary key ``(key, git_rev, name)`` — the per-row search
+  of :meth:`~ResultStore.metric_values` (the fleet report), and the
+  delete that replaces a row's metrics.  There is no index on ``name``
+  alone: the report filters names with ``LIKE`` inside each row, and an
+  index that no plan used doubled the cost of every write, so stores
+  that still carry ``idx_metrics_name`` drop it on open;
+* ``idx_artifacts_benchmark`` — :meth:`~ResultStore.artifact_rows`.
 """
 
 from __future__ import annotations
@@ -53,7 +75,7 @@ import subprocess
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -107,7 +129,7 @@ CREATE TABLE IF NOT EXISTS metrics (
     value   REAL NOT NULL,
     PRIMARY KEY (key, git_rev, name)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_metrics_name ON metrics (name);
+DROP INDEX IF EXISTS idx_metrics_name;
 CREATE TABLE IF NOT EXISTS artifacts (
     hash       TEXT    NOT NULL PRIMARY KEY,
     schema     INTEGER NOT NULL,
@@ -216,6 +238,39 @@ def build_entry(job: "ExperimentJob", result,
         "cost_units": job.cost_units(),
         "result": result,
     }
+
+
+def _insert_entry(conn: sqlite3.Connection, entry: dict) -> None:
+    """Write one entry's result row and its metric rows inside the
+    caller's transaction — the one result writer, behind both
+    :meth:`ResultStore.put_entry` and the queue server's
+    :meth:`JobQueue.complete <repro.experiments.queue.JobQueue.complete>`.
+
+    Alongside the result row, every numeric leaf of the result payload is
+    flattened (:func:`numeric_metrics` — the same dotted names ``results
+    diff`` compares) into the ``metrics`` table, so fleet-scale cohort
+    queries run as pure SQL without ever unpickling a payload.
+    """
+    key = entry.get("key")
+    git_rev = entry.get("git_rev", "unknown")
+    conn.execute(
+        "INSERT OR REPLACE INTO results (key, git_rev, schema, "
+        "kind, duration, scenario_json, scenario_hash, runtime_s, "
+        "cost_units, created_at, entry) "
+        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (key, git_rev,
+         entry.get("schema"), entry.get("kind"), entry.get("duration"),
+         json.dumps(entry.get("scenario", {}), sort_keys=True, default=list),
+         entry.get("scenario_hash", ""), entry.get("runtime_s"),
+         entry.get("cost_units"), time.time(),
+         pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)))
+    conn.execute("DELETE FROM metrics WHERE key = ? AND git_rev = ?",
+                 (key, git_rev))
+    conn.executemany(
+        "INSERT OR REPLACE INTO metrics (key, git_rev, name, value) "
+        "VALUES (?, ?, ?, ?)",
+        [(key, git_rev, name, value) for name, value
+         in sorted(numeric_metrics(entry).items())])
 
 
 class ResultStore:
@@ -348,36 +403,10 @@ class ResultStore:
 
     def put_entry(self, entry: dict) -> None:
         """Insert (or replace) a pre-built entry dict's ``(key, git_rev)``
-        row — the writer behind :meth:`put`.
-
-        Alongside the result row, every numeric leaf of the result
-        payload is flattened (:func:`numeric_metrics` — the same dotted
-        names ``results diff`` compares) into the indexed ``metrics``
-        table in the same transaction, so fleet-scale cohort queries run
-        as pure SQL without ever unpickling a payload.
-        """
-        key = entry.get("key")
-        git_rev = entry.get("git_rev", "unknown")
+        row and its metric rows in one transaction — the writer behind
+        :meth:`put` (see :func:`_insert_entry`)."""
         with self._transaction() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO results (key, git_rev, schema, "
-                "kind, duration, scenario_json, scenario_hash, runtime_s, "
-                "cost_units, created_at, entry) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (key, git_rev,
-                 entry.get("schema"), entry.get("kind"), entry.get("duration"),
-                 json.dumps(entry.get("scenario", {}), sort_keys=True,
-                            default=list),
-                 entry.get("scenario_hash", ""), entry.get("runtime_s"),
-                 entry.get("cost_units"), time.time(),
-                 pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)))
-            conn.execute("DELETE FROM metrics WHERE key = ? AND git_rev = ?",
-                         (key, git_rev))
-            conn.executemany(
-                "INSERT OR REPLACE INTO metrics (key, git_rev, name, "
-                "value) VALUES (?, ?, ?, ?)",
-                [(key, git_rev, name, value) for name, value
-                 in sorted(numeric_metrics(entry).items())])
+            _insert_entry(conn, entry)
 
     def invalidate(self, key: str) -> None:
         """Drop every revision's row for ``key`` (e.g. one that failed
@@ -503,17 +532,20 @@ class ResultStore:
         ``pattern`` is a SQL LIKE pattern (escape character ``\\``) over
         the flattened dotted metric names; one key yields several values
         when the pattern spans instances (``reports[%].rtt.mean``).
-        Values come straight from the indexed ``metrics`` table —
+        Values come straight from the ``metrics`` table's primary key —
         no pickle is ever loaded on this path.
         """
         conn = self.connection()
         self._population(conn, "_population_rows",
                          selection.items(), "key TEXT, git_rev TEXT")
         values: dict[str, list[float]] = {}
+        # CROSS JOIN pins the population as the outer loop, so each
+        # selected row is one primary-key search into ``metrics``: the
+        # cost follows the population, not the store.
         for key, value in conn.execute(
-                "SELECT m.key, m.value FROM metrics m "
-                "JOIN _population_rows p "
-                "ON p.key = m.key AND p.git_rev = m.git_rev "
+                "SELECT m.key, m.value FROM _population_rows p "
+                "CROSS JOIN metrics m "
+                "ON m.key = p.key AND m.git_rev = p.git_rev "
                 "WHERE m.name LIKE ? ESCAPE '\\' "
                 "ORDER BY m.key, m.name", (pattern,)):
             values.setdefault(key, []).append(value)
@@ -531,9 +563,9 @@ class ResultStore:
         self._population(conn, "_population_rows",
                          selection.items(), "key TEXT, git_rev TEXT")
         return {key: [value] for key, value in conn.execute(
-            f"SELECT r.key, r.{column} FROM results r "
-            "JOIN _population_rows p "
-            "ON p.key = r.key AND p.git_rev = r.git_rev "
+            f"SELECT r.key, r.{column} FROM _population_rows p "
+            "CROSS JOIN results r "
+            "ON r.key = p.key AND r.git_rev = p.git_rev "
             f"WHERE r.{column} IS NOT NULL ORDER BY r.key")}
 
     def backfill_metrics(self) -> "BackfillReport":
@@ -780,23 +812,32 @@ def flatten_metrics(value, prefix: str = "") -> dict:
     leaf is kept as a string and compared for exact equality, so a
     changed label or status can never hide behind a tolerance."""
     metrics: dict = {}
-    if is_dataclass(value) and not isinstance(value, type):
-        value = {name: getattr(value, name)
-                 for name in value.__dataclass_fields__}
+    _flatten_into(metrics, value, prefix)
+    return metrics
+
+
+def _flatten_into(metrics: dict, value, prefix: str) -> None:
+    """:func:`flatten_metrics`'s walk: every level writes its leaves into
+    the one ``metrics`` dict, in depth-first order."""
+    kind = type(value)
+    if kind is float or kind is int or kind is bool:
+        # Most leaves: no dataclass, container or subclass rule applies.
+        metrics[prefix] = float(value)
+        return
+    fields = getattr(kind, "__dataclass_fields__", None)
+    if fields is not None:
+        value = {name: getattr(value, name) for name in fields}
     if isinstance(value, dict):
         for key in sorted(value, key=str):
-            child = f"{prefix}.{key}" if prefix else str(key)
-            metrics.update(flatten_metrics(value[key], child))
+            _flatten_into(metrics, value[key],
+                          f"{prefix}.{key}" if prefix else str(key))
     elif isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
-            metrics.update(flatten_metrics(item, f"{prefix}[{index}]"))
-    elif isinstance(value, bool):
-        metrics[prefix] = float(value)
+            _flatten_into(metrics, item, f"{prefix}[{index}]")
     elif isinstance(value, (int, float)):
         metrics[prefix] = float(value)
     else:
         metrics[prefix] = str(value)
-    return metrics
 
 
 def entry_metrics(entry: dict) -> dict:

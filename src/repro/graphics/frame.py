@@ -225,12 +225,12 @@ class Frame:
         self._saved_tag_pixels = None
 
     # -- comparison (DeskBench-style) -----------------------------------------------
-    def pixel_difference(self, other: "Frame") -> float:
-        """Mean absolute pixel difference against another frame, in [0, 1]."""
-        if (other.raster_width, other.raster_height) != (self.raster_width,
-                                                         self.raster_height):
+    def pixel_difference(self, pixels: np.ndarray) -> float:
+        """Mean absolute difference, in [0, 1], against another frame's
+        pixel buffer (its :attr:`pixels`, or a raster the caller keeps)."""
+        if pixels.shape != (self.raster_height, self.raster_width, 3):
             raise ValueError("cannot compare frames with different raster sizes")
-        return float(np.mean(np.abs(self.pixels - other.pixels)))
+        return float(np.mean(np.abs(self.pixels - pixels)))
 
     def objects_of_class(self, object_class: ObjectClass) -> list[SceneObject]:
         return [obj for obj in self.objects if obj.object_class is object_class]

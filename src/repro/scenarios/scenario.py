@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.apps.registry import all_benchmarks
@@ -175,6 +175,12 @@ class SeedPolicy:
     base: Optional[int] = None
 
 
+def _fields(value) -> dict:
+    """A dataclass instance's fields as a dict, in declaration order —
+    :func:`dataclasses.asdict` for one level, without its deep copy."""
+    return {name: getattr(value, name) for name in value.__dataclass_fields__}
+
+
 def _as_placement(entry) -> Placement:
     if isinstance(entry, Placement):
         return entry
@@ -308,7 +314,7 @@ class Scenario:
         name = variant_name(self.variant)
         if name != "default":
             changed = name or ",".join(
-                field_name for field_name, value in asdict(self.variant).items()
+                field_name for field_name, value in self.variant.to_dict().items()
                 if value != getattr(SessionVariant(), field_name))
             parts.append(f"[{changed}]")
         if self.machine != "paper":
@@ -323,22 +329,30 @@ class Scenario:
 
     # -- serialization ----------------------------------------------------------------
     def to_dict(self) -> dict:
-        """A plain-data form that round-trips through :meth:`from_dict`."""
-        config = asdict(self.config)
+        """A plain-data form that round-trips through :meth:`from_dict`.
+
+        Every nested value is a frozen dataclass of immutable fields, so
+        each level is a field-list copy: :func:`dataclasses.asdict` would
+        produce the same dicts, in the same key order, through a deep copy.
+        """
+        config = _fields(self.config)
         # Omit-when-default: a config with fast-forward off serializes
         # exactly as it did before the field existed, so every existing
         # content hash, cache key and golden-trace header is preserved.
+        # When present it keeps its place, the config's last key.
         if self.config.fast_forward == FastForwardConfig():
             del config["fast_forward"]
+        else:
+            config["fast_forward"] = _fields(self.config.fast_forward)
         return {
             "schema": SCENARIO_SCHEMA_VERSION,
-            "placements": [asdict(p) for p in self.placements],
+            "placements": [_fields(p) for p in self.placements],
             "config": config,
             "variant": self.variant.to_dict(),
             "machine": self.machine,
             "containerized": self.containerized,
             "network": self.network,
-            "seed": asdict(self.seed),
+            "seed": _fields(self.seed),
         }
 
     @staticmethod

@@ -11,7 +11,7 @@ specs never spell out boolean soup.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.pictor import PictorConfig
@@ -74,7 +74,9 @@ class SessionVariant:
         return SessionVariant(**{known[key]: True for key in keys})
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Every field is a bool: a field-list copy equals asdict() without
+        # its deep copy.
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @staticmethod
     def from_dict(data) -> "SessionVariant":

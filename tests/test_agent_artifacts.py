@@ -129,20 +129,21 @@ def test_artifact_bytes_are_canonical_and_pixel_free(config, artifact):
     blob = artifact.to_bytes()
     artifact.client().imitation_error(artifact.recording)
     assert artifact.to_bytes() == blob
-    # A DeskBench replay compares live frames with the recorded ones,
-    # which fills the recorded frames' pixel caches; the payload does
-    # not carry them.
+    # A DeskBench replay compares live frames with rasters of the
+    # recorded ones that the client owns: the recorded frames keep no
+    # pixel cache.
     app = create_benchmark("RE", rng=StreamRandom(5))
     replay = DeskBenchClient(app, artifact.recording, rng=StreamRandom(6))
     for index in range(30):
         replay.decide(app.advance(1.0 / 30.0), now=index / 30.0)
-    assert any(frame._pixels is not None
+    assert all(frame._pixels is None
                for frame in _recorded_frames(artifact))
     assert artifact.to_bytes() == blob
     for method in ("IC", "DB"):
         methodology_result("RE", config, method, client=artifact.client(),
                            recording=artifact.recording)
         assert artifact.to_bytes() == blob
+    assert all(frame._pixels is None for frame in _recorded_frames(artifact))
     rebuilt = AgentArtifact.from_bytes(blob)
     assert all(frame._pixels is None for frame in _recorded_frames(rebuilt))
 

@@ -81,7 +81,7 @@ def test_scene_randomness_differs_between_runs():
     b = create_benchmark("RE", rng=StreamRandom(2))
     frames_a = [a.advance(1 / 30) for _ in range(10)]
     frames_b = [b.advance(1 / 30) for _ in range(10)]
-    differences = [fa.pixel_difference(fb) for fa, fb in zip(frames_a, frames_b)]
+    differences = [fa.pixel_difference(fb.pixels) for fa, fb in zip(frames_a, frames_b)]
     assert max(differences) > 0.0
 
 
@@ -91,7 +91,7 @@ def test_same_seed_reproduces_scene():
     for _ in range(5):
         fa = a.advance(1 / 30)
         fb = b.advance(1 / 30)
-        assert fa.pixel_difference(fb) == pytest.approx(0.0)
+        assert fa.pixel_difference(fb.pixels) == pytest.approx(0.0)
 
 
 def test_activity_level_tracks_input_rate():

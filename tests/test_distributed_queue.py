@@ -24,9 +24,11 @@ from repro.experiments import (
     Scenario,
     execute_job,
 )
+from repro.experiments.protocol import MessageType
 from repro.experiments.queue import JobQueue
 from repro.experiments.server import QueueServer
 from repro.experiments.socket_queue import SocketQueue
+from repro.experiments.store import build_entry
 from repro.experiments.worker import run_worker, spawn_worker
 
 
@@ -62,8 +64,8 @@ def _wait_for(predicate, timeout_s=30.0, poll_s=0.01, what="condition"):
 
 def _complete(queue, claimed, result, runtime_s=None):
     """Store the result and drop the claim, as the server's COMPLETE does."""
-    queue.results.put(claimed.job, result, runtime_s=runtime_s)
-    queue.release_claim(claimed.key, claimed.worker_id)
+    queue.complete(claimed.key, claimed.worker_id,
+                   build_entry(claimed.job, result, runtime_s=runtime_s))
 
 
 def _advance_clock(queue, seconds):
@@ -257,6 +259,77 @@ def test_requeue_worker_with_no_claims_is_a_noop(tmp_path, config):
     assert queue.requeue_worker("w1") == []       # claim already released
     assert queue.counts().pending == 0
     assert queue.counts().completed == 1
+
+
+def _claimed_synthetic_job(queue, config, offset=1):
+    """Submit and claim one job; its result is a small plain dict."""
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=offset))
+    queue.submit(job)
+    claimed = queue.claim("w1")
+    return claimed, {"fps": 30.0, "nested": {"rtt_s": [0.05, 0.07]}}
+
+
+def test_complete_commits_result_and_claim_delete_once(server, config):
+    """A COMPLETE is one transaction: the result row, its metric rows and
+    the job-row delete share one COMMIT, so one sync."""
+    queue = server.queue
+    claimed, result = _claimed_synthetic_job(queue, config)
+    statements: list[str] = []
+    queue._conn().set_trace_callback(statements.append)
+    try:
+        server._dispatch(MessageType.COMPLETE, {
+            "key": claimed.key, "worker": "w1", "job": claimed.job,
+            "result": result, "runtime_s": 0.5})
+    finally:
+        queue._conn().set_trace_callback(None)
+    verbs = [statement.split()[0] for statement in statements]
+    assert verbs.count("COMMIT") == 1
+    assert verbs[0] == "BEGIN" and verbs[-1] == "COMMIT"
+    assert any(s.startswith("DELETE FROM queue_jobs") for s in statements)
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
+    assert queue.result_entry(claimed.key)["result"] == result
+    assert claimed.key not in queue._leases
+
+
+def test_failure_between_result_insert_and_claim_delete_commits_neither(
+        tmp_path, config, monkeypatch):
+    import repro.experiments.queue as queue_module
+    queue = JobQueue(tmp_path / "q")
+    claimed, result = _claimed_synthetic_job(queue, config)
+    entry = build_entry(claimed.job, result, runtime_s=0.5)
+
+    def crash(conn, key, worker_id):
+        # The result rows are written by now; the job row is not deleted.
+        assert conn.execute("SELECT COUNT(*) FROM results").fetchone() == (1,)
+        raise RuntimeError("injected crash before the claim delete")
+
+    monkeypatch.setattr(queue_module, "_delete_claim", crash)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        queue.complete(claimed.key, "w1", entry)
+    conn = queue._conn()
+    assert queue.result_entry(claimed.key) is None
+    assert conn.execute("SELECT COUNT(*) FROM metrics").fetchone()[0] == 0
+    assert conn.execute("SELECT worker FROM queue_jobs WHERE key = ?",
+                        (claimed.key,)).fetchall() == [("w1",)]
+    assert claimed.key in queue._leases        # the lease still runs
+    monkeypatch.undo()
+    assert queue.complete(claimed.key, "w1", entry)
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
+
+
+def test_complete_stores_a_result_whose_claim_was_requeued(tmp_path, config):
+    """A worker that stalled past its lease still stores its result; the
+    requeued row stays for the worker that holds it now."""
+    queue = JobQueue(tmp_path / "q")
+    claimed, result = _claimed_synthetic_job(queue, config)
+    assert queue.requeue_worker("w1") == [claimed.key]
+    assert queue.claim("w2").key == claimed.key
+    entry = build_entry(claimed.job, result)
+    assert not queue.complete(claimed.key, "w1", entry)
+    assert queue.result_entry(claimed.key)["result"] == result
+    assert queue.counts().claimed == 1
 
 
 # ---------------------------------------------------------------------------

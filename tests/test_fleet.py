@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import pickle
+import sqlite3
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,6 +28,7 @@ from repro.experiments.__main__ import main
 from repro.experiments.jobs import ExperimentJob
 from repro.experiments.store import build_entry, numeric_metrics
 from repro.fleet import (
+    DEFAULT_METRICS,
     MetricSelector,
     PopulationSpec,
     cohort_value,
@@ -279,6 +281,86 @@ def test_backfill_reconstructs_the_metrics_index(drained):
     after = set(conn.execute(
         "SELECT key, git_rev, name, value FROM metrics"))
     assert after == before
+
+
+#: ``metric_values`` as it was written before the population drove the
+#: join, kept as the reference for its rows and their order.
+_SCANNING_METRIC_VALUES_SQL = (
+    "SELECT m.key, m.value FROM metrics m "
+    "JOIN _population_rows p "
+    "ON p.key = m.key AND p.git_rev = m.git_rev "
+    "WHERE m.name LIKE ? ESCAPE '\\' "
+    "ORDER BY m.key, m.name")
+
+
+def _last_select_plan(conn, call) -> list[str]:
+    """The query plan of the last SELECT that ``call()`` runs on ``conn``."""
+    statements: list[str] = []
+    conn.set_trace_callback(statements.append)
+    try:
+        call()
+    finally:
+        conn.set_trace_callback(None)
+    query = [s for s in statements if s.startswith("SELECT")][-1]
+    return [row[-1] for row in conn.execute("EXPLAIN QUERY PLAN " + query)]
+
+
+def test_fleet_lookups_search_per_population_row(drained):
+    """metric_values and provenance_values loop over the population and
+    search each row by primary key instead of scanning the store."""
+    cache_dir, index = drained
+    store = ResultStore(cache_dir)
+    conn = store.connection()
+    selection = store.select_newest(list(index))
+    patterns = [like_pattern(metric.pattern) for metric in DEFAULT_METRICS
+                if not metric.pattern.startswith("@")] + ["%"]
+    for pattern in patterns:
+        plan = _last_select_plan(
+            conn, lambda: store.metric_values(selection, pattern))
+        assert "SEARCH m USING PRIMARY KEY (key=? AND git_rev=?)" in plan
+        assert not any(step.startswith("SCAN m") for step in plan)
+        values = store.metric_values(selection, pattern)
+        reference: dict[str, list[float]] = {}
+        for key, value in conn.execute(_SCANNING_METRIC_VALUES_SQL,
+                                       (pattern,)):
+            reference.setdefault(key, []).append(value)
+        assert list(values.items()) == list(reference.items())
+        assert values
+    plan = _last_select_plan(
+        conn, lambda: store.provenance_values(selection, "runtime_s"))
+    assert not any(step.startswith("SCAN r") for step in plan)
+
+
+def test_store_with_the_old_metric_name_index_drops_it_on_open(drained,
+                                                               tmp_path):
+    """A store written before the name index was dropped loses it on
+    open; its entries, metric rows and fleet report do not change."""
+    cache_dir, index = drained
+    source = ResultStore(cache_dir)
+    old_path = tmp_path / "old.sqlite"
+    old = sqlite3.connect(old_path)
+    source.connection().backup(old)
+    old.execute("CREATE INDEX idx_metrics_name ON metrics (name)")
+
+    def snapshot():
+        return (sorted(old.execute("SELECT key, git_rev, entry FROM results")),
+                sorted(old.execute("SELECT * FROM metrics")))
+
+    def indexes():
+        return {name for (name,) in old.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'")}
+
+    before = snapshot()
+    assert "idx_metrics_name" in indexes()
+    store = ResultStore(old_path)
+    report = fleet_report(store, index)
+    assert "idx_metrics_name" not in indexes()
+    assert snapshot() == before
+    assert old.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+    assert report == fleet_report(source, index)
+    assert [store.get_entry(key)["scenario_hash"] for key in index] \
+        == [source.get_entry(key)["scenario_hash"] for key in index]
+    old.close()
 
 
 def test_gc_keeps_newest_revisions(tmp_path, caplog):

@@ -29,21 +29,21 @@ def test_pixels_have_raster_shape_and_range():
 def test_objects_change_pixels():
     empty = Frame()
     populated = make_frame()
-    assert populated.pixel_difference(empty) > 0.0
+    assert populated.pixel_difference(empty.pixels) > 0.0
 
 
 def test_pixel_difference_is_zero_for_identical_objects():
     objects = [SceneObject(ObjectClass.UNIT, x=0.4, y=0.4)]
     a = Frame(objects=list(objects))
     b = Frame(objects=list(objects))
-    assert a.pixel_difference(b) == pytest.approx(0.0)
+    assert a.pixel_difference(b.pixels) == pytest.approx(0.0)
 
 
 def test_pixel_difference_requires_matching_raster():
     a = Frame(raster_width=64, raster_height=36)
     b = Frame(raster_width=32, raster_height=18)
     with pytest.raises(ValueError):
-        a.pixel_difference(b)
+        a.pixel_difference(b.pixels)
 
 
 def test_tag_embed_extract_roundtrip():

@@ -9,6 +9,7 @@ exactly zero deltas for two runs of the same deterministic scenarios.
 
 from __future__ import annotations
 
+import enum
 import json
 import logging
 import os
@@ -17,7 +18,7 @@ import subprocess
 import sys
 import textwrap
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,69 @@ def test_flatten_metrics_walks_nested_structures():
     assert metrics == {"a": 1.0, "b.c": 2.5, "d[0]": 3.0, "d[1].e": 4.0,
                        "s": "text"}
     assert entry_metrics({"result": {"fps": 30.0}}) == {"fps": 30.0}
+
+
+def _recursive_flatten(value, prefix: str = "") -> dict:
+    """flatten_metrics as it was written before it filled one shared dict:
+    each level builds its own dict and merges it upwards."""
+    metrics: dict = {}
+    if is_dataclass(value) and not isinstance(value, type):
+        value = {name: getattr(value, name)
+                 for name in value.__dataclass_fields__}
+    if isinstance(value, dict):
+        for key in sorted(value, key=str):
+            child = f"{prefix}.{key}" if prefix else str(key)
+            metrics.update(_recursive_flatten(value[key], child))
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            metrics.update(_recursive_flatten(item, f"{prefix}[{index}]"))
+    elif isinstance(value, bool):
+        metrics[prefix] = float(value)
+    elif isinstance(value, (int, float)):
+        metrics[prefix] = float(value)
+    else:
+        metrics[prefix] = str(value)
+    return metrics
+
+
+def _typed_items(metrics: dict) -> list:
+    return [(name, type(value), value) for name, value in metrics.items()]
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+@dataclass
+class _Leaf:
+    flag: bool
+    level: _Level
+    label: str
+    pair: tuple
+
+
+@dataclass
+class _Node:
+    leaves: list
+    extra: dict
+
+
+def test_flatten_metrics_matches_the_recursive_reference(result):
+    nested = _Node(
+        leaves=[_Leaf(True, _Level.HIGH, "a", (1, 2.5)),
+                _Leaf(False, _Level.LOW, "b", ())],
+        extra={"z": None, 3: [True, "x", (_Level.LOW, 0.125)],
+               "a.b": float("nan"), "a": {"b": 4}})
+    # "extra.a.b" is written twice: the later value wins, in the place
+    # the earlier one took.
+    assert list(flatten_metrics(nested)).count("extra.a.b") == 1
+    for value in (nested, result, result.as_dict(),
+                  {"result": result.as_dict(), "n": [nested, nested]}):
+        assert (_typed_items(flatten_metrics(value))
+                == _typed_items(_recursive_flatten(value)))
+    assert (_typed_items(flatten_metrics(nested, "root"))
+            == _typed_items(_recursive_flatten(nested, "root")))
 
 
 def test_diff_catches_non_numeric_changes_regardless_of_tolerance(tmp_path):

@@ -9,8 +9,10 @@ hash is stable across processes and sensitive to every knob, and
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,9 @@ from repro.apps.registry import all_benchmarks
 from repro.experiments import ExperimentConfig
 from repro.scenarios.machines import MACHINE_SPECS
 from repro.scenarios.networks import NETWORKS
+from repro.scenarios.scenario import SCENARIO_SCHEMA_VERSION
 from repro.scenarios.variants import SESSION_VARIANTS
+from repro.sim.fastforward import FastForwardConfig
 from repro.scenarios import (
     Placement,
     Scenario,
@@ -230,6 +234,49 @@ def test_round_trip_and_hash_fixpoint(scenario):
     # per-instance benchmark sequence is preserved exactly.
     assert rebuilt.benchmarks == scenario.benchmarks
     assert rebuilt.placements == scenario.placements
+
+
+def _asdict_to_dict(scenario: Scenario) -> dict:
+    """Scenario.to_dict as it was written with dataclasses.asdict, kept as
+    the byte-level reference for the field-list copy."""
+    config = asdict(scenario.config)
+    if scenario.config.fast_forward == FastForwardConfig():
+        del config["fast_forward"]
+    return {
+        "schema": SCENARIO_SCHEMA_VERSION,
+        "placements": [asdict(p) for p in scenario.placements],
+        "config": config,
+        "variant": asdict(scenario.variant),
+        "machine": scenario.machine,
+        "containerized": scenario.containerized,
+        "network": scenario.network,
+        "seed": asdict(scenario.seed),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=_scenario_strategy,
+       fast_forward=st.sampled_from([False, True, {"window_s": 0.25},
+                                     {"enabled": True, "tolerance": 0.1}]))
+def test_to_dict_pickles_like_the_asdict_reference(scenario, fast_forward):
+    """Field-list copies serialize to the same bytes as asdict's deep
+    copies, fast-forward off (omitted) and on (the config's last key)."""
+    from repro.experiments import ExperimentJob
+    scenario = replace(scenario, config=replace(scenario.config,
+                                                fast_forward=fast_forward))
+    data = scenario.to_dict()
+    reference = _asdict_to_dict(scenario)
+    assert (pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+            == pickle.dumps(reference, protocol=pickle.HIGHEST_PROTOCOL))
+    assert list(data["config"]) == list(reference["config"])
+    if "fast_forward" in data["config"]:
+        assert list(data["config"])[-1] == "fast_forward"
+    assert json.dumps(data) == json.dumps(reference)
+    # Two calls share no mutable state.
+    data["config"].setdefault("fast_forward", {})["enabled"] = "mutated"
+    assert scenario.to_dict() == reference
+    assert ExperimentJob(scenario).key() == ExperimentJob(
+        Scenario.from_dict(reference)).key()
 
 
 @settings(max_examples=40, deadline=None)
