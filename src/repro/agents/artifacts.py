@@ -45,8 +45,6 @@ every other scenario.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import pickle
 import time
@@ -61,6 +59,7 @@ from repro.agents.recorder import RecordedSession
 from repro.agents.rnn import Lstm
 from repro.agents.vision import ObjectDetector
 from repro.apps.registry import all_benchmarks, create_benchmark
+from repro.scenarios.scenario import canonical_hash, hashed_content
 from repro.sim.randomness import StreamRandom
 
 __all__ = ["AGENT_TRAIN_SEED_SALT", "ARTIFACT_SCHEMA_VERSION",
@@ -145,10 +144,7 @@ class ArtifactSpec:
         """A stable SHA-256 over the training inputs (schema excluded,
         like every other content hash in the codebase — staleness is a
         provenance question, answered by the stamp inside the payload)."""
-        payload = {key: value for key, value in self.to_dict().items()
-                   if key != "schema"}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_hash(hashed_content(self.to_dict()))
 
     def short_hash(self) -> str:
         return self.content_hash()[:12]

@@ -51,8 +51,6 @@ is the figure-regression check CI performs::
         --store .pictor-cache --format csv -o results.csv
     PYTHONPATH=src python -m repro.experiments results gc \
         --store .pictor-cache --keep 2 --dry-run
-    PYTHONPATH=src python -m repro.experiments results backfill \
-        --store .pictor-cache
 
 The ``agents`` subcommand manages the trained-agent artefact registry
 the same database carries: train once, content-addressed, then every
@@ -365,16 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "space after deleting")
     results_gc.set_defaults(handler=_results_gc)
 
-    results_backfill = results_sub.add_parser(
-        "backfill", help="index flattened metrics for pre-existing rows",
-        description="One-shot backfill of the indexed metrics table: "
-                    "every result row without metrics rows (written "
-                    "before the table existed) is unpickled once and its "
-                    "numeric metric leaves indexed, after which fleet "
-                    "reports over it are pure SQL.  Idempotent.")
-    _add_store_option(results_backfill)
-    results_backfill.set_defaults(handler=_results_backfill)
-
     fleet = subcommands.add_parser(
         "fleet",
         help="sample scenario populations, drain them, report per cohort",
@@ -564,9 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "demand)")
     serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
                        help="interface to bind (default: 127.0.0.1, "
-                            "loopback only — frames are unauthenticated "
-                            "pickles, so bind another interface only on "
-                            "a trusted network)")
+                            "loopback only — frames are unauthenticated, "
+                            "so bind another interface only on a trusted "
+                            "network)")
     serve.add_argument("--port", type=int, default=7781, metavar="N",
                        help="TCP port to bind (default 7781; 0 = any free "
                             "port)")
@@ -926,14 +914,6 @@ def _results_gc(args) -> int:
           f"{report.keys} key(s); kept {report.kept_rows} row(s) "
           f"(newest {report.keep_revs} revision(s) per key)"
           + ("; vacuumed" if report.vacuumed else ""))
-    return 0
-
-
-def _results_backfill(args) -> int:
-    store = _require_store(args)
-    report = store.backfill_metrics()
-    print(f"results backfill: indexed metrics for {report.backfilled} "
-          f"row(s) ({report.skipped} skipped) in {store.db_path}")
     return 0
 
 

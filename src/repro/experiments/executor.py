@@ -47,7 +47,8 @@ from typing import Optional, Sequence
 from repro.experiments.coordinator import Coordinator
 from repro.experiments.jobs import ExperimentJob, execute_job
 from repro.experiments.socket_queue import SocketQueue
-from repro.experiments.store import ResultStore, _check_scenario_hash
+from repro.experiments.store import (ResultStore, _check_scenario_hash,
+                                     _load_entry)
 
 __all__ = ["BACKENDS", "ExperimentSuite", "SuiteStats", "default_suite",
            "run_jobs"]
@@ -308,15 +309,16 @@ class ExperimentSuite:
         while outstanding:
             progressed = False
             for key in list(outstanding):
-                entry = queue.result_entry(key)
-                if entry is not None:
+                blob = queue.result_blob(key)
+                if blob is not None:
                     job = outstanding[key]
-                    if not _check_scenario_hash(entry, job,
-                                                f"{queue.addr}#{key}"):
-                        # Same contract as ResultStore.get: a tampered
-                        # entry (here: pre-existing in a shared queue,
-                        # since submit() skips already-completed keys) is
-                        # rejected with a log line and re-executed.
+                    location = f"{queue.addr}#{key}"
+                    entry = _load_entry(blob, location)
+                    if entry is None \
+                            or not _check_scenario_hash(entry, job, location):
+                        # As in ResultStore.get: a row this suite cannot
+                        # use (unreadable, stale, tampered) is logged,
+                        # dropped and re-executed.
                         queue.invalidate(key)
                         queue.submit(job)
                         continue

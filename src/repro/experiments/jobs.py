@@ -6,7 +6,9 @@ The scenario says *what* runs (placements, machine, session variant,
 network, seed policy); ``kind`` selects the executor routine and
 ``duration`` optionally overrides the measurement interval.  A job stays
 a frozen, fully picklable value object, so it can be shipped to a worker
-process, hashed into a cache key, and compared for deduplication.
+process, hashed into a cache key, and compared for deduplication; its
+canonical JSON (:meth:`ExperimentJob.to_bytes`) is what the key hashes
+and what crosses the queue server's wire.
 
 :func:`execute_job` is the single entry point that turns a job into a
 result.  It is a module-level function (required by
@@ -17,6 +19,8 @@ in a worker process, or replayed from the result store.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +28,7 @@ from typing import Optional
 # while repro.scenarios may itself still be initializing.
 from repro.scenarios.scenario import (SCENARIO_SCHEMA_VERSION, Scenario,
                                      SeedPolicy, canonical_hash,
-                                     hashed_content)
+                                     canonical_json, hashed_content)
 from repro.server.host import HostResult
 
 __all__ = ["CACHE_SCHEMA_VERSION", "ExperimentJob", "execute_job", "job_key"]
@@ -119,8 +123,20 @@ class ExperimentJob:
 
     # -- identity ---------------------------------------------------------------------
     def key(self) -> str:
-        """Content hash identifying this job's result in the cache."""
-        return job_key(self.kind, self.duration, self.scenario.to_dict())
+        """The SHA-256 of :meth:`to_bytes`: this job's result's cache key."""
+        return hashlib.sha256(self.to_bytes()).hexdigest()
+
+    def to_bytes(self) -> bytes:
+        """The job's canonical JSON, which :meth:`from_bytes` reads back."""
+        return canonical_json(_hashed_fields(self.kind, self.duration,
+                                             self.scenario.to_dict()))
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "ExperimentJob":
+        """The job :meth:`to_bytes` encoded; raises on anything else."""
+        fields = json.loads(data)
+        return ExperimentJob(Scenario.from_dict(fields["scenario"]),
+                             kind=fields["kind"], duration=fields["duration"])
 
     def describe(self) -> str:
         """A short human-readable label for progress output."""
@@ -137,8 +153,12 @@ def job_key(kind: str, duration: Optional[float], scenario: dict) -> str:
     already in :meth:`Scenario.to_dict` form — so a caller that needs the
     dict anyway (:func:`~repro.experiments.store.build_entry`) builds it
     once."""
-    return canonical_hash({"kind": kind, "duration": duration,
-                           "scenario": hashed_content(scenario)})
+    return canonical_hash(_hashed_fields(kind, duration, scenario))
+
+
+def _hashed_fields(kind: str, duration: Optional[float], scenario: dict) -> dict:
+    return {"kind": kind, "duration": duration,
+            "scenario": hashed_content(scenario)}
 
 
 def _execute_host(job: ExperimentJob) -> HostResult:

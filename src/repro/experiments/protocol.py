@@ -2,7 +2,7 @@
 
 Every message between a :class:`~repro.experiments.socket_queue.SocketQueue`
 client and the :class:`~repro.experiments.server.QueueServer` is one
-**frame** — a fixed 12-byte header followed by a pickled payload::
+**frame** — a fixed 12-byte header followed by a JSON payload::
 
     offset  size  field
     0       2     magic     b"PQ"
@@ -10,7 +10,7 @@ client and the :class:`~repro.experiments.server.QueueServer` is one
     3       1     type      a MessageType code
     4       4     length    payload byte count, big-endian unsigned
     8       4     crc32     zlib.crc32 of the payload bytes
-    12      N     payload   pickle.dumps(object)
+    12      N     payload   compact JSON of a plain-data value
 
 The checksum makes corruption *detectable* rather than silently
 deserialized: a frame whose magic, version, declared length or CRC-32 is
@@ -30,15 +30,19 @@ result-query messages — and every request is answered by exactly one OK
 (payload: the reply) or ERROR (payload: the remote failure description)
 frame.
 
-Payloads are pickled and not authenticated, so only trusted peers may
-reach the server: ``serve`` binds to loopback unless told otherwise.
+A payload is plain data (a tuple comes back a list); binary fields —
+job bytes, entry blobs, artifact payloads — ride as base64 text
+(:func:`blob_to_text`), so decoding a frame never runs code.  Frames are
+not authenticated, so only trusted peers may reach the server: ``serve``
+binds to loopback unless told otherwise.
 """
 
 from __future__ import annotations
 
+import base64
 import enum
+import json
 import logging
-import pickle
 import socket
 import struct
 import zlib
@@ -53,25 +57,31 @@ __all__ = [
     "MessageType",
     "PROTOCOL_VERSION",
     "TruncatedFrameError",
+    "blob_to_text",
     "decode_frame",
     "encode_frame",
     "read_frame",
     "recv_frame",
     "send_frame",
+    "text_to_blob",
 ]
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"PQ"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: magic, version, type, payload length, payload crc32 — big-endian.
 HEADER = struct.Struct(">2sBBII")
 
 #: Sanity cap on a frame's declared payload size.  Real payloads are a
-#: pickled job (KBs) or result (MBs at the most); a corrupt length field
-#: must not make a reader allocate gigabytes before the CRC check.
+#: batch of jobs (KBs each) or a result row (MBs at the most); a corrupt
+#: length field must not make a reader allocate gigabytes before the CRC
+#: check.
 MAX_PAYLOAD = 256 * 1024 * 1024
+
+#: Compact JSON; payloads are plain data built here, never self-referencing.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 class MessageType(enum.IntEnum):
@@ -107,8 +117,8 @@ class TruncatedFrameError(FrameError):
 
 
 def encode_frame(kind: Union[MessageType, int], payload: object = None) -> bytes:
-    """One wire-ready frame: header + pickled ``payload``."""
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    """One wire-ready frame: header + ``payload`` as compact JSON."""
+    body = _ENCODER.encode(payload).encode("ascii")
     if len(body) > MAX_PAYLOAD:
         raise ValueError(f"frame payload of {len(body)} bytes exceeds the {MAX_PAYLOAD}-byte cap")
     header = HEADER.pack(MAGIC, PROTOCOL_VERSION, int(kind), len(body), zlib.crc32(body))
@@ -149,14 +159,24 @@ def decode_frame(buffer: Union[bytes, bytearray, memoryview]) -> tuple[MessageTy
     if zlib.crc32(body) != crc:
         raise _reject_corrupt(f"payload checksum mismatch ({length}-byte payload, type {kind})")
     try:
-        payload = pickle.loads(body)
-    except Exception as error:
-        raise _reject_corrupt(f"payload does not unpickle ({error!r})")
+        payload = json.loads(str(body, "utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise _reject_corrupt(f"payload is not JSON ({error!r})")
     try:
         message_type = MessageType(kind)
     except ValueError:
         raise _reject_corrupt(f"unknown message type {kind}")
     return message_type, payload, end
+
+
+def blob_to_text(blob: Optional[bytes]) -> Optional[str]:
+    """A binary field's wire form: base64 text (None stays None)."""
+    return None if blob is None else base64.b64encode(blob).decode("ascii")
+
+
+def text_to_blob(text: Optional[str]) -> Optional[bytes]:
+    """The bytes :func:`blob_to_text` encoded (None stays None)."""
+    return None if text is None else base64.b64decode(text, validate=True)
 
 
 def _reject_truncated(got: int, wanted: int) -> TruncatedFrameError:

@@ -16,6 +16,11 @@ so
   database as found, re-registers the workers named in the claimed
   rows, and carries on.
 
+The server **moves bytes**: a SUBMIT carries each job's canonical JSON
+and a CLAIM hands it back unread; a COMPLETE carries the result row its
+worker built, inserted once its key is checked against the claim; a
+RESULT returns the stored entry blob untouched.  Only the client decodes.
+
 **Worker liveness** is layered on top.  Workers heartbeat
 (:class:`MessageType.HEARTBEAT`) every couple of seconds, naming the
 claims they are actually executing.  A heartbeat refreshes those
@@ -34,17 +39,18 @@ import socket
 import socketserver
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 
 from repro.experiments.protocol import (
     FrameError,
     MessageType,
+    blob_to_text,
     recv_frame,
     send_frame,
+    text_to_blob,
 )
 from repro.experiments.queue import JobQueue
-from repro.experiments.store import build_entry
 
 __all__ = ["QueueServer"]
 
@@ -237,55 +243,42 @@ class QueueServer:
         if handler is None:
             raise ValueError(f"unexpected request type {kind.name}")
         with self._lock:
+            # Any request naming a worker is a sign of life.
+            if payload.get("worker"):
+                self._workers[payload["worker"]] = time.monotonic()
             return handler(self, payload)
 
-    def _mark_alive(self, worker: Optional[str]) -> None:
-        if worker:
-            self._workers[worker] = time.monotonic()
-
     def _op_submit(self, payload: dict) -> dict:
-        jobs = payload.get("jobs")
-        if jobs is None:
-            jobs = [payload["job"]]
-        return {"keys": self.queue.submit_many(jobs)}
+        return {"keys": self.queue.submit_many([text_to_blob(job) for job in payload["jobs"]])}
 
     def _op_claim(self, payload: dict) -> dict:
-        worker = payload.get("worker")
-        self._mark_alive(worker)
-        claimed = self.queue.claim(worker)
+        claimed = self.queue.claim(payload["worker"])
         if claimed is None:
             return {"claimed": None}
-        return {"claimed": {"key": claimed.key, "job": claimed.job, "worker": claimed.worker_id}}
+        key, job = claimed
+        return {"claimed": {"key": key, "job": blob_to_text(job)}}
 
     def _op_complete(self, payload: dict) -> dict:
-        """Store the result and drop the claim in one commit (one sync)."""
-        worker = payload.get("worker")
-        self._mark_alive(worker)
-        entry = build_entry(payload["job"], payload["result"], runtime_s=payload.get("runtime_s"))
-        self.queue.complete(payload["key"], worker, entry)
+        """Store the worker's result row and drop the claim in one commit
+        (one sync)."""
+        row = dict(payload["row"], entry=text_to_blob(payload["row"]["entry"]))
+        self.queue.complete(payload["key"], payload["worker"], row)
         return {}
 
     def _op_fail(self, payload: dict) -> dict:
-        worker = payload.get("worker")
-        self._mark_alive(worker)
-        self.queue.record_failure(
+        self.queue.fail(
             payload["key"],
-            worker,
+            payload["worker"],
             payload.get("error", "unknown error"),
             payload.get("traceback", ""),
         )
-        self.queue.release_claim(payload["key"], worker)
         return {}
 
     def _op_heartbeat(self, payload: dict) -> dict:
-        worker = payload.get("worker")
-        self._mark_alive(worker)
-        refreshed = self.queue.heartbeat(worker, keys=payload.get("keys"))
-        return {"refreshed": refreshed}
+        return {"refreshed": self.queue.heartbeat(payload["worker"], keys=payload.get("keys"))}
 
     def _op_counts(self, payload: dict) -> dict:
-        counts = self.queue.counts()
-        return {"counts": counts, "workers": len(self._workers)}
+        return {"counts": asdict(self.queue.counts()), "workers": len(self._workers)}
 
     def _op_requeue(self, payload: dict) -> dict:
         if payload.get("worker") is not None:
@@ -296,34 +289,24 @@ class QueueServer:
         return {"keys": keys}
 
     def _op_result(self, payload: dict) -> dict:
-        return {"entry": self.queue.result_entry(payload["key"])}
+        return {"entry": blob_to_text(self.queue.results.entry_blob(payload["key"]))}
 
     def _op_failure(self, payload: dict) -> dict:
         return {"marker": self.queue.failure(payload["key"])}
 
     def _op_invalidate(self, payload: dict) -> dict:
-        self.queue.invalidate(payload["key"])
+        self.queue.results.invalidate(payload["key"])
         return {}
 
     def _op_artifact_get(self, payload: dict) -> dict:
         if payload.get("rows"):
             return {"rows": self.queue.results.artifact_rows(payload.get("benchmark"))}
-        return {
-            "payload": self.queue.results.get_artifact_bytes(
-                payload["hash"], schema=payload.get("schema")
-            )
-        }
+        blob = self.queue.results.get_artifact_bytes(payload["hash"], schema=payload.get("schema"))
+        return {"payload": blob_to_text(blob)}
 
     def _op_artifact_put(self, payload: dict) -> dict:
-        stored = self.queue.results.put_artifact_bytes(
-            payload["hash"],
-            payload["payload"],
-            schema=payload["schema"],
-            kind=payload.get("kind", "agent"),
-            benchmark=payload.get("benchmark"),
-            spec=payload.get("spec"),
-            runtime_s=payload.get("runtime_s"),
-        )
+        blob = text_to_blob(payload.pop("payload"))
+        stored = self.queue.results.put_artifact_bytes(payload.pop("hash"), blob, **payload)
         return {"stored": stored}
 
     _HANDLERS = {

@@ -9,6 +9,12 @@ idempotent content-addressed submit, submission order, lease recovery,
 provenance-stamped results — are that storage's, and submitters and
 workers need nothing but a route to the server.
 
+The client is where formats are known: it sends each job's canonical
+JSON, decodes claimed jobs (one that does not decode becomes a failure
+marker), builds the result row the server stores
+(:func:`~repro.experiments.store.result_row`), and loads stored entries
+through the same checks as ``ResultStore.get_entry``.
+
 **Failure model.**  Every call retries with exponential backoff over a
 fresh connection: a dropped connection, a restarted server, or a server
 that has not bound its port yet all look the same — transient — and a
@@ -37,18 +43,23 @@ import socket
 import threading
 import time
 import traceback
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.jobs import ExperimentJob
 from repro.experiments.protocol import (
     FrameError,
     MessageType,
+    blob_to_text,
     recv_frame,
     send_frame,
+    text_to_blob,
 )
-from repro.experiments.queue import ClaimedJob, QueueCounts
+from repro.experiments.queue import QueueCounts, default_worker_id
+from repro.experiments.store import _load_entry, build_entry, result_row
 
 __all__ = [
+    "ClaimedJob",
     "QueueConnectionError",
     "QueueRemoteError",
     "SocketQueue",
@@ -59,6 +70,15 @@ logger = logging.getLogger(__name__)
 
 #: Jobs per SUBMIT frame; bounds frame size for very large suites.
 _SUBMIT_CHUNK = 500
+
+
+@dataclass(frozen=True)
+class ClaimedJob:
+    """One job a worker holds exclusively until completed/failed/requeued."""
+
+    key: str
+    job: ExperimentJob
+    worker_id: str
 
 
 class QueueConnectionError(ConnectionError):
@@ -176,18 +196,25 @@ class SocketQueue:
 
     # -- submitter side ---------------------------------------------------------------
     def submit(self, job: ExperimentJob) -> str:
-        return self._request(MessageType.SUBMIT, {"job": job})["keys"][0]
+        return self.submit_many([job])[0]
 
     def submit_many(self, jobs: Sequence[ExperimentJob]) -> list[str]:
         keys: list[str] = []
-        jobs = list(jobs)
-        for start in range(0, len(jobs), _SUBMIT_CHUNK):
-            chunk = jobs[start : start + _SUBMIT_CHUNK]
+        blobs = [blob_to_text(job.to_bytes()) for job in jobs]
+        for start in range(0, len(blobs), _SUBMIT_CHUNK):
+            chunk = blobs[start : start + _SUBMIT_CHUNK]
             keys.extend(self._request(MessageType.SUBMIT, {"jobs": chunk})["keys"])
         return keys
 
+    def result_blob(self, key: str) -> Optional[bytes]:
+        """The newest stored entry blob for ``key``, as the server holds it."""
+        return text_to_blob(self._request(MessageType.RESULT, {"key": key})["entry"])
+
     def result_entry(self, key: str) -> Optional[dict]:
-        return self._request(MessageType.RESULT, {"key": key})["entry"]
+        """The newest stored entry for ``key``, loaded and checked, or None
+        (after a log line when the stored entry is unusable)."""
+        blob = self.result_blob(key)
+        return None if blob is None else _load_entry(blob, f"{self.addr}#{key}")
 
     def failure(self, key: str) -> Optional[dict]:
         return self._request(MessageType.FAILURE, {"key": key})["marker"]
@@ -202,15 +229,26 @@ class SocketQueue:
         return self._request(MessageType.REQUEUE, {"worker": worker_id})["keys"]
 
     def counts(self) -> QueueCounts:
-        return self._request(MessageType.COUNTS, {})["counts"]
+        return QueueCounts(**self._request(MessageType.COUNTS, {})["counts"])
 
     # -- worker side ------------------------------------------------------------------
     def claim(self, worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
-        reply = self._request(MessageType.CLAIM, {"worker": worker_id})
-        claimed = reply["claimed"]
-        if claimed is None:
-            return None
-        return ClaimedJob(key=claimed["key"], job=claimed["job"], worker_id=claimed["worker"])
+        """Claim the next pending job, or None when none is.
+
+        A claimed job whose bytes do not decode is recorded as a failure
+        marker, and the next one is claimed.
+        """
+        worker = worker_id or default_worker_id()
+        while True:
+            claimed = self._request(MessageType.CLAIM, {"worker": worker})["claimed"]
+            if claimed is None:
+                return None
+            try:
+                job = ExperimentJob.from_bytes(text_to_blob(claimed["job"]))
+            except Exception as error:
+                self._fail(claimed["key"], worker, error)
+                continue
+            return ClaimedJob(key=claimed["key"], job=job, worker_id=worker)
 
     def heartbeat(self, worker_id: str, keys: Optional[Sequence[str]] = None) -> list[str]:
         return self._request(
@@ -219,23 +257,23 @@ class SocketQueue:
         )["refreshed"]
 
     def complete(self, claimed: ClaimedJob, result, runtime_s: Optional[float] = None) -> None:
+        """Send the result row of ``claimed``'s job for the server to store."""
+        row = result_row(build_entry(claimed.job, result, runtime_s=runtime_s))
+        row["entry"] = blob_to_text(row["entry"])
         self._request(
             MessageType.COMPLETE,
-            {
-                "key": claimed.key,
-                "worker": claimed.worker_id,
-                "job": claimed.job,
-                "result": result,
-                "runtime_s": runtime_s,
-            },
+            {"key": claimed.key, "worker": claimed.worker_id, "row": row},
         )
 
     def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
+        self._fail(claimed.key, claimed.worker_id, error)
+
+    def _fail(self, key: str, worker_id: str, error: BaseException) -> None:
         self._request(
             MessageType.FAIL,
             {
-                "key": claimed.key,
-                "worker": claimed.worker_id,
+                "key": key,
+                "worker": worker_id,
                 "error": repr(error),
                 "traceback": "".join(traceback.format_exception(error)),
             },
@@ -251,41 +289,38 @@ class SocketQueue:
 class _SocketArtifactStore:
     """Artifact get/put against the queue server's result database.
 
-    Speaks the ARTIFACT_GET / ARTIFACT_PUT frames; an **older server**
-    answers an unknown request type with an ERROR frame, which surfaces
-    here as :class:`QueueRemoteError` — the adapter then disables itself
-    with one log line and degrades gracefully: gets miss and puts drop,
-    so workers fall back to deterministic on-demand training instead of
-    failing the fleet.  A server that stays unreachable through the
-    whole retry budget (:class:`QueueConnectionError`) degrades the same
-    way — artifact transfer is an optimization, never a correctness
-    dependency.
+    Speaks the ARTIFACT_GET / ARTIFACT_PUT frames.  A server that fails
+    one (an ERROR frame, :class:`QueueRemoteError`) or stays unreachable
+    through the whole retry budget (:class:`QueueConnectionError`)
+    disables the adapter with one log line: gets miss and puts drop, so
+    workers fall back to deterministic on-demand training instead of
+    failing the fleet — artifact transfer is an optimization, never a
+    correctness dependency.
     """
 
     def __init__(self, queue: SocketQueue):
         self._queue = queue
         self._disabled = False
 
-    def _disable(self, error: Exception) -> None:
-        if not self._disabled:
+    def _call(self, kind: MessageType, request: dict, field: str, fallback):
+        """The reply's ``field``, or ``fallback`` once disabled."""
+        if self._disabled:
+            return fallback
+        try:
+            return self._queue._request(kind, request)[field]
+        except (QueueConnectionError, QueueRemoteError) as error:
             logger.warning(
                 "queue server %s cannot serve agent artifacts (%s); "
                 "falling back to on-demand training",
                 self._queue.addr,
                 error,
             )
-        self._disabled = True
+            self._disabled = True
+            return fallback
 
     def get_artifact_bytes(self, hash: str, schema: Optional[int] = None) -> Optional[bytes]:
-        if self._disabled:
-            return None
-        try:
-            return self._queue._request(
-                MessageType.ARTIFACT_GET, {"hash": hash, "schema": schema}
-            )["payload"]
-        except (QueueConnectionError, QueueRemoteError) as error:
-            self._disable(error)
-            return None
+        request = {"hash": hash, "schema": schema}
+        return text_to_blob(self._call(MessageType.ARTIFACT_GET, request, "payload", None))
 
     def put_artifact_bytes(
         self,
@@ -298,34 +333,19 @@ class _SocketArtifactStore:
         spec: Optional[dict] = None,
         runtime_s: Optional[float] = None,
     ) -> bool:
-        if self._disabled:
-            return False
-        try:
-            return self._queue._request(
-                MessageType.ARTIFACT_PUT,
-                {
-                    "hash": hash,
-                    "payload": payload,
-                    "schema": schema,
-                    "kind": kind,
-                    "benchmark": benchmark,
-                    "spec": spec,
-                    "runtime_s": runtime_s,
-                },
-            )["stored"]
-        except (QueueConnectionError, QueueRemoteError) as error:
-            self._disable(error)
-            return False
+        request = {
+            "hash": hash,
+            "payload": blob_to_text(payload),
+            "schema": schema,
+            "kind": kind,
+            "benchmark": benchmark,
+            "spec": spec,
+            "runtime_s": runtime_s,
+        }
+        return self._call(MessageType.ARTIFACT_PUT, request, "stored", False)
 
     def artifact_rows(self, benchmark: Optional[str] = None) -> list[dict]:
         """Explicit-hash resolution support (``agent#<hash>`` placements
-        on socket workers); empty against a pre-artifact server."""
-        if self._disabled:
-            return []
-        try:
-            return self._queue._request(
-                MessageType.ARTIFACT_GET, {"benchmark": benchmark, "rows": True}
-            )["rows"]
-        except (QueueConnectionError, QueueRemoteError) as error:
-            self._disable(error)
-            return []
+        on socket workers)."""
+        request = {"benchmark": benchmark, "rows": True}
+        return self._call(MessageType.ARTIFACT_GET, request, "rows", [])

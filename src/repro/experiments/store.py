@@ -36,22 +36,31 @@ filesystem that refuses WAL leaves the connection in its previous
 journal mode, still with a full sync per commit, and logs a warning.
 Every write of more than one statement runs in one ``BEGIN IMMEDIATE``
 transaction — the schema script included, so a fresh store costs one
-sync instead of one per ``CREATE``.  A completion is one such
-transaction: :func:`_insert_entry` writes the result row and its metric
-rows, and the queue server deletes the job's queue row in the same
-commit (:meth:`JobQueue.complete <repro.experiments.queue.JobQueue.complete>`),
-so storing a result costs one sync.
+sync instead of one per ``CREATE``.
+
+A result's row is built where the result is (:func:`result_row`: the
+index columns, the pickled entry, its metric rows) and written by one
+writer, :func:`_insert_row` — in :meth:`ResultStore.put_entry`, or on
+the queue server, which deletes the job's queue row in the same commit
+(:meth:`JobQueue.complete <repro.experiments.queue.JobQueue.complete>`).
+A row's ``git_rev`` is the revision of the process that built it: the
+worker's, for a queued job.
 
 Indexes, and the query each one serves (every index costs a write on
 every insert):
 
 * ``results`` primary key ``(key, git_rev)`` — :meth:`ResultStore.get_entry`,
-  :meth:`~ResultStore.entries` and the population lookups of
+  :meth:`~ResultStore.entries`, and the population searches of
+  :meth:`~ResultStore.select_newest` and
   :meth:`~ResultStore.provenance_values`;
 * ``idx_results_kind`` — ``results list --kind`` (:meth:`~ResultStore.rows`);
-* ``idx_results_git_rev`` — :meth:`~ResultStore.git_revs`;
-* ``idx_results_scenario_hash`` — kept for ``results list --scenario-hash``,
-  though its prefix ``LIKE`` does not use it today;
+* ``idx_results_git_rev`` — :meth:`~ResultStore.git_revs`, and the revision
+  prefix filters of :meth:`~ResultStore.rows` and
+  :meth:`~ResultStore.result_set`;
+* ``idx_results_scenario_hash`` — ``results list --scenario-hash``.
+  Prefix filters are half-open ranges on the lower-cased prefix
+  (:func:`_prefix_range`), which these indexes search; a ``LIKE`` would
+  scan, since it folds case;
 * ``metrics`` primary key ``(key, git_rev, name)`` — the per-row search
   of :meth:`~ResultStore.metric_values` (the fleet report), and the
   delete that replaces a row's metrics.  There is no index on ``name``
@@ -86,11 +95,11 @@ from repro.scenarios.scenario import canonical_hash, hashed_content
 if TYPE_CHECKING:
     from repro.experiments.jobs import ExperimentJob
 
-__all__ = ["ArtifactGcReport", "BackfillReport", "DiffDelta", "DiffReport",
-           "GcReport", "PROVENANCE_METRIC_COLUMNS", "RESULT_DB_FILENAME",
-           "ResultStore", "ToleranceTable", "current_git_rev",
-           "diff_result_sets", "entry_metrics", "flatten_metrics",
-           "numeric_metrics", "rekey_ignoring_fast_forward"]
+__all__ = ["ArtifactGcReport", "DiffDelta", "DiffReport", "GcReport",
+           "PROVENANCE_METRIC_COLUMNS", "RESULT_DB_FILENAME", "ResultStore",
+           "ToleranceTable", "current_git_rev", "diff_result_sets",
+           "entry_metrics", "flatten_metrics", "numeric_metrics",
+           "rekey_ignoring_fast_forward", "result_row"]
 
 logger = logging.getLogger(__name__)
 
@@ -170,13 +179,18 @@ def current_git_rev() -> str:
     return "unknown"
 
 
-def _validate_entry(entry, location) -> Optional[dict]:
-    """The shared read-side provenance checks (see module docstring).
-
-    Returns the entry when usable, None (after the documented log line)
-    otherwise.  Every store read funnels through here, so the rejection
-    contract cannot drift between read paths.
+def _load_entry(blob: bytes, location: str) -> Optional[dict]:
+    """The entry a stored blob holds, after the shared read-side checks
+    (see module docstring): the entry when usable, None (after the
+    documented log line) otherwise.  Every entry read — the store's and
+    the queue client's — funnels through here, so the rejection contract
+    cannot drift between read paths.
     """
+    try:
+        entry = pickle.loads(blob)
+    except Exception:
+        logger.warning("cache entry %s is unreadable; recomputing", location)
+        return None
     if not isinstance(entry, dict) or "schema" not in entry:
         logger.warning(
             "cache entry %s predates provenance stamping; recomputing",
@@ -240,37 +254,63 @@ def build_entry(job: "ExperimentJob", result,
     }
 
 
-def _insert_entry(conn: sqlite3.Connection, entry: dict) -> None:
-    """Write one entry's result row and its metric rows inside the
+#: The plain ``results`` columns of a :func:`result_row`, in table order.
+_ROW_COLUMNS = ("key", "git_rev", "schema", "kind", "duration",
+                "scenario_json", "scenario_hash", "runtime_s", "cost_units")
+
+
+def result_row(entry: dict) -> dict:
+    """The stored form of one entry — all :func:`_insert_row` writes but
+    the insert time: the plain ``results`` columns, the pickled entry
+    (``"entry"``) and a ``(name, value)`` metric row per finite numeric
+    leaf of the result (``"metrics"``, :func:`numeric_metrics`), so
+    cohort queries run as pure SQL without unpickling a payload."""
+    return {
+        "key": entry.get("key"),
+        "git_rev": entry.get("git_rev", "unknown"),
+        "schema": entry.get("schema"),
+        "kind": entry.get("kind"),
+        "duration": entry.get("duration"),
+        "scenario_json": json.dumps(entry.get("scenario", {}), sort_keys=True,
+                                    default=list),
+        "scenario_hash": entry.get("scenario_hash", ""),
+        "runtime_s": entry.get("runtime_s"),
+        "cost_units": entry.get("cost_units"),
+        "entry": pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL),
+        "metrics": sorted(numeric_metrics(entry).items()),
+    }
+
+
+def _insert_row(conn: sqlite3.Connection, row: dict) -> None:
+    """Write one :func:`result_row` and its metric rows inside the
     caller's transaction — the one result writer, behind both
     :meth:`ResultStore.put_entry` and the queue server's
     :meth:`JobQueue.complete <repro.experiments.queue.JobQueue.complete>`.
-
-    Alongside the result row, every numeric leaf of the result payload is
-    flattened (:func:`numeric_metrics` — the same dotted names ``results
-    diff`` compares) into the ``metrics`` table, so fleet-scale cohort
-    queries run as pure SQL without ever unpickling a payload.
     """
-    key = entry.get("key")
-    git_rev = entry.get("git_rev", "unknown")
+    key, git_rev = row["key"], row["git_rev"]
     conn.execute(
         "INSERT OR REPLACE INTO results (key, git_rev, schema, "
         "kind, duration, scenario_json, scenario_hash, runtime_s, "
         "cost_units, created_at, entry) "
         "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        (key, git_rev,
-         entry.get("schema"), entry.get("kind"), entry.get("duration"),
-         json.dumps(entry.get("scenario", {}), sort_keys=True, default=list),
-         entry.get("scenario_hash", ""), entry.get("runtime_s"),
-         entry.get("cost_units"), time.time(),
-         pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)))
+        [row[column] for column in _ROW_COLUMNS] + [time.time(), row["entry"]])
     conn.execute("DELETE FROM metrics WHERE key = ? AND git_rev = ?",
                  (key, git_rev))
     conn.executemany(
         "INSERT OR REPLACE INTO metrics (key, git_rev, name, value) "
         "VALUES (?, ?, ?, ?)",
-        [(key, git_rev, name, value) for name, value
-         in sorted(numeric_metrics(entry).items())])
+        [(key, git_rev, name, value) for name, value in row["metrics"]])
+
+
+def _prefix_range(column: str, prefix: str) -> tuple[str, list]:
+    """A SQL condition, and its parameters, for ``column`` starting with
+    ``prefix`` — lower-cased, so the short hex hashes humans copy around
+    match in either case — as a half-open range an index can search.
+    ``%``, ``_`` and ``*`` match only themselves."""
+    low = prefix.lower()
+    if not low:
+        return f"{column} >= ?", [low]
+    return f"{column} >= ? AND {column} < ?", [low, low[:-1] + chr(ord(low[-1]) + 1)]
 
 
 class ResultStore:
@@ -373,18 +413,23 @@ class ResultStore:
         execution is deterministic, so any current-schema row is equally
         valid; the provenance stamps say which commit wrote it.
         """
+        blob = self.entry_blob(key)
+        return None if blob is None else _load_entry(blob, self.locate(key))
+
+    def entry_blob(self, key: str) -> Optional[bytes]:
+        """The newest stored entry blob for ``key``, as written, or None."""
+        return self._newest(key, "entry")
+
+    def has_current(self, key: str) -> bool:
+        """Whether ``key``'s newest row carries the current schema (read
+        from its column; the entry blob is not loaded)."""
+        return self._newest(key, "schema") == CACHE_SCHEMA_VERSION
+
+    def _newest(self, key: str, column: str):
         row = self.connection().execute(
-            "SELECT entry FROM results WHERE key = ? "
+            f"SELECT {column} FROM results WHERE key = ? "
             "ORDER BY created_at DESC, rowid DESC LIMIT 1", (key,)).fetchone()
-        if row is None:
-            return None
-        try:
-            entry = pickle.loads(row[0])
-        except Exception:
-            logger.warning("cache entry %s is unreadable; recomputing",
-                           self.locate(key))
-            return None
-        return _validate_entry(entry, self.locate(key))
+        return None if row is None else row[0]
 
     def entries(self) -> Iterator[dict]:
         """Iterate every readable current-schema entry, newest row per key."""
@@ -404,9 +449,9 @@ class ResultStore:
     def put_entry(self, entry: dict) -> None:
         """Insert (or replace) a pre-built entry dict's ``(key, git_rev)``
         row and its metric rows in one transaction — the writer behind
-        :meth:`put` (see :func:`_insert_entry`)."""
+        :meth:`put` (see :func:`result_row`)."""
         with self._transaction() as conn:
-            _insert_entry(conn, entry)
+            _insert_row(conn, result_row(entry))
 
     def invalidate(self, key: str) -> None:
         """Drop every revision's row for ``key`` (e.g. one that failed
@@ -427,8 +472,9 @@ class ResultStore:
              keys: Optional[set] = None) -> list[dict]:
         """Provenance-only row dicts, filtered; newest first.
 
-        ``scenario_hash`` and ``git_rev`` match by prefix, so the short
-        hashes humans copy around work.  Result payloads stay pickled.
+        ``scenario_hash`` and ``git_rev`` match by prefix
+        (:func:`_prefix_range`), so the short hashes humans copy around
+        work.  Result payloads stay pickled.
         """
         query = ("SELECT key, git_rev, schema, kind, duration, "
                  "scenario_json, scenario_hash, runtime_s, cost_units, "
@@ -437,12 +483,12 @@ class ResultStore:
         if kind is not None:
             clauses.append("kind = ?")
             params.append(kind)
-        if scenario_hash is not None:
-            clauses.append("scenario_hash LIKE ?")
-            params.append(scenario_hash + "%")
-        if git_rev is not None:
-            clauses.append("git_rev LIKE ?")
-            params.append(git_rev + "%")
+        for column, prefix in (("scenario_hash", scenario_hash),
+                               ("git_rev", git_rev)):
+            if prefix is not None:
+                clause, values = _prefix_range(column, prefix)
+                clauses.append(clause)
+                params.extend(values)
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY created_at DESC, rowid DESC"
@@ -470,19 +516,14 @@ class ResultStore:
         (prefix match) — the operand of :func:`diff_result_sets`."""
         if git_rev is None:
             return {entry["key"]: entry for entry in self.entries()}
+        clause, params = _prefix_range("git_rev", git_rev)
         entries = {}
-        for record in self.connection().execute(
-                "SELECT key, entry FROM results WHERE git_rev LIKE ? "
-                "ORDER BY created_at, rowid", (git_rev + "%",)):
-            try:
-                entry = pickle.loads(record[1])
-            except Exception:
-                logger.warning("cache entry %s is unreadable; skipping",
-                               self.locate(record[0]))
-                continue
-            entry = _validate_entry(entry, self.locate(record[0]))
+        for key, blob in self.connection().execute(
+                f"SELECT key, entry FROM results WHERE {clause} "
+                "ORDER BY created_at, rowid", params):
+            entry = _load_entry(blob, self.locate(key))
             if entry is not None:
-                entries[record[0]] = entry
+                entries[key] = entry
         return entries
 
     # -- fleet analytics (pure SQL over provenance + metrics) -------------------------
@@ -510,15 +551,21 @@ class ResultStore:
         conn = self.connection()
         self._population(conn, "_population_keys",
                          ((key,) for key in keys), "key TEXT")
+        # CROSS JOIN pins the population as the outer loop: one search of
+        # the (key, git_rev) primary key per population key.  Rows come
+        # back in ``results`` order, so keys keep the order a scan of the
+        # table would first meet them in.
         query = ("SELECT r.key, r.git_rev, r.created_at, r.rowid "
-                 "FROM results r JOIN _population_keys p ON p.key = r.key "
-                 "WHERE r.schema = ?")
+                 "FROM _population_keys p CROSS JOIN results r "
+                 "ON r.key = p.key WHERE r.schema = ?")
         params: list = [CACHE_SCHEMA_VERSION]
         if git_rev is not None:
-            query += " AND r.git_rev LIKE ?"
-            params.append(git_rev + "%")
+            clause, values = _prefix_range("r.git_rev", git_rev)
+            query += " AND " + clause
+            params.extend(values)
         newest: dict[str, tuple] = {}
-        for key, rev, created_at, rowid in conn.execute(query, params):
+        for key, rev, created_at, rowid in conn.execute(
+                query + " ORDER BY r.rowid", params):
             current = newest.get(key)
             if current is None or (created_at, rowid) > current[1]:
                 newest[key] = (rev, (created_at, rowid))
@@ -567,48 +614,6 @@ class ResultStore:
             "CROSS JOIN results r "
             "ON r.key = p.key AND r.git_rev = p.git_rev "
             f"WHERE r.{column} IS NOT NULL ORDER BY r.key")}
-
-    def backfill_metrics(self) -> "BackfillReport":
-        """One-shot metrics backfill for rows that predate the table.
-
-        Every current-schema result row without metrics rows gets its
-        payload unpickled once and its numeric leaves written — after
-        which the query path above never touches a payload again.
-        Idempotent; unreadable payloads are logged and skipped.  Every
-        metric row is written in one transaction.
-        """
-        pending = self.connection().execute(
-            "SELECT key, git_rev, entry FROM results r WHERE schema = ? "
-            "AND NOT EXISTS (SELECT 1 FROM metrics m WHERE m.key = r.key "
-            "AND m.git_rev = r.git_rev)",
-            (CACHE_SCHEMA_VERSION,)).fetchall()
-        report = BackfillReport()
-        metric_rows: list[tuple] = []
-        for key, git_rev, blob in pending:
-            try:
-                entry = pickle.loads(blob)
-                rows = sorted(numeric_metrics(entry).items())
-            except Exception:
-                logger.warning("cache entry %s is unreadable; metrics not "
-                               "backfilled", self.locate(key))
-                report.skipped += 1
-                continue
-            if not rows:
-                report.skipped += 1
-                continue
-            metric_rows.extend((key, git_rev, name, value)
-                               for name, value in rows)
-            report.backfilled += 1
-        if metric_rows:
-            with self._transaction() as conn:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO metrics (key, git_rev, name, "
-                    "value) VALUES (?, ?, ?, ?)", metric_rows)
-        if report.backfilled:
-            logger.info("backfilled metrics for %d result row(s) in %s "
-                        "(%d skipped)", report.backfilled, self.db_path,
-                        report.skipped)
-        return report
 
     # -- garbage collection -----------------------------------------------------------
     def gc(self, keep_revs: int = 1, dry_run: bool = False,
@@ -781,14 +786,6 @@ class ArtifactGcReport:
     dropped: int = 0
     dry_run: bool = False
     vacuumed: bool = False
-
-
-@dataclass
-class BackfillReport:
-    """What one :meth:`ResultStore.backfill_metrics` pass did."""
-
-    backfilled: int = 0
-    skipped: int = 0      # unreadable payloads / no numeric leaves
 
 
 @dataclass

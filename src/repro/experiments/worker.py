@@ -4,7 +4,7 @@ A worker is deliberately dumb: it asks a queue server (through a
 :class:`~repro.experiments.socket_queue.SocketQueue`) for the
 highest-priority pending job, executes it with the same
 :func:`~repro.experiments.jobs.execute_job` the in-process backends
-use, sends the result back for the server to store in its
+use, sends the result's row back for the server to store in its
 provenance-stamped SQLite :class:`~repro.experiments.store.ResultStore`,
 and repeats.  All scheduling (claim order, crash recovery, lease
 management) lives with the server and the submitter.

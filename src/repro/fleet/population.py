@@ -36,7 +36,6 @@ cache — as distinct sessions unless ``seed_stride`` is explicitly 0.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional
@@ -47,7 +46,8 @@ from repro.scenarios.machines import MACHINE_SPECS
 from repro.scenarios.mixes import sample_mix
 from repro.scenarios.networks import NETWORKS
 from repro.scenarios.scenario import (AGENT_FACTORIES, Placement, Scenario,
-                                      SeedPolicy, split_agent_name)
+                                      SeedPolicy, canonical_hash,
+                                      hashed_content, split_agent_name)
 from repro.scenarios.variants import SESSION_VARIANTS
 
 __all__ = ["POPULATION_SCHEMA_VERSION", "PopulationSpec", "sample",
@@ -245,10 +245,7 @@ class PopulationSpec:
     def content_hash(self) -> str:
         """A stable SHA-256 over the spec's content (schema excluded, as
         for :meth:`Scenario.content_hash`)."""
-        payload = {key: value for key, value in self.to_dict().items()
-                   if key != "schema"}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_hash(hashed_content(self.to_dict()))
 
     def short_hash(self) -> str:
         return self.content_hash()[:12]

@@ -30,19 +30,24 @@ from repro.server.host import CloudHost, HostConfig, HostResult
 
 __all__ = ["AGENT_FACTORIES", "Placement", "SCENARIO_SCHEMA_VERSION",
            "Scenario", "SeedPolicy", "agent_factory", "canonical_hash",
-           "hashed_content", "register_agent", "split_agent_name"]
+           "canonical_json", "hashed_content", "register_agent",
+           "split_agent_name"]
 
 #: Bump when the serialized scenario layout (or the result layout the
 #: executor caches) changes, so stale provenance is always detectable.
-SCENARIO_SCHEMA_VERSION = 2
+SCENARIO_SCHEMA_VERSION = 3
+
+
+def canonical_json(payload) -> bytes:
+    """``payload``'s canonical JSON (sorted keys, no whitespace, ASCII) —
+    the one encoding behind every scenario content hash and job key, and
+    the form a job crosses the queue's wire in."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 def canonical_hash(payload) -> str:
-    """SHA-256 over ``payload``'s canonical JSON (sorted keys, no
-    whitespace) — the one encoding behind every scenario content hash
-    and job key."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 over :func:`canonical_json`."""
+    return hashlib.sha256(canonical_json(payload)).hexdigest()
 
 
 def hashed_content(data: dict) -> dict:

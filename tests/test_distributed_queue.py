@@ -5,7 +5,8 @@ process-pool backend, and through a multi-worker socket queue produces
 bit-identical results — and the queue survives a worker dying mid-job
 (SIGKILL) without losing or corrupting anything.  The storage tests
 drive :class:`JobQueue` directly, the way its one client, the
-queue server, does.
+queue server, does: with job bytes in, job bytes out, and result rows a
+worker built.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from repro.experiments import (
     Scenario,
     execute_job,
 )
-from repro.experiments.protocol import MessageType
+from repro.experiments.protocol import MessageType, blob_to_text
 from repro.experiments.queue import JobQueue
 from repro.experiments.server import QueueServer
-from repro.experiments.socket_queue import SocketQueue
-from repro.experiments.store import build_entry
+from repro.experiments.socket_queue import ClaimedJob, SocketQueue
+from repro.experiments.store import build_entry, result_row
 from repro.experiments.worker import run_worker, spawn_worker
 
 
@@ -62,10 +63,31 @@ def _wait_for(predicate, timeout_s=30.0, poll_s=0.01, what="condition"):
     raise AssertionError(f"timed out after {timeout_s}s waiting for {what}")
 
 
+def _submit(queue, job) -> str:
+    """Enqueue one job's bytes, as the server's SUBMIT does."""
+    [key] = queue.submit_many([job.to_bytes()])
+    return key
+
+
+def _claim(queue, worker):
+    """Claim and decode the next job, as a worker's CLAIM does."""
+    claimed = queue.claim(worker)
+    if claimed is None:
+        return None
+    key, job = claimed
+    return ClaimedJob(key=key, job=ExperimentJob.from_bytes(job),
+                      worker_id=worker)
+
+
+def _row(claimed, result, runtime_s=None):
+    """The result row a worker builds for a claimed job."""
+    return result_row(build_entry(claimed.job, result, runtime_s=runtime_s))
+
+
 def _complete(queue, claimed, result, runtime_s=None):
     """Store the result and drop the claim, as the server's COMPLETE does."""
     queue.complete(claimed.key, claimed.worker_id,
-                   build_entry(claimed.job, result, runtime_s=runtime_s))
+                   _row(claimed, result, runtime_s=runtime_s))
 
 
 def _advance_clock(queue, seconds):
@@ -78,28 +100,51 @@ def _advance_clock(queue, seconds):
 # JobQueue storage
 # ---------------------------------------------------------------------------
 
+def test_job_bytes_decode_to_the_job_and_hash_to_its_key(config):
+    """A job crosses the wire as its canonical JSON: every figure job
+    (fast-forward off and on) and a sampled fleet population decode
+    back to an equal job, and the SHA-256 of the bytes — all the server
+    computes — is the job's key."""
+    import hashlib
+    from dataclasses import replace
+
+    from repro.experiments.figures import FIGURES
+    from repro.fleet import PopulationSpec, population_jobs
+    from repro.sim.fastforward import FastForwardConfig
+
+    jobs = population_jobs(PopulationSpec(), 100, seed=3)
+    for variant in (config, replace(config, fast_forward=FastForwardConfig(enabled=True))):
+        for figure in FIGURES.values():
+            jobs += figure.build_jobs(variant)
+    assert {job.kind for job in jobs} >= {"host", "accuracy", "train"}
+    for job in jobs:
+        data = job.to_bytes()
+        assert ExperimentJob.from_bytes(data) == job
+        assert hashlib.sha256(data).hexdigest() == job.key()
+
+
 def test_submit_claim_complete_roundtrip(tmp_path, config):
     queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    key = queue.submit(job)
+    key = _submit(queue, job)
     assert key == job.key()
     assert queue.counts().pending == 1
 
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
     assert claimed is not None
     assert claimed.key == key
     assert claimed.job == job
     assert claimed.worker_id == "w1"
     assert queue.counts().pending == 0
     assert queue.counts().claimed == 1
-    assert queue.claim("w2") is None              # nothing left to claim
+    assert _claim(queue, "w2") is None              # nothing left to claim
 
     result = execute_job(job)
     _complete(queue, claimed, result, runtime_s=0.5)
     counts = queue.counts()
     assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
 
-    entry = queue.result_entry(key)
+    entry = queue.results.get_entry(key)
     assert entry["scenario_hash"] == job.scenario.content_hash()
     assert entry["runtime_s"] == 0.5
     assert entry["result"].as_dict() == result.as_dict()
@@ -108,15 +153,15 @@ def test_submit_claim_complete_roundtrip(tmp_path, config):
 def test_submit_is_idempotent_per_content_hash(tmp_path, config):
     queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    assert queue.submit(job) == queue.submit(job)
+    assert _submit(queue, job) == _submit(queue, job)
     assert queue.counts().pending == 1
     # Claimed (in flight) jobs are not resubmitted either...
-    claimed = queue.claim("w1")
-    queue.submit(job)
+    claimed = _claim(queue, "w1")
+    _submit(queue, job)
     assert queue.counts().pending == 0
     # ...nor are completed ones.
     _complete(queue, claimed, execute_job(job))
-    queue.submit(job)
+    _submit(queue, job)
     assert queue.counts().pending == 0
 
 
@@ -127,14 +172,14 @@ def test_claims_drain_in_submission_priority_order(tmp_path, config):
     submitted = [ExperimentJob(Scenario.single("RE", config, seed_offset=i))
                  for i in range(5)]
     for job in submitted:
-        queue.submit(job)
-    drained = [queue.claim("w1").job for _ in submitted]
+        _submit(queue, job)
+    drained = [_claim(queue, "w1").job for _ in submitted]
     assert drained == submitted
 
     later = ExperimentJob(Scenario.single("ITP", config, seed_offset=9))
-    queue.submit(later)
+    _submit(queue, later)
     assert queue.requeue_worker("w1") == [job.key() for job in submitted]
-    drained = [queue.claim("w2").job for _ in range(len(submitted) + 1)]
+    drained = [_claim(queue, "w2").job for _ in range(len(submitted) + 1)]
     assert drained == submitted + [later]
 
 
@@ -143,19 +188,19 @@ def test_sequence_survives_queue_reopening(tmp_path, config):
     sequence instead of jumping its jobs ahead of the existing backlog."""
     first = JobQueue(tmp_path / "q")
     job_a = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    first.submit(job_a)
+    _submit(first, job_a)
     second = JobQueue(tmp_path / "q")
     job_b = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
-    second.submit(job_b)
-    assert second.claim("w").job == job_a
-    assert second.claim("w").job == job_b
+    _submit(second, job_b)
+    assert _claim(second, "w").job == job_a
+    assert _claim(second, "w").job == job_b
 
 
 def test_requeue_stale_recovers_an_expired_claim(tmp_path, config):
     queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    queue.submit(job)
-    claimed = queue.claim("w1")
+    _submit(queue, job)
+    claimed = _claim(queue, "w1")
 
     # A fresh claim is inside its lease: nothing to requeue.
     assert queue.requeue_stale(lease_s=60.0) == []
@@ -167,12 +212,12 @@ def test_requeue_stale_recovers_an_expired_claim(tmp_path, config):
 
     # The requeued job is claimable again, and a late completion of the
     # original claim handle is harmless (at-least-once delivery).
-    reclaimed = queue.claim("w2")
+    reclaimed = _claim(queue, "w2")
     assert reclaimed.job == job
     result = execute_job(job)
     _complete(queue, claimed, result)             # stale handle, claim gone
     _complete(queue, reclaimed, result)
-    assert queue.result_entry(job.key()) is not None
+    assert queue.results.get_entry(job.key()) is not None
 
 
 def test_claiming_an_aged_pending_job_starts_a_fresh_lease(tmp_path, config):
@@ -181,15 +226,15 @@ def test_claiming_an_aged_pending_job_starts_a_fresh_lease(tmp_path, config):
     at the submission."""
     queue = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    queue.submit(job)
+    _submit(queue, job)
     # Let the job wait far past any lease before anyone claims it.
     _advance_clock(queue, 3600.0)
 
-    claimed = queue.claim("w1")
+    claimed = _claim(queue, "w1")
     assert claimed is not None
     assert queue.requeue_stale(lease_s=60.0) == []
     _complete(queue, claimed, execute_job(job))
-    assert queue.result_entry(job.key()) is not None
+    assert queue.results.get_entry(job.key()) is not None
 
 
 def test_reopened_queue_gives_found_claims_a_fresh_lease(tmp_path, config):
@@ -198,8 +243,8 @@ def test_reopened_queue_gives_found_claims_a_fresh_lease(tmp_path, config):
     named for the heartbeat registry to adopt."""
     first = JobQueue(tmp_path / "q")
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    first.submit(job)
-    claimed = first.claim("w1")
+    _submit(first, job)
+    claimed = _claim(first, "w1")
     _advance_clock(first, 120.0)
 
     second = JobQueue(tmp_path / "q")
@@ -211,24 +256,24 @@ def test_reopened_queue_gives_found_claims_a_fresh_lease(tmp_path, config):
 
 
 def test_unreadable_job_row_becomes_a_failure_and_the_next_is_claimed(
-        tmp_path, config):
-    """A job row whose blob does not unpickle is recorded as a failure
-    marker, and the claim moves on to the next pending job."""
-    queue = JobQueue(tmp_path / "q")
+        server, client, config):
+    """A job row whose bytes do not decode is recorded as a failure
+    marker by the worker that claimed it, and the claim moves on to the
+    next pending job.  The server never reads the bytes."""
     broken = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     good = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
-    queue.submit_many([broken, good])
-    queue.results.connection().execute(
+    client.submit_many([broken, good])
+    server.queue.results.connection().execute(
         "UPDATE queue_jobs SET job = ? WHERE key = ?",
-        (b"not a pickle", broken.key()))
+        (b"not a job", broken.key()))
 
-    claimed = queue.claim("w1")
+    claimed = client.claim("w1")
     assert claimed.job == good
-    marker = queue.failure(broken.key())
+    marker = client.failure(broken.key())
     assert marker["key"] == broken.key()
     assert marker["worker"] == "w1"
-    assert "UnpicklingError" in marker["error"]
-    counts = queue.counts()
+    assert "JSONDecodeError" in marker["error"]
+    counts = client.counts()
     assert (counts.pending, counts.claimed, counts.failed) == (0, 1, 1)
 
 
@@ -236,10 +281,10 @@ def test_requeue_worker_recovers_a_known_dead_workers_claims(tmp_path, config):
     queue = JobQueue(tmp_path / "q")
     job_a = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     job_b = ExperimentJob(Scenario.single("ITP", config, seed_offset=2))
-    queue.submit(job_a)
-    queue.submit(job_b)
-    queue.claim("dead-worker")
-    survivor = queue.claim("live-worker")
+    _submit(queue, job_a)
+    _submit(queue, job_b)
+    _claim(queue, "dead-worker")
+    survivor = _claim(queue, "live-worker")
     assert queue.requeue_worker("dead-worker") == [job_a.key()]
     # The live worker's claim is untouched.
     assert queue.counts().claimed == 1
@@ -253,8 +298,8 @@ def test_requeue_worker_with_no_claims_is_a_noop(tmp_path, config):
     queue = JobQueue(tmp_path / "q")
     assert queue.requeue_worker("never-seen") == []
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    queue.submit(job)
-    claimed = queue.claim("w1")
+    _submit(queue, job)
+    claimed = _claim(queue, "w1")
     _complete(queue, claimed, execute_job(job))
     assert queue.requeue_worker("w1") == []       # claim already released
     assert queue.counts().pending == 0
@@ -264,8 +309,8 @@ def test_requeue_worker_with_no_claims_is_a_noop(tmp_path, config):
 def _claimed_synthetic_job(queue, config, offset=1):
     """Submit and claim one job; its result is a small plain dict."""
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=offset))
-    queue.submit(job)
-    claimed = queue.claim("w1")
+    _submit(queue, job)
+    claimed = _claim(queue, "w1")
     return claimed, {"fps": 30.0, "nested": {"rtt_s": [0.05, 0.07]}}
 
 
@@ -274,12 +319,13 @@ def test_complete_commits_result_and_claim_delete_once(server, config):
     the job-row delete share one COMMIT, so one sync."""
     queue = server.queue
     claimed, result = _claimed_synthetic_job(queue, config)
+    row = _row(claimed, result, runtime_s=0.5)
+    row["entry"] = blob_to_text(row["entry"])
     statements: list[str] = []
     queue._conn().set_trace_callback(statements.append)
     try:
-        server._dispatch(MessageType.COMPLETE, {
-            "key": claimed.key, "worker": "w1", "job": claimed.job,
-            "result": result, "runtime_s": 0.5})
+        server._dispatch(MessageType.COMPLETE,
+                         {"key": claimed.key, "worker": "w1", "row": row})
     finally:
         queue._conn().set_trace_callback(None)
     verbs = [statement.split()[0] for statement in statements]
@@ -288,7 +334,7 @@ def test_complete_commits_result_and_claim_delete_once(server, config):
     assert any(s.startswith("DELETE FROM queue_jobs") for s in statements)
     counts = queue.counts()
     assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
-    assert queue.result_entry(claimed.key)["result"] == result
+    assert queue.results.get_entry(claimed.key)["result"] == result
     assert claimed.key not in queue._leases
 
 
@@ -297,7 +343,7 @@ def test_failure_between_result_insert_and_claim_delete_commits_neither(
     import repro.experiments.queue as queue_module
     queue = JobQueue(tmp_path / "q")
     claimed, result = _claimed_synthetic_job(queue, config)
-    entry = build_entry(claimed.job, result, runtime_s=0.5)
+    row = _row(claimed, result, runtime_s=0.5)
 
     def crash(conn, key, worker_id):
         # The result rows are written by now; the job row is not deleted.
@@ -306,15 +352,15 @@ def test_failure_between_result_insert_and_claim_delete_commits_neither(
 
     monkeypatch.setattr(queue_module, "_delete_claim", crash)
     with pytest.raises(RuntimeError, match="injected crash"):
-        queue.complete(claimed.key, "w1", entry)
+        queue.complete(claimed.key, "w1", row)
     conn = queue._conn()
-    assert queue.result_entry(claimed.key) is None
+    assert queue.results.get_entry(claimed.key) is None
     assert conn.execute("SELECT COUNT(*) FROM metrics").fetchone()[0] == 0
     assert conn.execute("SELECT worker FROM queue_jobs WHERE key = ?",
                         (claimed.key,)).fetchall() == [("w1",)]
     assert claimed.key in queue._leases        # the lease still runs
     monkeypatch.undo()
-    assert queue.complete(claimed.key, "w1", entry)
+    assert queue.complete(claimed.key, "w1", row)
     counts = queue.counts()
     assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
 
@@ -325,10 +371,21 @@ def test_complete_stores_a_result_whose_claim_was_requeued(tmp_path, config):
     queue = JobQueue(tmp_path / "q")
     claimed, result = _claimed_synthetic_job(queue, config)
     assert queue.requeue_worker("w1") == [claimed.key]
-    assert queue.claim("w2").key == claimed.key
-    entry = build_entry(claimed.job, result)
-    assert not queue.complete(claimed.key, "w1", entry)
-    assert queue.result_entry(claimed.key)["result"] == result
+    assert _claim(queue, "w2").key == claimed.key
+    assert not queue.complete(claimed.key, "w1", _row(claimed, result))
+    assert queue.results.get_entry(claimed.key)["result"] == result
+    assert queue.counts().claimed == 1
+
+
+def test_complete_refuses_a_row_filed_under_another_key(tmp_path, config):
+    """The server checks a worker's row is filed under the claimed key:
+    a mismatch stores nothing and keeps the claim."""
+    queue = JobQueue(tmp_path / "q")
+    claimed, result = _claimed_synthetic_job(queue, config)
+    row = dict(_row(claimed, result), key="0" * 64)
+    with pytest.raises(ValueError, match="cannot complete"):
+        queue.complete(claimed.key, "w1", row)
+    assert queue.counts().completed == 0
     assert queue.counts().claimed == 1
 
 
@@ -413,8 +470,7 @@ def test_resubmitting_a_failed_job_clears_its_stale_failure_marker(
     """A failure marker left by an earlier attempt must not fail a fresh
     submission of the same job: enqueueing the key again drops it."""
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    server.queue.record_failure(job.key(), "old-worker",
-                                "RuntimeError('transient')", "")
+    server.queue.fail(job.key(), "old-worker", "RuntimeError('transient')")
     assert client.counts().failed == 1
 
     with ExperimentSuite(queue_addr=server.address, workers=1,
@@ -452,6 +508,32 @@ def test_socket_suite_rejects_tampered_queue_results(server, client, config,
     # The queue's store now holds an honestly stamped entry again.
     assert client.result_entry(key)["scenario_hash"] \
         == job.scenario.content_hash()
+
+
+def test_socket_suite_re_executes_an_unreadable_queue_result(
+        server, client, config, caplog):
+    """A stored row whose entry blob will not unpickle is logged,
+    invalidated and re-executed.  The server only checks the row's
+    schema column at submit time, so it is the suite's client that
+    loads the blob, rejects it and resubmits the job."""
+    import logging
+
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+    key = client.submit(job)
+    assert run_worker(client, worker_id="w1", poll_s=0.01, max_jobs=1) == 1
+    server.queue.results.connection().execute(
+        "UPDATE results SET entry = ? WHERE key = ?", (b"not a pickle", key))
+
+    reference = execute_job(job)
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
+        with ExperimentSuite(workers=1, queue_addr=server.address,
+                             timeout_s=300) as suite:
+            [result] = suite.run([job])
+    assert any(f"{server.address}#{key} is unreadable" in record.message
+               for record in caplog.records)
+    assert result.as_dict() == reference.as_dict()
+    assert client.result_entry(key)["result"].as_dict() \
+        == reference.as_dict()
 
 
 # ---------------------------------------------------------------------------

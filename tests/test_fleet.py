@@ -7,8 +7,9 @@ hash; (2) a sampled population drains through the existing suite
 backends unchanged and ``fleet_report`` then answers per-cohort
 p50/p95/p99 *without ever unpickling a payload* — proven by
 monkeypatching ``pickle.loads`` to raise during reporting; (3) the
-store's metrics index is written at ``put`` time, reconstructable by
-``results backfill``, and bounded by ``results gc``.
+store's metrics index is written at ``put`` time and bounded by
+``results gc``, and every lookup searches an index, proven by its
+query plan.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import pytest
 
 from repro.experiments import ExperimentSuite, ResultStore
 from repro.experiments.__main__ import main
-from repro.experiments.jobs import ExperimentJob
-from repro.experiments.store import build_entry, numeric_metrics
+from repro.experiments.jobs import CACHE_SCHEMA_VERSION, ExperimentJob
+from repro.experiments.store import (build_entry, current_git_rev,
+                                     numeric_metrics)
 from repro.fleet import (
     DEFAULT_METRICS,
     MetricSelector,
@@ -267,22 +269,6 @@ def test_select_newest_and_metric_values(drained):
         store.provenance_values(selection, "entry")
 
 
-def test_backfill_reconstructs_the_metrics_index(drained):
-    cache_dir, _ = drained
-    store = ResultStore(cache_dir)
-    conn = store.connection()
-    before = set(conn.execute(
-        "SELECT key, git_rev, name, value FROM metrics"))
-    rows = {(key, rev) for key, rev, _, _ in before}
-    assert store.backfill_metrics().backfilled == 0   # nothing to do
-    conn.execute("DELETE FROM metrics")
-    report = store.backfill_metrics()
-    assert report.backfilled == len(rows) > 0   # one pass per (key, rev)
-    after = set(conn.execute(
-        "SELECT key, git_rev, name, value FROM metrics"))
-    assert after == before
-
-
 #: ``metric_values`` as it was written before the population drove the
 #: join, kept as the reference for its rows and their order.
 _SCANNING_METRIC_VALUES_SQL = (
@@ -329,6 +315,87 @@ def test_fleet_lookups_search_per_population_row(drained):
     plan = _last_select_plan(
         conn, lambda: store.provenance_values(selection, "runtime_s"))
     assert not any(step.startswith("SCAN r") for step in plan)
+
+
+@pytest.fixture
+def two_revisions(drained, tmp_path):
+    """A copy of the drained store where half the keys also carry a row
+    from a second revision, written later."""
+    cache_dir, index = drained
+    copy = sqlite3.connect(tmp_path / "results.sqlite")
+    ResultStore(cache_dir).connection().backup(copy)
+    copy.close()
+    store = ResultStore(tmp_path)
+    for key in sorted(index)[::2]:
+        store.put_entry(dict(store.get_entry(key), git_rev="b" * 40))
+    return store, index
+
+
+#: ``select_newest``'s query as it was written before the population
+#: drove the join, kept as the reference for its rows and their order.
+_SCANNING_SELECT_NEWEST_SQL = (
+    "SELECT r.key, r.git_rev, r.created_at, r.rowid "
+    "FROM results r JOIN _population_keys p ON p.key = r.key "
+    "WHERE r.schema = ? AND r.git_rev LIKE ?")
+
+
+def _scanning_select_newest(store, rev_prefix):
+    newest = {}
+    for key, rev, created_at, rowid in store.connection().execute(
+            _SCANNING_SELECT_NEWEST_SQL, (CACHE_SCHEMA_VERSION, rev_prefix + "%")):
+        if key not in newest or (created_at, rowid) > newest[key][1]:
+            newest[key] = (rev, (created_at, rowid))
+    return [(key, rev) for key, (rev, _) in newest.items()]
+
+
+def test_select_newest_searches_per_population_key(two_revisions):
+    """select_newest loops over the population and searches the
+    ``(key, git_rev)`` primary key; its rows and their order match the
+    scanning query it replaced."""
+    store, index = two_revisions
+    conn = store.connection()
+    for rev in (None, "B" * 7, current_git_rev()[:7]):
+        plan = _last_select_plan(
+            conn, lambda: store.select_newest(list(index), git_rev=rev))
+        assert any(step.startswith("SEARCH r USING INDEX sqlite_autoindex_results_1 (key=?")
+                   for step in plan), plan
+        assert not any(step.startswith("SCAN r") for step in plan)
+        selection = store.select_newest(list(index), git_rev=rev)
+        assert list(selection.items()) \
+            == _scanning_select_newest(store, (rev or "").lower())
+        assert selection
+    assert set(store.select_newest(list(index)).values()) \
+        == {"b" * 40, current_git_rev()}
+
+
+def test_prefix_filters_search_their_indexes(two_revisions):
+    """Prefix filters are ranges on the lower-cased prefix, so each one
+    searches its index; LIKE's and glob's specials match only
+    themselves."""
+    store, index = two_revisions
+    conn = store.connection()
+    some_hash = store.rows()[0]["scenario_hash"]
+    cases = [
+        (lambda: store.rows(scenario_hash=some_hash[:6].upper()),
+         "idx_results_scenario_hash (scenario_hash>? AND scenario_hash<?)"),
+        (lambda: store.rows(git_rev="BBB"),
+         "idx_results_git_rev (git_rev>? AND git_rev<?)"),
+        (lambda: store.result_set(git_rev="bbb"),
+         "idx_results_git_rev (git_rev>? AND git_rev<?)"),
+    ]
+    for call, index_search in cases:
+        plan = _last_select_plan(conn, call)
+        assert any(step.startswith("SEARCH results USING INDEX " + index_search)
+                   for step in plan), plan
+    assert {row["scenario_hash"] for row in
+            store.rows(scenario_hash=some_hash[:6].upper())} == {some_hash}
+    assert {row["git_rev"] for row in store.rows(git_rev="BBB")} == {"b" * 40}
+    assert len(store.result_set(git_rev="bbb")) == len(sorted(index)[::2])
+    for special in ("%", "_", "*", "b%", "b_"):
+        assert store.rows(git_rev=special) == []
+        assert store.rows(scenario_hash=special) == []
+        assert store.result_set(git_rev=special) == {}
+        assert store.select_newest(list(index), git_rev=special) == {}
 
 
 def test_store_with_the_old_metric_name_index_drops_it_on_open(drained,
@@ -564,7 +631,7 @@ def test_results_list_offset_cli(tmp_path, capsys):
     assert "--offset must be non-negative" in capsys.readouterr().err
 
 
-def test_results_gc_and_backfill_cli(tmp_path, capsys):
+def test_results_gc_cli(tmp_path, capsys):
     path = spec_file(tmp_path)
     cache = str(tmp_path / "cache")
     assert run_cli("fleet", "run", path, "--n", "4",
@@ -581,11 +648,5 @@ def test_results_gc_and_backfill_cli(tmp_path, capsys):
     assert "dropped 4 superseded result row(s)" in out
     assert "vacuumed" in out
     assert len(store.rows()) == 4
-
-    store.connection().execute("DELETE FROM metrics")
-    assert run_cli("results", "backfill", "--store", cache) == 0
-    assert "indexed metrics for 4 row(s)" in capsys.readouterr().out
-    assert run_cli("results", "backfill", "--store", cache) == 0
-    assert "indexed metrics for 0 row(s)" in capsys.readouterr().out
     assert run_cli("results", "gc", "--store", cache, "--keep", "0") == 2
     assert "--keep must be at least 1" in capsys.readouterr().err

@@ -133,6 +133,30 @@ def test_store_rejects_stale_schema_rows_with_a_log(tmp_path, caplog):
                for record in caplog.records)
 
 
+def test_rows_written_before_the_metrics_table_are_stale_and_re_executed(
+        tmp_path, job, result, caplog):
+    """Schema 3 is the first to promise metric rows: a schema-2 row —
+    written before the ``metrics`` table existed, so without any — is
+    rejected with the stale-entry log line and re-executed, and the
+    re-execution writes its metric rows."""
+    assert CACHE_SCHEMA_VERSION == 3
+    cache_dir = tmp_path / "store"
+    store = ResultStore(cache_dir)
+    store.put_entry(dict(build_entry(job, result), schema=2))
+    conn = store.connection()
+    conn.execute("DELETE FROM metrics")
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
+        suite = ExperimentSuite(cache_dir=cache_dir)
+        [replayed] = suite.run([job])
+    assert (suite.stats.executed, suite.stats.cache_hits) == (1, 0)
+    assert any("rejecting stale cache entry" in record.message
+               and "schema version 2 != current 3" in record.message
+               for record in caplog.records)
+    assert replayed.as_dict() == result.as_dict()
+    assert store.get_entry(job.key())["schema"] == 3
+    assert conn.execute("SELECT COUNT(*) FROM metrics").fetchone()[0] > 0
+
+
 def test_store_rejects_tampered_scenario_hash_with_a_log(tmp_path, job,
                                                          result, caplog):
     store = ResultStore(tmp_path / "store")
@@ -203,22 +227,6 @@ def test_invalidate_deletes_in_one_transaction(tmp_path):
     assert store.get_entry(entry["key"]) is None
     assert store.connection().execute(
         "SELECT COUNT(*) FROM metrics").fetchone()[0] == 0
-
-
-def test_backfill_writes_every_metric_row_in_one_transaction(tmp_path):
-    store = ResultStore(tmp_path / "store")
-    for index in range(3):
-        store.put_entry(_synthetic_entry(index, float(index)))
-    conn = store.connection()
-    before = set(conn.execute("SELECT * FROM metrics"))
-    conn.execute("DELETE FROM metrics")
-    statements = _traced_statements(store)
-    assert store.backfill_metrics().backfilled == 3
-    writes = [s.split()[0] for s in statements if not s.startswith("SELECT")]
-    assert writes[0] == "BEGIN" and writes[-1] == "COMMIT"
-    assert set(writes[1:-1]) == {"INSERT"}
-    assert len(writes[1:-1]) == len(before)
-    assert set(conn.execute("SELECT * FROM metrics")) == before
 
 
 @pytest.mark.parametrize("stamped_job", [

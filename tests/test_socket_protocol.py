@@ -1,16 +1,17 @@
 """The socket transport's frame codec: round-trips, truncation, corruption.
 
 The property under test is the module docstring's contract for
-:mod:`repro.experiments.protocol`: any payload survives an
-encode/decode round-trip byte-exactly; anything less than a whole,
-checksum-clean frame is *rejected* — with the documented
-``"rejecting corrupt frame"`` / ``"rejecting truncated frame"`` log
-lines — never half-decoded.
+:mod:`repro.experiments.protocol`: any plain-data payload survives an
+encode/decode round-trip exactly; anything less than a whole,
+checksum-clean JSON frame of the spoken version — a pickle included — is
+*rejected* — with the documented ``"rejecting corrupt frame"`` /
+``"rejecting truncated frame"`` log lines — never half-decoded.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import logging
 import pickle
 import socket
@@ -29,21 +30,23 @@ from repro.experiments.protocol import (
     CorruptFrameError,
     MessageType,
     TruncatedFrameError,
+    blob_to_text,
     decode_frame,
     encode_frame,
     read_frame,
     recv_frame,
+    text_to_blob,
 )
 
-# Arbitrary picklable payloads: scalars nested arbitrarily in
-# lists/tuples/dicts — the shapes real request/response payloads take.
+# Arbitrary plain-data payloads: scalars nested arbitrarily in
+# lists/dicts — the shapes real request/response payloads take.
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.floats(allow_nan=False),        # NaN != NaN breaks equality checks
     st.text(),
-    st.binary(),
+    st.binary().map(blob_to_text),     # a binary field's wire form
 )
 _payloads = st.recursive(
     _scalars,
@@ -64,6 +67,16 @@ def test_roundtrip_restores_any_payload_exactly(kind, payload):
     assert decoded_kind is kind
     assert decoded == payload
     assert consumed == len(frame)
+
+
+@given(blob=st.binary())
+@settings(max_examples=100, deadline=None)
+def test_binary_fields_roundtrip_as_base64_text(blob):
+    text = blob_to_text(blob)
+    assert text_to_blob(text) == blob
+    _, decoded, _ = decode_frame(encode_frame(MessageType.OK, {"entry": text}))
+    assert text_to_blob(decoded["entry"]) == blob
+    assert blob_to_text(None) is None and text_to_blob(None) is None
 
 
 @given(kind=_kinds, payload=_payloads, trailing=st.binary(min_size=1))
@@ -130,17 +143,50 @@ def test_bad_magic_version_and_type_are_rejected(caplog):
     assert len(rejections) == 4
 
 
-def test_unpicklable_payload_is_rejected_not_crashed():
-    body = b"\x80\x04not really a pickle"
+@pytest.mark.parametrize("body", [
+    pickle.dumps({"worker": "w-1"}, protocol=pickle.HIGHEST_PROTOCOL),
+    b"\x80\x04not really a pickle",
+    b"{\"truncated\": ",
+], ids=["pickle", "garbage", "half-json"])
+def test_non_json_payload_is_rejected_not_crashed(body, caplog):
+    """A checksum-clean frame whose payload is not JSON — a pickle
+    included — is rejected with the documented line, never loaded."""
     frame = HEADER.pack(MAGIC, PROTOCOL_VERSION, int(MessageType.OK),
                         len(body), zlib.crc32(body)) + body
-    with pytest.raises(CorruptFrameError, match="unpickle"):
-        decode_frame(frame)
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.protocol"):
+        with pytest.raises(CorruptFrameError, match="not JSON"):
+            decode_frame(frame)
+    assert any("rejecting corrupt frame: payload is not JSON" in record.message
+               for record in caplog.records)
 
 
-def test_oversized_payload_refuses_to_encode():
+def test_version_one_frame_is_rejected_with_the_documented_line(caplog):
+    """A peer speaking the pickled protocol version 1 gets one clear
+    rejection, before its payload is looked at."""
+    assert PROTOCOL_VERSION == 2
+    body = pickle.dumps({"worker": "w-1"}, protocol=pickle.HIGHEST_PROTOCOL)
+    frame = HEADER.pack(MAGIC, 1, int(MessageType.CLAIM), len(body),
+                        zlib.crc32(body)) + body
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.protocol"):
+        with pytest.raises(CorruptFrameError):
+            decode_frame(frame)
+    assert [record.message for record in caplog.records] == [
+        "rejecting corrupt frame: protocol version 1 (speaking 2)"]
+
+
+def test_unencodable_payload_refuses_to_encode():
+    """Only plain data crosses the wire: bytes must be base64 text first."""
+    with pytest.raises(TypeError):
+        encode_frame(MessageType.OK, {"entry": b"raw bytes"})
+
+
+def test_oversized_payload_refuses_to_encode(monkeypatch):
+    import repro.experiments.protocol as protocol
+
+    monkeypatch.setattr(protocol, "MAX_PAYLOAD", 1024)
+    encode_frame(MessageType.SUBMIT, "x" * 1000)
     with pytest.raises(ValueError, match="cap"):
-        encode_frame(MessageType.SUBMIT, b"\x00" * (MAX_PAYLOAD + 1))
+        encode_frame(MessageType.SUBMIT, "x" * 1024)
 
 
 def test_read_frame_streams_multiple_frames_then_clean_eof():
@@ -212,4 +258,4 @@ def test_header_layout_is_the_documented_twelve_bytes():
     assert kind == int(MessageType.HEARTBEAT)
     assert length == len(frame) - 12
     assert crc == zlib.crc32(frame[12:])
-    assert pickle.loads(frame[12:]) == {"worker": "w"}
+    assert json.loads(frame[12:]) == {"worker": "w"}

@@ -126,7 +126,7 @@ def test_submit_claim_complete_roundtrip_over_tcp(server, client, config):
 
     # The wire changes nothing on disk: the server's JobQueue holds the
     # stored result.
-    assert server.queue.result_entry(key)["result"].as_dict() \
+    assert server.queue.results.get_entry(key)["result"].as_dict() \
         == result.as_dict()
 
 
@@ -362,6 +362,107 @@ def test_requests_ride_out_a_server_restart(tmp_path, config):
         restarter.join()
         second["server"].stop()
         client.close()
+
+
+# ---------------------------------------------------------------------------
+# The server moves bytes: a full drain with unpickling disabled in it
+# ---------------------------------------------------------------------------
+
+#: ``serve`` with every unpickling entry point made to raise before the
+#: repro packages load.
+_PICKLE_FREE_SERVE = """
+import pickle
+import sys
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the queue server unpickled")
+
+class RefusingUnpickler:
+    def __init__(self, *args, **kwargs):
+        refuse()
+
+pickle.loads = pickle.load = refuse
+pickle.Unpickler = RefusingUnpickler
+
+from repro.experiments.__main__ import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _start_pickle_free_server(root):
+    """A ``serve --port 0`` subprocess that cannot unpickle; returns the
+    process, its address and its log."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_root + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    log = root / "server.log"
+    with log.open("wb") as handle:
+        process = subprocess.Popen(
+            [sys.executable, "-c", _PICKLE_FREE_SERVE, "serve",
+             "--queue", str(root / "q"), "--port", "0"],
+            env=env, stdout=handle, stderr=handle)
+    marker = "queue server listening on "
+
+    def listening():
+        assert process.poll() is None, log.read_text()
+        return marker in log.read_text()
+
+    _wait_for(listening, what="the server to listen")
+    line = next(line for line in log.read_text().splitlines()
+                if marker in line)
+    return process, line.split(marker)[1].split()[0], log
+
+
+def test_a_full_drain_never_unpickles_in_the_server(tmp_path):
+    """300 small jobs cross SUBMIT, CLAIM, COMPLETE and RESULT, replay
+    warm through a suite, and an artifact goes up and comes back — all
+    against a server whose ``pickle.loads`` and ``pickle.Unpickler``
+    raise.  Every result equals an in-process ``execute_job``."""
+    config = ExperimentConfig(duration_s=0.08, warmup_s=0.02)
+    names = config.benchmarks
+    jobs = [ExperimentJob(Scenario.single(names[i % len(names)], config,
+                                          seed_offset=i))
+            for i in range(300)]
+    process, addr, log = _start_pickle_free_server(tmp_path)
+    try:
+        with SocketQueue(addr) as client:
+            assert client.submit_many(jobs) == [job.key() for job in jobs]
+            assert run_worker(client, worker_id="w", poll_s=0.01,
+                              max_jobs=len(jobs)) == len(jobs)
+            drained = [client.result_entry(job.key())["result"]
+                       for job in jobs]
+            counts = client.counts()
+            assert (counts.pending, counts.claimed, counts.completed,
+                    counts.failed) == (0, 0, len(jobs), 0)
+
+            artifacts = client.artifact_store()
+            payload = bytes(range(256)) * 4
+            assert artifacts.put_artifact_bytes(
+                "a" * 64, payload, schema=1, benchmark="RE",
+                spec={"benchmark": "RE"}, runtime_s=0.5)
+            assert artifacts.get_artifact_bytes("a" * 64, schema=1) == payload
+            [row] = artifacts.artifact_rows("RE")
+            assert (row["hash"], row["size_bytes"]) == ("a" * 64, len(payload))
+            assert not artifacts._disabled
+
+        with ExperimentSuite(queue_addr=addr, spawn_workers=False,
+                             timeout_s=60.0) as suite:
+            replayed = suite.run(jobs)
+    finally:
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=30)
+    assert "unpickled" not in log.read_text()
+    assert process.returncode == 0, log.read_text()
+    for job, cold, warm in zip(jobs, drained, replayed):
+        reference = execute_job(job).as_dict()
+        assert cold.as_dict() == reference
+        assert warm.as_dict() == reference
 
 
 # ---------------------------------------------------------------------------
