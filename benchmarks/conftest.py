@@ -2,11 +2,19 @@
 
 Every file in this directory regenerates one table or figure of the paper
 (see DESIGN.md for the index).  Each harness runs the corresponding
-experiment generator under pytest-benchmark and prints the same rows /
-series the paper reports, so the output can be compared side by side with
-the published figures.  Absolute numbers are not expected to match the
+experiment under pytest-benchmark and prints the same rows / series the
+paper reports, so the output can be compared side by side with the
+published figures.  Absolute numbers are not expected to match the
 authors' testbed — the substrate here is a simulator — but the shapes
 (who wins, by roughly what factor, where crossovers fall) should.
+
+A harness whose jobs are a whole figure's calls
+:func:`~repro.experiments.figures.run_figure` with the session
+``config``; one that sweeps a subset of the benchmarks runs the figure
+module's ``*_jobs`` through :func:`~repro.experiments.executor.run_jobs`
+and applies the module's ``*_from_results`` fold.  Either way the jobs
+carry the session ``config`` unchanged, so harnesses share result-store
+keys with each other and with ``python -m repro.experiments``.
 
 Every harness is marked ``bench`` (registered in ``pyproject.toml``), so
 CI can split the fast unit suite (``-m "not bench"``) from a benchmark

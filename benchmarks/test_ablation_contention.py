@@ -10,13 +10,12 @@ inflates substantially, which is what Figures 11-16 rely on.
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.ablations import contention_model_ablation
+from repro.experiments.figures import run_figure
 
 
 def test_ablation_contention_model(benchmark, config, suite):
-    result = benchmark.pedantic(
-        lambda: contention_model_ablation("D2", instances=4, config=config, suite=suite),
-        rounds=1, iterations=1)
+    [result] = benchmark.pedantic(
+        lambda: run_figure("ablation", config, suite), rounds=1, iterations=1)
 
     emit("Ablation: RTT inflation at 4 colocated instances (D2)",
          ["machine model", "RTT inflation (x)"],

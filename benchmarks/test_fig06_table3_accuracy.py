@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import emit
-from repro.experiments.accuracy import methodology_accuracy_rows
+from repro.experiments import run_jobs
+from repro.experiments.accuracy import accuracy_jobs
 
 #: The benchmarks exercised by the harness (a subset keeps the quick
 #: profile's runtime reasonable; set PICTOR_BENCH_PROFILE=paper for all six).
@@ -22,8 +23,7 @@ def test_fig06_table3_methodology_accuracy(benchmark, config, suite):
     def run():
         # One job per benchmark: each trains its intelligent client (seed
         # offset by its index, as before) and runs all five methodologies.
-        return methodology_accuracy_rows(ACCURACY_BENCHMARKS, config,
-                                         suite=suite)
+        return run_jobs(accuracy_jobs(ACCURACY_BENCHMARKS, config), suite)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
 

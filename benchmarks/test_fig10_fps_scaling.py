@@ -8,15 +8,16 @@ three; FPS degrades further at four.
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.scaling import scaling_sweep
+from repro.experiments import run_jobs
+from repro.experiments.scaling import scaling_jobs, scaling_points_from_results
 
 SCALING_BENCHMARKS = ("STK", "RE", "D2", "ITP")
 
 
 def test_fig10_fps_scaling(benchmark, config, suite):
     def run():
-        return {bench: scaling_sweep(bench, config, max_instances=config.max_instances,
-                                      suite=suite)
+        return {bench: scaling_points_from_results(
+                    bench, run_jobs(scaling_jobs(bench, config), suite))
                 for bench in SCALING_BENCHMARKS}
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,15 +9,16 @@ number of colocated instances.
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.scaling import scaling_sweep
+from repro.experiments import run_jobs
+from repro.experiments.scaling import scaling_jobs, scaling_points_from_results
 
 RTT_BENCHMARKS = ("0AD", "RE", "IM")
 
 
 def test_fig11_rtt_breakdown(benchmark, config, suite):
     def run():
-        return {bench: scaling_sweep(bench, config, max_instances=config.max_instances,
-                                      suite=suite)
+        return {bench: scaling_points_from_results(
+                    bench, run_jobs(scaling_jobs(bench, config), suite))
                 for bench in RTT_BENCHMARKS}
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -8,15 +8,16 @@ by up to ~96% under colocation, and every stage grows with more instances.
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.scaling import scaling_sweep
+from repro.experiments import run_jobs
+from repro.experiments.scaling import scaling_jobs, scaling_points_from_results
 
 SERVER_BENCHMARKS = ("STK", "D2", "ITP")
 
 
 def test_fig12_server_breakdown(benchmark, config, suite):
     def run():
-        return {bench: scaling_sweep(bench, config, max_instances=config.max_instances,
-                                      suite=suite)
+        return {bench: scaling_points_from_results(
+                    bench, run_jobs(scaling_jobs(bench, config), suite))
                 for bench in SERVER_BENCHMARKS}
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)

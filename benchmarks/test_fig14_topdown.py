@@ -8,16 +8,19 @@ instances colocate on the server.
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.architecture import architecture_sweep
+from repro.experiments import run_jobs
+from repro.experiments.architecture import (
+    architecture_jobs,
+    architecture_points_from_results,
+)
 
 TOPDOWN_BENCHMARKS = ("STK", "D2")
 
 
 def test_fig14_topdown_breakdown(benchmark, config, suite):
     def run():
-        return {bench: architecture_sweep(bench, config,
-                                          max_instances=config.max_instances,
-                                          suite=suite)
+        return {bench: architecture_points_from_results(
+                    bench, run_jobs(architecture_jobs(bench, config), suite))
                 for bench in TOPDOWN_BENCHMARKS}
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,16 +9,19 @@ contention.
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.architecture import architecture_sweep
+from repro.experiments import run_jobs
+from repro.experiments.architecture import (
+    architecture_jobs,
+    architecture_points_from_results,
+)
 
 L3_BENCHMARKS = ("STK", "RE", "IM")
 
 
 def test_fig15_l3_miss_rates(benchmark, config, suite):
     def run():
-        return {bench: architecture_sweep(bench, config,
-                                          max_instances=config.max_instances,
-                                          suite=suite)
+        return {bench: architecture_points_from_results(
+                    bench, run_jobs(architecture_jobs(bench, config), suite))
                 for bench in L3_BENCHMARKS}
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -12,16 +12,19 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.experiments.architecture import architecture_sweep
+from repro.experiments import run_jobs
+from repro.experiments.architecture import (
+    architecture_jobs,
+    architecture_points_from_results,
+)
 
 GPU_BENCHMARKS = ("RE", "IM", "0AD")
 
 
 def test_fig16_gpu_cache_miss_rates(benchmark, config, suite):
     def run():
-        return {bench: architecture_sweep(bench, config,
-                                          max_instances=config.max_instances,
-                                          suite=suite)
+        return {bench: architecture_points_from_results(
+                    bench, run_jobs(architecture_jobs(bench, config), suite))
                 for bench in GPU_BENCHMARKS}
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -8,16 +8,16 @@ Paper result: each added instance raises total server power by less than
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.power import per_instance_power
+from repro.experiments import run_jobs
+from repro.experiments.power import power_jobs, power_points_from_results
 
 POWER_BENCHMARKS = ("RE", "D2")
 
 
 def test_fig17_per_instance_power(benchmark, config, suite):
     def run():
-        return {bench: per_instance_power(bench, config,
-                                          max_instances=config.max_instances,
-                                          suite=suite)
+        return {bench: power_points_from_results(
+                    bench, run_jobs(power_jobs(bench, config), suite))
                 for bench in POWER_BENCHMARKS}
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,26 +9,25 @@ server power by no more than ~25%, so sharing a server saves at least
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.mixed import all_pairs, pair_energy_saving, pair_fps
+from repro.experiments import run_jobs
+from repro.experiments.figures import run_figure
+from repro.experiments.mixed import pair_energy_from_results, pair_energy_jobs
 
 
 def test_fig18_mixed_pair_fps(benchmark, config, suite):
-    pairs = all_pairs(config.benchmarks)
-
     def run():
-        results = pair_fps(config, pairs=pairs, suite=suite)
-        saving = pair_energy_saving(("RE", "ITP"), config, suite=suite)
-        return results, saving
+        rows = run_figure("fig18", config, suite)
+        saving = pair_energy_from_results(
+            run_jobs(pair_energy_jobs(("RE", "ITP"), config), suite))
+        return rows, saving
 
-    results, saving = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, saving = benchmark.pedantic(run, rounds=1, iterations=1)
 
     emit("Figure 18: client FPS for the 15 mixed benchmark pairs",
          ["pair", "FPS (left)", "FPS (right)", "both >= 25?"],
-         [[f"{left}+{right}", f"{result.client_fps[left]:.1f}",
-           f"{result.client_fps[right]:.1f}",
-           "yes" if result.both_meet_qos else "no"]
-          for result in results
-          for left, right in [result.pair]],
+         [[row["pair"], f"{row['fps_a']:.1f}", f"{row['fps_b']:.1f}",
+           "yes" if row["both_meet_qos"] else "no"]
+          for row in rows],
          notes="Paper: 11 of 15 pairs keep both members above 25 FPS.")
     emit("Section 5.3: energy of sharing one server vs. two servers (RE+ITP)",
          ["shared W", "separate W", "energy saving"],
@@ -37,8 +36,8 @@ def test_fig18_mixed_pair_fps(benchmark, config, suite):
            f"{saving['energy_saving_percent']:.0f}%"]],
          notes="Paper: at least ~37% saving.")
 
-    assert len(results) == 15
-    qos_pairs = sum(1 for result in results if result.both_meet_qos)
+    assert len(rows) == 15
+    qos_pairs = sum(1 for row in rows if row["both_meet_qos"])
     # The majority of pairs (paper: 11/15) keep acceptable QoS.
     assert qos_pairs >= 8
     assert saving["energy_saving_percent"] > 30.0

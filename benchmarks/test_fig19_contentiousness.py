@@ -8,36 +8,32 @@ contentiousness of a co-runner are correlated.
 
 from __future__ import annotations
 
-
 from conftest import emit
-from repro.experiments.mixed import contentiousness
+from repro.experiments.figures import run_figure
 
 
 def test_fig19_dota2_contentiousness(benchmark, config, suite):
-    co_runners = [b for b in config.benchmarks if b != "D2"]
     rows = benchmark.pedantic(
-        lambda: contentiousness("D2", config, co_runners=co_runners, suite=suite),
-        rounds=1, iterations=1)
+        lambda: run_figure("fig19", config, suite), rounds=1, iterations=1)
 
     def fmt(value):
         return "n/a" if value is None else f"{value:+.3f}"
 
     emit("Figure 19: Dota 2 vs. each co-runner",
          ["co-runner", "perf loss", "CPU L3 miss increase", "GPU L2 miss increase"],
-         [[row.co_runner, f"{row.performance_loss_percent:.1f}%",
-           fmt(row.cpu_cache_miss_increase), fmt(row.gpu_cache_miss_increase)]
+         [[row["co_runner"], f"{row['performance_loss_percent']:.1f}%",
+           fmt(row["cpu_cache_miss_increase"]), fmt(row["gpu_cache_miss_increase"])]
           for row in rows],
          notes="Paper: STK is the most contentious co-runner, 0AD the least; "
                "CPU and GPU cache contentiousness correlate.")
 
-    by_runner = {row.co_runner: row for row in rows}
-    losses = [row.performance_loss_percent for row in rows]
+    by_runner = {row["co_runner"]: row for row in rows}
+    losses = [row["performance_loss_percent"] for row in rows]
+    cache_increases = [row["cpu_cache_miss_increase"] for row in rows]
     # Contentiousness varies meaningfully across co-runners.
     assert max(losses) - min(losses) > 2.0
     # SuperTuxKart pressures the shared cache hierarchy hardest, 0 A.D. least.
-    assert by_runner["STK"].cpu_cache_miss_increase >= \
-        max(row.cpu_cache_miss_increase for row in rows) - 1e-9
-    assert by_runner["0AD"].cpu_cache_miss_increase <= \
-        min(row.cpu_cache_miss_increase for row in rows) + 1e-9
+    assert by_runner["STK"]["cpu_cache_miss_increase"] >= max(cache_increases) - 1e-9
+    assert by_runner["0AD"]["cpu_cache_miss_increase"] <= min(cache_increases) + 1e-9
     # Every co-runner hurts at least somewhat.
-    assert all(row.performance_loss_percent > 0.0 for row in rows)
+    assert all(loss > 0.0 for loss in losses)

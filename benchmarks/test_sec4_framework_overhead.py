@@ -8,15 +8,24 @@ overhead grows to ~10%.
 from __future__ import annotations
 
 from conftest import emit
-from repro.experiments.overhead import framework_overhead, query_buffer_ablation
+from repro.experiments import run_jobs
+from repro.experiments.overhead import (
+    framework_overhead_from_results,
+    overhead_jobs,
+    query_buffer_from_results,
+    query_buffer_jobs,
+)
 
 OVERHEAD_BENCHMARKS = ("STK", "RE", "D2", "ITP")
 
 
 def test_sec4_framework_overhead(benchmark, config, suite):
     def run():
-        summary = framework_overhead(OVERHEAD_BENCHMARKS, config, suite=suite)
-        ablation = query_buffer_ablation("STK", config, suite=suite)
+        summary = framework_overhead_from_results(
+            OVERHEAD_BENCHMARKS,
+            run_jobs(overhead_jobs(OVERHEAD_BENCHMARKS, config), suite))
+        ablation = query_buffer_from_results(
+            run_jobs(query_buffer_jobs("STK", config), suite))
         return summary, ablation
 
     summary, ablation = benchmark.pedantic(run, rounds=1, iterations=1)

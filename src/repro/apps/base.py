@@ -272,6 +272,7 @@ class Application3D:
             objects=list(self.objects),
             complexity=self._sample_complexity(),
             scene_change=self._sample_scene_change(abs(steer)),
+            frame_id=self.frame_index + 1,
         )
         self.frame_index += 1
         return frame

@@ -6,7 +6,7 @@ of this reproduction:
 * the effective-rate contention model — disabling the contention levers
   should make colocated performance unrealistically flat;
 * the double-buffered GPU time queries (see
-  :func:`repro.experiments.overhead.query_buffer_ablation`);
+  :func:`repro.experiments.overhead.query_buffer_jobs`);
 * the activity coupling between input generation and workload intensity —
   without it the Table 3 methodology comparison loses its signal.
 
@@ -17,15 +17,11 @@ four plain host jobs and parallelizes like any other experiment.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
-__all__ = ["contention_model_ablation", "contention_jobs",
-           "contention_from_results"]
+__all__ = ["contention_jobs", "contention_from_results"]
 
 
 def contention_jobs(benchmark: str, instances: int,
@@ -44,6 +40,7 @@ def contention_jobs(benchmark: str, instances: int,
 
 
 def contention_from_results(results) -> dict[str, float]:
+    """Colocated RTT inflation with and without the contention model."""
     single, loaded, flat_single, flat_loaded = results
     realistic_inflation = _mean_rtt(loaded) / max(_mean_rtt(single), 1e-9)
     flat_inflation = _mean_rtt(flat_loaded) / max(_mean_rtt(flat_single), 1e-9)
@@ -51,16 +48,6 @@ def contention_from_results(results) -> dict[str, float]:
         "realistic_rtt_inflation": realistic_inflation,
         "contention_free_rtt_inflation": flat_inflation,
     }
-
-
-def contention_model_ablation(benchmark: str = "D2", instances: int = 4,
-                              config: Optional[ExperimentConfig] = None,
-                              suite: Optional[ExperimentSuite] = None,
-                              ) -> dict[str, float]:
-    """Compare colocated RTT inflation with and without the contention model."""
-    config = config or ExperimentConfig()
-    results = run_jobs(contention_jobs(benchmark, instances, config), suite)
-    return contention_from_results(results)
 
 
 def _mean_rtt(result) -> float:

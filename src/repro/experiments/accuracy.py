@@ -46,7 +46,6 @@ from repro.agents.intelligent_client import IntelligentClient
 from repro.agents.recorder import RecordedSession
 from repro.apps.registry import create_benchmark, get_profile
 from repro.core.measurements import LatencyStats, percentage_error
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario, split_agent_name
@@ -57,8 +56,7 @@ from repro.sim.randomness import StreamRandom
 
 __all__ = ["AccuracyRow", "MethodologyResult", "accuracy_jobs",
            "assemble_accuracy_row", "inference_jobs", "inference_time_row",
-           "inference_times", "methodology_accuracy",
-           "methodology_accuracy_rows", "methodology_result", "run_custom",
+           "methodology_accuracy", "methodology_result", "run_custom",
            "split_accuracy_jobs", "train_for_job"]
 
 #: The methodology labels, in the paper's order.
@@ -359,16 +357,6 @@ def split_accuracy_jobs(benchmarks, config: ExperimentConfig) -> list[Experiment
     return jobs
 
 
-def methodology_accuracy_rows(benchmarks=None,
-                              config: Optional[ExperimentConfig] = None,
-                              suite: Optional[ExperimentSuite] = None,
-                              ) -> list[AccuracyRow]:
-    """Figure 6 / Table 3 rows for several benchmarks, through the suite."""
-    config = config or ExperimentConfig()
-    benchmarks = list(benchmarks or config.benchmarks)
-    return run_jobs(accuracy_jobs(benchmarks, config), suite)
-
-
 def _tracker_of(result):
     """The tracker that produced a single-instance result's report."""
     # HostResult does not keep sessions, so the tracker is reached through
@@ -413,23 +401,3 @@ def inference_jobs(benchmarks, config: ExperimentConfig) -> list[ExperimentJob]:
     return [ExperimentJob(Scenario.single(benchmark, config, seed_offset=index),
                           kind="inference")
             for index, benchmark in enumerate(benchmarks)]
-
-
-def inference_times(benchmarks=None, config: Optional[ExperimentConfig] = None,
-                    clients: Optional[dict[str, IntelligentClient]] = None,
-                    suite: Optional[ExperimentSuite] = None,
-                    ) -> dict[str, dict[str, float]]:
-    """Figure 7: CNN (CV) and LSTM (input-generation) time per benchmark.
-
-    With pre-trained ``clients`` the rows are computed in-process (the
-    trained models cannot be described declaratively); otherwise each
-    benchmark becomes an independent job on the suite.
-    """
-    config = config or ExperimentConfig()
-    benchmarks = list(benchmarks or config.benchmarks)
-    if clients:
-        return {benchmark: inference_time_row(benchmark, config, index=index,
-                                              client=clients.get(benchmark))
-                for index, benchmark in enumerate(benchmarks)}
-    results = run_jobs(inference_jobs(benchmarks, config), suite)
-    return dict(zip(benchmarks, results))

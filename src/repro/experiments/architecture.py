@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 __all__ = ["ArchitecturePoint", "architecture_jobs",
-           "architecture_points_from_results", "architecture_sweep",
-           "topdown_scaling", "l3_miss_scaling", "gpu_cache_scaling"]
+           "architecture_points_from_results"]
 
 
 @dataclass
@@ -65,37 +63,3 @@ def architecture_points_from_results(benchmark: str,
         ))
     return points
 
-
-def architecture_sweep(benchmark: str, config: Optional[ExperimentConfig] = None,
-                       max_instances: Optional[int] = None,
-                       suite: Optional[ExperimentSuite] = None,
-                       ) -> list[ArchitecturePoint]:
-    """Colocate 1..N instances and read the first instance's counters."""
-    jobs = architecture_jobs(benchmark, config, max_instances)
-    return architecture_points_from_results(benchmark, run_jobs(jobs, suite))
-
-
-def topdown_scaling(benchmark: str, config: Optional[ExperimentConfig] = None,
-                    max_instances: Optional[int] = None,
-                    suite: Optional[ExperimentSuite] = None) -> list[dict]:
-    """Figure 14 rows for one benchmark."""
-    return [{"instances": p.instances, **p.topdown}
-            for p in architecture_sweep(benchmark, config, max_instances, suite)]
-
-
-def l3_miss_scaling(benchmark: str, config: Optional[ExperimentConfig] = None,
-                    max_instances: Optional[int] = None,
-                    suite: Optional[ExperimentSuite] = None) -> list[dict]:
-    """Figure 15 rows for one benchmark."""
-    return [{"instances": p.instances, "l3_miss_rate": p.l3_miss_rate}
-            for p in architecture_sweep(benchmark, config, max_instances, suite)]
-
-
-def gpu_cache_scaling(benchmark: str, config: Optional[ExperimentConfig] = None,
-                      max_instances: Optional[int] = None,
-                      suite: Optional[ExperimentSuite] = None) -> list[dict]:
-    """Figure 16 rows for one benchmark (None when the PMU is unreadable)."""
-    return [{"instances": p.instances,
-             "gpu_l2_miss_rate": p.gpu_l2_miss_rate,
-             "gpu_texture_miss_rate": p.gpu_texture_miss_rate}
-            for p in architecture_sweep(benchmark, config, max_instances, suite)]

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
 __all__ = ["BandwidthRow", "UtilizationRow", "characterization_jobs",
-           "bandwidth", "bandwidth_from_results",
-           "utilization", "utilization_from_results"]
+           "bandwidth_from_results", "utilization_from_results"]
 
 
 @dataclass
@@ -83,20 +81,3 @@ def bandwidth_from_results(benchmarks, results) -> list[BandwidthRow]:
         ))
     return rows
 
-
-def utilization(benchmarks=None, config: Optional[ExperimentConfig] = None,
-                suite: Optional[ExperimentSuite] = None) -> list[UtilizationRow]:
-    """Figure 8: CPU and GPU utilization for each benchmark, run alone."""
-    config = config or ExperimentConfig()
-    benchmarks = list(benchmarks or config.benchmarks)
-    results = run_jobs(characterization_jobs(benchmarks, config), suite)
-    return utilization_from_results(benchmarks, results)
-
-
-def bandwidth(benchmarks=None, config: Optional[ExperimentConfig] = None,
-              suite: Optional[ExperimentSuite] = None) -> list[BandwidthRow]:
-    """Figure 9: network and PCIe bandwidth usage for each benchmark."""
-    config = config or ExperimentConfig()
-    benchmarks = list(benchmarks or config.benchmarks)
-    results = run_jobs(characterization_jobs(benchmarks, config), suite)
-    return bandwidth_from_results(benchmarks, results)

@@ -10,18 +10,13 @@ interference between the benchmark and the VNC proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
-__all__ = ["ContainerOverheadRow", "ContainerOverheadSummary",
-           "container_jobs", "container_overhead",
+__all__ = ["ContainerOverheadRow", "container_jobs",
            "container_overhead_from_results"]
 
 
@@ -57,30 +52,6 @@ class ContainerOverheadRow:
             / self.bare_gpu_render_ms * 100.0
 
 
-@dataclass
-class ContainerOverheadSummary:
-    rows: list[ContainerOverheadRow] = field(default_factory=list)
-
-    @property
-    def mean_fps_overhead_percent(self) -> float:
-        return float(np.mean([r.fps_overhead_percent
-                              for r in self.rows])) if self.rows else 0.0
-
-    @property
-    def mean_rtt_overhead_percent(self) -> float:
-        return float(np.mean([r.rtt_overhead_percent
-                              for r in self.rows])) if self.rows else 0.0
-
-    @property
-    def mean_gpu_render_overhead_percent(self) -> float:
-        return float(np.mean([r.gpu_render_overhead_percent
-                              for r in self.rows])) if self.rows else 0.0
-
-    @property
-    def max_rtt_overhead_percent(self) -> float:
-        return float(max((r.rtt_overhead_percent for r in self.rows), default=0.0))
-
-
 def container_jobs(benchmarks, config: ExperimentConfig) -> list[ExperimentJob]:
     """A (bare, containerized) scenario pair per benchmark, interleaved."""
     jobs = []
@@ -93,12 +64,12 @@ def container_jobs(benchmarks, config: ExperimentConfig) -> list[ExperimentJob]:
 
 
 def container_overhead_from_results(benchmarks,
-                                    results) -> ContainerOverheadSummary:
-    summary = ContainerOverheadSummary()
+                                    results) -> list[ContainerOverheadRow]:
+    rows = []
     for index, benchmark in enumerate(benchmarks):
         bare_report = results[2 * index].reports[0]
         contained_report = results[2 * index + 1].reports[0]
-        summary.rows.append(ContainerOverheadRow(
+        rows.append(ContainerOverheadRow(
             benchmark=benchmark,
             bare_fps=bare_report.server_fps,
             container_fps=contained_report.server_fps,
@@ -108,14 +79,5 @@ def container_overhead_from_results(benchmarks,
             container_gpu_render_ms=contained_report.extra.get(
                 "gpu_render_time_mean", 0.0) * 1e3,
         ))
-    return summary
+    return rows
 
-
-def container_overhead(benchmarks=None, config: Optional[ExperimentConfig] = None,
-                       suite: Optional[ExperimentSuite] = None,
-                       ) -> ContainerOverheadSummary:
-    """Figure 20: per-benchmark container overheads (negative = speed-up)."""
-    config = config or ExperimentConfig()
-    benchmarks = list(benchmarks or config.benchmarks)
-    results = run_jobs(container_jobs(benchmarks, config), suite)
-    return container_overhead_from_results(benchmarks, results)

@@ -1,12 +1,16 @@
 """The figure registry: every paper artefact as (jobs, aggregate) pair.
 
 Each :class:`FigureSpec` declares the experiment jobs a figure needs and
-an aggregate that folds the job results into printable rows.  The
-``python -m repro.experiments`` CLI and the benchmark harnesses both go
-through :func:`run_figure`, so a figure executes identically whether it
-runs serially, fans out over worker processes, or replays from cache —
-and figures that slice the same testbed runs (10–13 share one sweep,
-8–9 share the characterization runs) deduplicate automatically.
+an aggregate that folds the job results into printable rows; this
+registry is the only place a figure's jobs meet its fold, and
+:func:`run_figure` the only code that runs them.  The ``python -m
+repro.experiments`` CLI and every benchmark harness whose jobs are a
+whole figure's go through it, so a figure executes identically whether
+it runs serially, fans out over worker processes, or replays from cache
+— and figures that slice the same testbed runs (10–13 share one sweep,
+8–9 share the characterization runs) deduplicate automatically.  The
+projections below are the only definition of the Figure 10–16 row
+shapes.
 """
 
 from __future__ import annotations
@@ -198,13 +202,13 @@ def _fig20_jobs(config):
 
 
 def _fig20_aggregate(config, results):
-    summary = containers.container_overhead_from_results(config.benchmarks, results)
+    rows = containers.container_overhead_from_results(config.benchmarks, results)
     return [{"benchmark": row.benchmark,
              "bare_fps": row.bare_fps, "container_fps": row.container_fps,
              "fps_overhead_pct": row.fps_overhead_percent,
              "rtt_overhead_pct": row.rtt_overhead_percent,
              "gpu_render_overhead_pct": row.gpu_render_overhead_percent}
-            for row in summary.rows]
+            for row in rows]
 
 
 def _fig22_jobs(config):
@@ -212,7 +216,7 @@ def _fig22_jobs(config):
 
 
 def _fig22_aggregate(config, results):
-    summary = optimizations.optimization_rows_from_results(
+    rows = optimizations.optimization_rows_from_results(
         config.benchmarks, results)
     return [{"benchmark": row.benchmark,
              "baseline_server_fps": row.baseline_server_fps,
@@ -220,7 +224,7 @@ def _fig22_aggregate(config, results):
              "server_fps_gain_pct": row.server_fps_improvement_percent,
              "client_fps_gain_pct": row.client_fps_improvement_percent,
              "rtt_reduction_pct": row.rtt_reduction_percent}
-            for row in summary.rows]
+            for row in rows]
 
 
 def _ablation_jobs(config):

@@ -17,19 +17,15 @@ from itertools import combinations
 from typing import Optional
 
 from repro.apps.registry import all_benchmarks
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
-from repro.scenarios.mixes import n_way_mixes
 from repro.scenarios.scenario import Scenario
 
 __all__ = ["ContentiousnessRow", "PairResult", "all_pairs",
-           "pair_fps", "pair_fps_jobs", "pair_fps_from_results",
-           "contentiousness", "contentiousness_jobs",
-           "contentiousness_from_results",
-           "pair_energy_saving", "pair_energy_jobs",
-           "pair_energy_from_results",
-           "n_way_jobs", "n_way_fps", "n_way_fps_from_results"]
+           "pair_fps_jobs", "pair_fps_from_results",
+           "contentiousness_jobs", "contentiousness_from_results",
+           "pair_energy_jobs", "pair_energy_from_results",
+           "n_way_jobs", "n_way_fps_from_results"]
 
 
 #: The paper's QoS floor: every instance must hold at least this client FPS.
@@ -97,15 +93,6 @@ def pair_fps_from_results(pairs, results) -> list[PairResult]:
     return rows
 
 
-def pair_fps(config: Optional[ExperimentConfig] = None, pairs=None,
-             suite: Optional[ExperimentSuite] = None) -> list[PairResult]:
-    """Figure 18: client FPS for every mixed pair."""
-    config = config or ExperimentConfig()
-    pairs = pairs or all_pairs(config.benchmarks)
-    results = run_jobs(pair_fps_jobs(pairs, config), suite)
-    return pair_fps_from_results(pairs, results)
-
-
 # -- Figure 19 ------------------------------------------------------------------------
 def contentiousness_jobs(target: str, co_runners,
                          config: ExperimentConfig) -> list[ExperimentJob]:
@@ -144,17 +131,6 @@ def contentiousness_from_results(target: str, co_runners,
     return rows
 
 
-def contentiousness(target: str = "D2", config: Optional[ExperimentConfig] = None,
-                    co_runners=None,
-                    suite: Optional[ExperimentSuite] = None,
-                    ) -> list[ContentiousnessRow]:
-    """Figure 19: the target benchmark's sensitivity to each co-runner."""
-    config = config or ExperimentConfig()
-    co_runners = list(co_runners or [b for b in config.benchmarks if b != target])
-    results = run_jobs(contentiousness_jobs(target, co_runners, config), suite)
-    return contentiousness_from_results(target, co_runners, results)
-
-
 # -- Section 5.3 energy argument ------------------------------------------------------
 def pair_energy_jobs(pair: tuple[str, str],
                      config: ExperimentConfig) -> list[ExperimentJob]:
@@ -168,6 +144,7 @@ def pair_energy_jobs(pair: tuple[str, str],
 
 
 def pair_energy_from_results(results) -> dict[str, float]:
+    """Power of the pair on one server vs. each app on its own server."""
     shared, solo_left, solo_right = results
     separate_power = solo_left.average_power_watts + solo_right.average_power_watts
     shared_power = shared.average_power_watts
@@ -179,14 +156,6 @@ def pair_energy_from_results(results) -> dict[str, float]:
         "separate_power_watts": separate_power,
         "energy_saving_percent": saving,
     }
-
-
-def pair_energy_saving(pair: tuple[str, str],
-                       config: Optional[ExperimentConfig] = None,
-                       suite: Optional[ExperimentSuite] = None) -> dict[str, float]:
-    """Energy comparison: the pair on one server vs. each app on its own server."""
-    config = config or ExperimentConfig()
-    return pair_energy_from_results(run_jobs(pair_energy_jobs(pair, config), suite))
 
 
 # -- Deeper mixes: 3–4 mixed instances per server -------------------------------------
@@ -209,12 +178,3 @@ def n_way_fps_from_results(scenarios, results) -> list[dict[str, object]]:
             "total_power_watts": run.average_power_watts,
         })
     return rows
-
-
-def n_way_fps(config: Optional[ExperimentConfig] = None, sizes=(3, 4),
-              suite: Optional[ExperimentSuite] = None) -> list[dict[str, object]]:
-    """Client FPS for every 3- and 4-way mix of the configured benchmarks."""
-    config = config or ExperimentConfig()
-    scenarios = n_way_mixes(config, sizes=sizes)
-    results = run_jobs(n_way_jobs(scenarios), suite)
-    return n_way_fps_from_results(scenarios, results)

@@ -9,20 +9,23 @@ each optimization alone so their individual contributions are visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.variants import SessionVariant
 
-__all__ = ["OptimizationRow", "OptimizationSummary", "optimization_jobs",
-           "optimization_improvements", "optimization_rows_from_results",
-           "optimization_ablation"]
+__all__ = ["OptimizationRow", "optimization_jobs",
+           "optimization_rows_from_results", "optimization_ablation_jobs",
+           "optimization_ablation_from_results"]
+
+#: The Figure-21 ablation variants: each optimization alone, then both.
+_ABLATION_VARIANTS = {
+    "memoize_xgwa_only": ("memoize_xgwa",),
+    "two_step_copy_only": ("two_step_copy",),
+    "both": ("memoize_xgwa", "two_step_copy"),
+}
 
 
 @dataclass
@@ -54,31 +57,6 @@ class OptimizationRow:
         if self.baseline_rtt_ms <= 0:
             return 0.0
         return (1.0 - self.optimized_rtt_ms / self.baseline_rtt_ms) * 100.0
-
-
-@dataclass
-class OptimizationSummary:
-    rows: list[OptimizationRow] = field(default_factory=list)
-
-    @property
-    def mean_server_fps_improvement_percent(self) -> float:
-        return float(np.mean([r.server_fps_improvement_percent for r in self.rows])) \
-            if self.rows else 0.0
-
-    @property
-    def max_server_fps_improvement_percent(self) -> float:
-        return float(max((r.server_fps_improvement_percent for r in self.rows),
-                         default=0.0))
-
-    @property
-    def mean_client_fps_improvement_percent(self) -> float:
-        return float(np.mean([r.client_fps_improvement_percent for r in self.rows])) \
-            if self.rows else 0.0
-
-    @property
-    def mean_rtt_reduction_percent(self) -> float:
-        return float(np.mean([r.rtt_reduction_percent for r in self.rows])) \
-            if self.rows else 0.0
 
 
 def _pair_jobs(benchmark: str, config: ExperimentConfig, seed_offset: int,
@@ -116,44 +94,31 @@ def optimization_jobs(benchmarks, config: ExperimentConfig) -> list[ExperimentJo
     return jobs
 
 
-def optimization_rows_from_results(benchmarks, results) -> OptimizationSummary:
-    summary = OptimizationSummary()
-    for index, benchmark in enumerate(benchmarks):
-        summary.rows.append(_row_from_pair(
-            benchmark, results[2 * index], results[2 * index + 1]))
-    return summary
+def optimization_rows_from_results(benchmarks,
+                                   results) -> list[OptimizationRow]:
+    return [_row_from_pair(benchmark, results[2 * index], results[2 * index + 1])
+            for index, benchmark in enumerate(benchmarks)]
 
 
-def optimization_improvements(benchmarks=None,
-                              config: Optional[ExperimentConfig] = None,
-                              suite: Optional[ExperimentSuite] = None,
-                              ) -> OptimizationSummary:
-    """Figure 22: both optimizations on, for each benchmark."""
-    config = config or ExperimentConfig()
-    benchmarks = list(benchmarks or config.benchmarks)
-    results = run_jobs(optimization_jobs(benchmarks, config), suite)
-    return optimization_rows_from_results(benchmarks, results)
+def optimization_ablation_jobs(benchmark: str,
+                               config: ExperimentConfig) -> list[ExperimentJob]:
+    """A (baseline, optimized) job pair per ablation variant.
 
-
-def optimization_ablation(benchmark: str = "STK",
-                          config: Optional[ExperimentConfig] = None,
-                          suite: Optional[ExperimentSuite] = None,
-                          ) -> dict[str, float]:
-    """Ablation: each optimization alone vs. both together (server FPS gain %)."""
-    config = config or ExperimentConfig()
-    variants = {
-        "memoize_xgwa_only": ("memoize_xgwa",),
-        "two_step_copy_only": ("two_step_copy",),
-        "both": ("memoize_xgwa", "two_step_copy"),
-    }
+    The three baselines are the same job, so a suite runs it once.
+    """
     jobs = []
-    for keys in variants.values():
+    for keys in _ABLATION_VARIANTS.values():
         jobs.extend(_pair_jobs(benchmark, config, 750,
                                SessionVariant.optimized(keys)))
-    run_results = run_jobs(jobs, suite)       # the baseline deduplicates to one run
-    results = {}
-    for index, label in enumerate(variants):
-        row = _row_from_pair(benchmark, run_results[2 * index],
-                             run_results[2 * index + 1])
-        results[label] = row.server_fps_improvement_percent
-    return results
+    return jobs
+
+
+def optimization_ablation_from_results(benchmark: str,
+                                       results) -> dict[str, float]:
+    """Ablation: each optimization alone vs. both together (server FPS gain %)."""
+    gains = {}
+    for index, label in enumerate(_ABLATION_VARIANTS):
+        row = _row_from_pair(benchmark, results[2 * index],
+                             results[2 * index + 1])
+        gains[label] = row.server_fps_improvement_percent
+    return gains

@@ -11,19 +11,17 @@ single query buffer forces the CPU to stall on query retrieval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.variants import session_variant
 
 __all__ = ["OverheadRow", "OverheadSummary", "overhead_jobs",
-           "framework_overhead", "framework_overhead_from_results",
-           "query_buffer_ablation"]
+           "framework_overhead_from_results", "query_buffer_jobs",
+           "query_buffer_from_results"]
 
 
 @dataclass
@@ -84,16 +82,6 @@ def framework_overhead_from_results(benchmarks, results) -> OverheadSummary:
     return summary
 
 
-def framework_overhead(benchmarks=None, config: Optional[ExperimentConfig] = None,
-                       double_buffered: bool = True,
-                       suite: Optional[ExperimentSuite] = None) -> OverheadSummary:
-    """FPS overhead of enabling Pictor's measurement framework."""
-    config = config or ExperimentConfig()
-    benchmarks = list(benchmarks or config.benchmarks)
-    results = run_jobs(overhead_jobs(benchmarks, config, double_buffered), suite)
-    return framework_overhead_from_results(benchmarks, results)
-
-
 def query_buffer_jobs(benchmark: str, config: ExperimentConfig,
                       ) -> list[ExperimentJob]:
     """Native plus double- and single-buffered instrumented runs."""
@@ -107,23 +95,19 @@ def query_buffer_jobs(benchmark: str, config: ExperimentConfig,
     ]
 
 
-def query_buffer_ablation(benchmark: str = "STK",
-                          config: Optional[ExperimentConfig] = None,
-                          suite: Optional[ExperimentSuite] = None,
-                          ) -> dict[str, float]:
+def query_buffer_from_results(results) -> dict[str, float]:
     """Design-choice ablation: double- vs single-buffered GPU time queries.
 
     Returns the FPS overhead (percent, against the native run) of each
     query-buffer configuration; the double-buffered scheme should cost
     noticeably less.
     """
-    config = config or ExperimentConfig()
-    native, double, single = run_jobs(query_buffer_jobs(benchmark, config), suite)
+    native, double, single = results
     native_fps = native.reports[0].server_fps
 
-    results = {}
+    overheads = {}
     for label, run in (("double_buffered", double), ("single_buffered", single)):
         fps = run.reports[0].server_fps
-        results[label] = max(0.0, (native_fps - fps) / native_fps * 100.0)
-    results["native_fps"] = native_fps
-    return results
+        overheads[label] = max(0.0, (native_fps - fps) / native_fps * 100.0)
+    overheads["native_fps"] = native_fps
+    return overheads

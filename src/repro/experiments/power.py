@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
-__all__ = ["PowerPoint", "power_jobs", "power_points_from_results",
-           "per_instance_power"]
+__all__ = ["PowerPoint", "power_jobs", "power_points_from_results"]
 
 
 @dataclass
@@ -57,10 +55,3 @@ def power_points_from_results(benchmark: str, results) -> list[PowerPoint]:
         energy_joules=result.energy_joules,
     ) for result in results]
 
-
-def per_instance_power(benchmark: str, config: Optional[ExperimentConfig] = None,
-                       max_instances: Optional[int] = None,
-                       suite: Optional[ExperimentSuite] = None) -> list[PowerPoint]:
-    """Figure 17 series for one benchmark."""
-    jobs = power_jobs(benchmark, config, max_instances)
-    return power_points_from_results(benchmark, run_jobs(jobs, suite))

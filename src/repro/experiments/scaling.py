@@ -6,10 +6,11 @@
 * Figure 13 — application time broken into AL / FC with RD alongside.
 
 One testbed run per (benchmark, instance-count) produces all four views,
-so the generator returns a combined record and the per-figure accessors
-slice it.  :func:`scaling_jobs` declares those runs as experiment jobs;
-:func:`scaling_points_from_results` folds the (possibly parallel or
-cached) results back into :class:`ScalingPoint` records.
+so the generator returns a combined record and each figure's projection
+in :mod:`repro.experiments.figures` slices it.  :func:`scaling_jobs`
+declares those runs as experiment jobs; :func:`scaling_points_from_results`
+folds the (possibly parallel or cached) results back into
+:class:`ScalingPoint` records.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from typing import Optional
 import numpy as np
 
 from repro.core.reporting import mean_breakdown
-from repro.experiments.executor import ExperimentSuite, run_jobs
 from repro.experiments.jobs import ExperimentJob
 from repro.scenarios.config import ExperimentConfig
 from repro.scenarios.scenario import Scenario
 
-__all__ = ["ScalingPoint", "scaling_jobs", "scaling_points_from_results",
-           "scaling_sweep", "fps_scaling", "rtt_breakdown_scaling",
-           "server_breakdown_scaling", "application_breakdown_scaling"]
+__all__ = ["ScalingPoint", "scaling_jobs", "scaling_points_from_results"]
 
 
 @dataclass
@@ -74,49 +72,3 @@ def scaling_points_from_results(benchmark: str, results) -> list[ScalingPoint]:
         ))
     return points
 
-
-def scaling_sweep(benchmark: str, config: Optional[ExperimentConfig] = None,
-                  max_instances: Optional[int] = None,
-                  suite: Optional[ExperimentSuite] = None) -> list[ScalingPoint]:
-    """Run 1..max_instances copies of ``benchmark`` and aggregate per count."""
-    jobs = scaling_jobs(benchmark, config, max_instances)
-    return scaling_points_from_results(benchmark, run_jobs(jobs, suite))
-
-
-def fps_scaling(benchmark: str, config: Optional[ExperimentConfig] = None,
-                max_instances: Optional[int] = None,
-                suite: Optional[ExperimentSuite] = None) -> list[dict[str, float]]:
-    """Figure 10 rows for one benchmark."""
-    return [{"instances": p.instances, "server_fps": p.server_fps,
-             "client_fps": p.client_fps}
-            for p in scaling_sweep(benchmark, config, max_instances, suite)]
-
-
-def rtt_breakdown_scaling(benchmark: str, config: Optional[ExperimentConfig] = None,
-                          max_instances: Optional[int] = None,
-                          suite: Optional[ExperimentSuite] = None) -> list[dict]:
-    """Figure 11 rows for one benchmark."""
-    return [{"instances": p.instances, "rtt_ms": p.rtt_ms,
-             **{f"{k}_ms": v for k, v in p.rtt_breakdown_ms.items()}}
-            for p in scaling_sweep(benchmark, config, max_instances, suite)]
-
-
-def server_breakdown_scaling(benchmark: str,
-                             config: Optional[ExperimentConfig] = None,
-                             max_instances: Optional[int] = None,
-                             suite: Optional[ExperimentSuite] = None) -> list[dict]:
-    """Figure 12 rows for one benchmark."""
-    return [{"instances": p.instances,
-             **{f"{k}_ms": v for k, v in p.server_breakdown_ms.items()}}
-            for p in scaling_sweep(benchmark, config, max_instances, suite)]
-
-
-def application_breakdown_scaling(benchmark: str,
-                                  config: Optional[ExperimentConfig] = None,
-                                  max_instances: Optional[int] = None,
-                                  suite: Optional[ExperimentSuite] = None,
-                                  ) -> list[dict]:
-    """Figure 13 rows for one benchmark."""
-    return [{"instances": p.instances,
-             **{f"{k}_ms": v for k, v in p.application_breakdown_ms.items()}}
-            for p in scaling_sweep(benchmark, config, max_instances, suite)]

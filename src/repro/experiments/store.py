@@ -302,6 +302,24 @@ def _insert_row(conn: sqlite3.Connection, row: dict) -> None:
         [(key, git_rev, name, value) for name, value in row["metrics"]])
 
 
+def _enter_wal(conn: sqlite3.Connection) -> str:
+    """Switch ``conn`` to WAL and return the journal mode it ended in.
+
+    SQLite's busy timeout does not cover this switch: while another
+    connection holds a write transaction on a database not yet in WAL
+    mode, the pragma fails at once with ``database is locked``.  Retry
+    it for as long as any other write would wait.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            return conn.execute("PRAGMA journal_mode = WAL").fetchone()[0]
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+
+
 def _prefix_range(column: str, prefix: str) -> tuple[str, list]:
     """A SQL condition, and its parameters, for ``column`` starting with
     ``prefix`` — lower-cased, so the short hex hashes humans copy around
@@ -350,7 +368,7 @@ class ResultStore:
             conn = sqlite3.connect(self.db_path, timeout=BUSY_TIMEOUT_S,
                                    isolation_level=None)
             conn.execute(f"PRAGMA busy_timeout = {int(BUSY_TIMEOUT_S * 1000)}")
-            mode = conn.execute("PRAGMA journal_mode = WAL").fetchone()[0]
+            mode = _enter_wal(conn)
             if mode != "wal":
                 logger.warning(
                     "result store %s could not enter WAL mode (journal mode "

@@ -20,7 +20,6 @@ runs its CNN over it.  Frames carry:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -30,8 +29,6 @@ if TYPE_CHECKING:
     from repro.hardware.gpu import GpuRenderJob
 
 __all__ = ["Frame", "ObjectClass", "SceneObject", "TAG_PIXEL_COUNT"]
-
-_frame_ids = itertools.count(1)
 
 #: Number of pixels (in the rasterized buffer) used to embed a tracking tag.
 TAG_PIXEL_COUNT = 4
@@ -119,7 +116,9 @@ class Frame:
     objects: list[SceneObject] = field(default_factory=list)
     complexity: float = 1.0              # GPU work units relative to an average frame
     scene_change: float = 0.1            # fraction of pixels changed vs. previous frame
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    #: Numbered per application (see ``Application3D.advance``): an id
+    #: is a key only within the one session that renders the frame.
+    frame_id: int = 0
     tag: Optional[int] = None
     raster_width: int = 64
     raster_height: int = 36

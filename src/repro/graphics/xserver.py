@@ -15,7 +15,6 @@ contention — this is what makes the inter-process-communication stages
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -26,8 +25,6 @@ from repro.sim.randomness import StreamRandom
 from repro.sim.resources import Store
 
 __all__ = ["XConfig", "XDisplay", "XEvent", "XWindow"]
-
-_window_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,6 @@ class XWindow:
     def __init__(self, env: Environment, width: int = 1920, height: int = 1080,
                  name: str = "benchmark"):
         self.env = env
-        self.window_id = next(_window_ids)
         self.name = name
         self.width = width
         self.height = height

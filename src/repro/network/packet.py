@@ -10,14 +10,10 @@ paper.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["Message", "MessageKind"]
-
-_message_ids = itertools.count(1)
-
 
 class MessageKind(enum.Enum):
     """The RFB-style message types the proxies exchange."""
@@ -47,7 +43,6 @@ class Message:
     tag: Optional[int] = None
     sent_at: Optional[float] = None
     received_at: Optional[float] = None
-    message_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

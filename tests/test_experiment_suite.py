@@ -8,7 +8,10 @@ host (:func:`~repro.experiments.accuracy.run_custom`) does.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
+import inspect
 
 import pytest
 
@@ -296,6 +299,30 @@ def test_figure_registry_covers_the_benchmarks(config):
     assert expected == set(FIGURES)
     with pytest.raises(KeyError):
         run_figure("fig99", config)
+
+
+FIGURE_MODULES = ("ablations", "accuracy", "architecture", "characterization",
+                  "containers", "mixed", "optimizations", "overhead", "power",
+                  "scaling")
+
+
+@pytest.mark.parametrize("name", FIGURE_MODULES)
+def test_figure_modules_build_jobs_and_fold_but_never_run(name):
+    """Only the registry's ``run_figure`` pairs a figure's jobs with its
+    fold: a figure module neither imports the executor nor calls
+    ``run_jobs``."""
+    tree = ast.parse(inspect.getsource(
+        importlib.import_module(f"repro.experiments.{name}")))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "repro.experiments.executor" not in imported
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "run_jobs" not in names
 
 
 def test_run_figure_end_to_end(config):

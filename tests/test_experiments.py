@@ -5,10 +5,13 @@ generator end to end on a reduced configuration and checks the paper's
 qualitative findings rather than absolute numbers.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.apps.registry import BENCHMARK_SHORT_NAMES
-from repro.experiments import ExperimentConfig, Scenario, session_variant
+from repro.experiments import ExperimentConfig, Scenario, run_jobs, session_variant
 from repro.experiments import (
     architecture,
     characterization,
@@ -19,6 +22,7 @@ from repro.experiments import (
     power,
     scaling,
 )
+from repro.experiments.figures import run_figure
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +59,13 @@ def test_runner_helpers(config):
     assert session_variant("slow_motion").session_config().slow_motion
 
 
+def _characterization_results(benchmarks, config):
+    return run_jobs(characterization.characterization_jobs(benchmarks, config))
+
+
 def test_fig08_utilization_shapes(config):
-    rows = characterization.utilization(["RE", "D2"], config)
+    rows = characterization.utilization_from_results(
+        ["RE", "D2"], _characterization_results(["RE", "D2"], config))
     by_name = {row.benchmark: row for row in rows}
     # Dota2 is far more CPU-hungry than Red Eclipse (Figure 8).
     assert by_name["D2"].app_cpu_percent > by_name["RE"].app_cpu_percent
@@ -66,7 +75,8 @@ def test_fig08_utilization_shapes(config):
 
 
 def test_fig09_bandwidth_shapes(config):
-    rows = characterization.bandwidth(["STK", "0AD"], config)
+    rows = characterization.bandwidth_from_results(
+        ["STK", "0AD"], _characterization_results(["STK", "0AD"], config))
     by_name = {row.benchmark: row for row in rows}
     # SuperTuxKart streams much more data to the GPU (Figure 9).
     assert by_name["STK"].pcie_to_gpu_gbps > 2 * by_name["0AD"].pcie_to_gpu_gbps
@@ -77,7 +87,8 @@ def test_fig09_bandwidth_shapes(config):
 
 
 def test_fig10_to_13_scaling(config):
-    points = scaling.scaling_sweep("RE", config, max_instances=3)
+    points = scaling.scaling_points_from_results(
+        "RE", run_jobs(scaling.scaling_jobs("RE", config, max_instances=3)))
     assert [p.instances for p in points] == [1, 2, 3]
     # FPS decreases and RTT increases with colocation (Figures 10-11).
     assert points[0].client_fps > points[-1].client_fps
@@ -87,19 +98,22 @@ def test_fig10_to_13_scaling(config):
     # Server time is dominated by the application stages (Figure 12).
     breakdown = points[0].server_breakdown_ms
     assert breakdown["application"] > breakdown["proxy_send_input"]
-    # The per-figure accessors slice the same data.
-    fps_rows = scaling.fps_scaling("RE", config, max_instances=1)
+    # The registry's per-figure projections slice the same data.
+    single = replace(config.with_benchmarks(["RE"]), max_instances=1)
+    fps_rows = run_figure("fig10", single)
     assert fps_rows[0]["instances"] == 1 and fps_rows[0]["server_fps"] > 0
-    rtt_rows = scaling.rtt_breakdown_scaling("RE", config, max_instances=1)
+    rtt_rows = run_figure("fig11", single)
     assert "server_ms" in rtt_rows[0]
-    app_rows = scaling.application_breakdown_scaling("RE", config, max_instances=1)
-    assert "frame_copy_ms" in app_rows[0]
-    server_rows = scaling.server_breakdown_scaling("RE", config, max_instances=1)
+    server_rows = run_figure("fig12", single)
     assert "compression_ms" in server_rows[0]
+    app_rows = run_figure("fig13", single)
+    assert "frame_copy_ms" in app_rows[0]
 
 
 def test_fig14_to_16_architecture(config):
-    points = architecture.architecture_sweep("IM", config, max_instances=3)
+    points = architecture.architecture_points_from_results(
+        "IM", run_jobs(architecture.architecture_jobs("IM", config,
+                                                      max_instances=3)))
     # Back-end stalls and L3 miss rates grow with colocation (Figures 14-15).
     assert points[-1].topdown["backend_bound"] >= points[0].topdown["backend_bound"]
     assert points[-1].l3_miss_rate > points[0].l3_miss_rate
@@ -108,17 +122,20 @@ def test_fig14_to_16_architecture(config):
     assert points[-1].gpu_l2_miss_rate > points[0].gpu_l2_miss_rate
     assert points[-1].gpu_texture_miss_rate == pytest.approx(
         points[0].gpu_texture_miss_rate, abs=0.05)
-    rows = architecture.gpu_cache_scaling("0AD", config, max_instances=1)
+    single_0ad = replace(config.with_benchmarks(["0AD"]), max_instances=1)
+    rows = run_figure("fig16", single_0ad)
     assert rows[0]["gpu_l2_miss_rate"] is None      # unreadable PMU for 0 A.D.
-    topdown_rows = architecture.topdown_scaling("IM", config, max_instances=1)
-    assert sum(v for k, v in topdown_rows[0].items() if k != "instances") == \
-        pytest.approx(1.0)
-    l3_rows = architecture.l3_miss_scaling("IM", config, max_instances=1)
+    single_im = replace(config.with_benchmarks(["IM"]), max_instances=1)
+    topdown_rows = run_figure("fig14", single_im)
+    assert sum(v for k, v in topdown_rows[0].items()
+               if k not in ("benchmark", "instances")) == pytest.approx(1.0)
+    l3_rows = run_figure("fig15", single_im)
     assert l3_rows[0]["l3_miss_rate"] > 0.5
 
 
 def test_fig17_power_amortization(config):
-    points = power.per_instance_power("ITP", config, max_instances=4)
+    points = power.power_points_from_results(
+        "ITP", run_jobs(power.power_jobs("ITP", config, max_instances=4)))
     single = points[0]
     reductions = [p.reduction_vs(single) for p in points[1:]]
     # Per-instance power falls monotonically, by a large fraction at 4x.
@@ -138,10 +155,15 @@ def test_fig18_19_mixed_pairs(config):
     pairs = mixed.all_pairs()
     assert len(pairs) == n * (n - 1) // 2
     assert len(mixed.all_pairs(("STK", "0AD", "RE", "D2", "IM", "ITP"))) == 15
-    results = mixed.pair_fps(config, pairs=[("RE", "ITP"), ("STK", "D2")])
+    pairs = [("RE", "ITP"), ("STK", "D2")]
+    results = mixed.pair_fps_from_results(
+        pairs, run_jobs(mixed.pair_fps_jobs(pairs, config)))
     assert len(results) == 2
     assert results[0].both_meet_qos        # light pair keeps QoS
-    rows = mixed.contentiousness("D2", config, co_runners=["STK", "0AD"])
+    co_runners = ["STK", "0AD"]
+    rows = mixed.contentiousness_from_results(
+        "D2", co_runners,
+        run_jobs(mixed.contentiousness_jobs("D2", co_runners, config)))
     by_runner = {row.co_runner: row for row in rows}
     # SuperTuxKart pressures the shared caches more than 0 A.D. (Figure 19);
     # the FPS loss ordering follows, up to run-to-run noise on short runs.
@@ -150,23 +172,28 @@ def test_fig18_19_mixed_pairs(config):
     assert by_runner["STK"].performance_loss_percent >= \
         by_runner["0AD"].performance_loss_percent - 3.0
     assert by_runner["STK"].cpu_cache_miss_increase >= 0.0
-    saving = mixed.pair_energy_saving(("RE", "ITP"), config)
+    saving = mixed.pair_energy_from_results(
+        run_jobs(mixed.pair_energy_jobs(("RE", "ITP"), config)))
     assert saving["energy_saving_percent"] > 25.0
 
 
 def test_fig20_container_overhead(config):
-    summary = containers.container_overhead(["RE", "ITP", "D2"], config)
-    assert len(summary.rows) == 3
+    benchmarks = ["RE", "ITP", "D2"]
+    rows = containers.container_overhead_from_results(
+        benchmarks, run_jobs(containers.container_jobs(benchmarks, config)))
+    assert len(rows) == 3
     # Average overheads are small (paper: ~1.3% RTT / 1.5% FPS).
-    assert summary.mean_rtt_overhead_percent < 12.0
-    assert abs(summary.mean_fps_overhead_percent) < 12.0
-    assert summary.mean_gpu_render_overhead_percent >= 0.0
+    assert np.mean([row.rtt_overhead_percent for row in rows]) < 12.0
+    assert abs(np.mean([row.fps_overhead_percent for row in rows])) < 12.0
+    assert np.mean([row.gpu_render_overhead_percent for row in rows]) >= 0.0
 
 
 def test_sec4_framework_overhead_and_query_ablation(config):
-    summary = overhead.framework_overhead(["RE"], config)
+    summary = overhead.framework_overhead_from_results(
+        ["RE"], run_jobs(overhead.overhead_jobs(["RE"], config)))
     assert 0.0 <= summary.mean_overhead_percent < 8.0
-    ablation = overhead.query_buffer_ablation("RE", config)
+    ablation = overhead.query_buffer_from_results(
+        run_jobs(overhead.query_buffer_jobs("RE", config)))
     assert ablation["single_buffered"] >= ablation["double_buffered"]
     assert ablation["native_fps"] > 10
 

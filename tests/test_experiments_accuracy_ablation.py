@@ -8,8 +8,9 @@ ablation that justifies the reproduction's central modelling choice.
 import pytest
 
 from repro.agents.artifacts import ArtifactSpec, resolve_artifact
-from repro.experiments.ablations import contention_model_ablation
-from repro.experiments.accuracy import inference_times, methodology_accuracy
+from repro.experiments import run_jobs
+from repro.experiments.ablations import contention_from_results, contention_jobs
+from repro.experiments.accuracy import inference_time_row, methodology_accuracy
 from repro.scenarios.config import ExperimentConfig
 
 
@@ -47,15 +48,15 @@ def test_methodology_accuracy_orders_the_methodologies(config, trained):
 
 def test_inference_times_reuse_trained_client(config, trained):
     client, _recording = trained
-    rows = inference_times(["RE"], config, clients={"RE": client})
-    assert set(rows) == {"RE"}
-    assert 30.0 < rows["RE"]["cv_time_ms"] < 150.0
-    assert 0.5 < rows["RE"]["input_generation_time_ms"] < 10.0
-    assert rows["RE"]["achievable_apm"] > 300.0
+    row = inference_time_row("RE", config, client=client)
+    assert 30.0 < row["cv_time_ms"] < 150.0
+    assert 0.5 < row["input_generation_time_ms"] < 10.0
+    assert row["achievable_apm"] > 300.0
 
 
 def test_contention_model_ablation_separates_the_two_machines(config):
-    result = contention_model_ablation("RE", instances=3, config=config)
+    result = contention_from_results(
+        run_jobs(contention_jobs("RE", 3, config)))
     assert result["realistic_rtt_inflation"] > 1.0
     assert result["contention_free_rtt_inflation"] < \
         result["realistic_rtt_inflation"]

@@ -5,7 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.apps.registry import create_benchmark
 from repro.graphics.frame import Frame, ObjectClass, SceneObject, TAG_PIXEL_COUNT
+from repro.sim.randomness import StreamRandom
 
 
 def make_frame(**kwargs):
@@ -109,9 +111,14 @@ def test_frame_validation():
         Frame(scene_change=1.5)
 
 
-def test_frame_ids_are_unique():
-    ids = {Frame().frame_id for _ in range(50)}
-    assert len(ids) == 50
+def test_frame_ids_number_each_applications_frames():
+    """Frame ids count one application's frames from 1, so a run's ids
+    do not depend on what ran before it in the same process."""
+    first = create_benchmark("RE", rng=StreamRandom(0))
+    ids = [first.advance(1.0 / 30.0).frame_id for _ in range(5)]
+    assert ids == [1, 2, 3, 4, 5]
+    second = create_benchmark("STK", rng=StreamRandom(1))
+    assert second.advance(1.0 / 30.0).frame_id == 1
 
 
 def test_from_objects_builder():

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import pickle
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -325,6 +326,26 @@ def test_concurrent_writers_from_separate_processes(tmp_path):
     assert {entry["git_rev"] for entry in entries} == {"rev-a", "rev-b"}
     assert all(entry["result"]["value"] == float(int(entry["key"][2:6]))
                for entry in entries)
+
+
+def test_store_opens_while_another_connection_writes(tmp_path):
+    """A store opening a fresh database must wait out another writer's
+    transaction, not fail at its switch to WAL mode."""
+    holder = sqlite3.connect(tmp_path / "results.sqlite", isolation_level=None,
+                             check_same_thread=False)
+    holder.execute("CREATE TABLE held (x)")
+    holder.execute("BEGIN IMMEDIATE")
+    holder.execute("INSERT INTO held VALUES (1)")
+    release = threading.Timer(0.3, lambda: holder.execute("COMMIT"))
+    release.start()
+    try:
+        store = ResultStore(tmp_path)
+        assert store.connection().execute(
+            "PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert len(store) == 0
+    finally:
+        release.join(timeout=10)
+        holder.close()
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,32 @@ def test_three_way_mix_runs_end_to_end(config):
     assert all(r.client_fps > 0 for r in result.reports)
 
 
+def test_back_to_back_runs_pickle_like_a_fresh_process():
+    """A run is a pure function of (scenario, seed): nothing it pickles
+    (frame ids in the RTT records included) depends on what the process
+    ran before, so repeated runs match a fresh interpreter's byte for
+    byte."""
+    import hashlib
+    script = (
+        "import hashlib, pickle\n"
+        "from repro.experiments import ExperimentConfig\n"
+        "from repro.scenarios import Scenario\n"
+        "scenario = Scenario.mixed(('RE', 'ITP', 'D2'),\n"
+        "                          ExperimentConfig.smoke(seed=1), seed_offset=900)\n"
+        "print(hashlib.sha256(pickle.dumps(scenario.run())).hexdigest())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    scenario = Scenario.mixed(("RE", "ITP", "D2"),
+                              ExperimentConfig.smoke(seed=1), seed_offset=900)
+    digests = [hashlib.sha256(pickle.dumps(scenario.run())).hexdigest()
+               for _ in range(3)]
+    assert digests == [proc.stdout.strip()] * 3
+
+
 def test_n_way_mixes_generator(config):
     narrowed = config.with_benchmarks(["RE", "ITP", "D2", "STK"])
     scenarios = n_way_mixes(narrowed)
