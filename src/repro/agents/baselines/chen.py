@@ -38,8 +38,6 @@ class ChenMethodology:
 
     #: Stages the methodology can observe and therefore sums.
     OBSERVED_STAGES = (Stage.CS, Stage.SP, Stage.AL, Stage.CP, Stage.SS)
-    #: Stages that are invisible without input tracking.
-    MISSED_STAGES = (Stage.PS, Stage.FC, Stage.AS, Stage.CD)
 
     def __init__(self, profile: ApplicationProfile,
                  offline_al_scale: float = 1.0):
@@ -77,12 +75,3 @@ class ChenMethodology:
     def mean_rtt(self, tracker: InputTracker) -> float:
         rtts = self.estimate_rtts(tracker)
         return float(np.mean(rtts)) if rtts else 0.0
-
-    def missed_time(self, tracker: InputTracker) -> float:
-        """Mean per-input time in the stages the methodology cannot see."""
-        records = tracker.completed_records()
-        if not records:
-            return 0.0
-        missed = [sum(r.stage_durations.get(stage, 0.0) for stage in self.MISSED_STAGES)
-                  for r in records]
-        return float(np.mean(missed))

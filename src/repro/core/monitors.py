@@ -8,11 +8,8 @@ network bandwidth — from the OS and driver interfaces (Section 3.2).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from repro.hardware.machine import ServerMachine
 from repro.sim.engine import Environment
@@ -24,8 +21,8 @@ __all__ = ["EventRateMonitor", "FpsCounter", "ResourceMonitor",
 class FpsCounter:
     """Counts frames observed at one point of the pipeline.
 
-    ``record_frame`` is called once per frame; FPS can then be reported
-    either for the whole run or for a sliding window of recent frames.
+    ``record_frame`` is called once per frame; FPS is reported over the
+    measurement interval.
     """
 
     def __init__(self, env: Environment, name: str = "fps"):
@@ -33,8 +30,8 @@ class FpsCounter:
         self.name = name
         self.timestamps: list[float] = []
         # Frames credited by fast-forward macro jumps (rate x skipped
-        # seconds); they have no timestamps, so windowed/interframe views
-        # stay micro-only while totals cover the whole virtual interval.
+        # seconds); they have no timestamps, but totals cover the whole
+        # virtual interval.
         self.synthetic_frames = 0.0
         self._started_at: Optional[float] = None
 
@@ -74,23 +71,6 @@ class FpsCounter:
             return 0.0
         return total / elapsed
 
-    def windowed_fps(self, window: float = 1.0) -> float:
-        """FPS over the most recent ``window`` seconds."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        # ``timestamps`` is appended in simulation-time order, so the
-        # window boundary is a bisect, not a scan-and-copy of the whole
-        # history (this gets called per sampling tick on runs recording
-        # hundreds of thousands of frames).
-        timestamps = self.timestamps
-        cutoff = self.env.now - window
-        return (len(timestamps) - bisect_left(timestamps, cutoff)) / window
-
-    def interframe_times(self) -> list[float]:
-        if len(self.timestamps) < 2:
-            return []
-        return list(np.diff(self.timestamps))
-
 
 class EventRateMonitor:
     """Tallies processed kernel events by type, via the event bus.
@@ -107,7 +87,6 @@ class EventRateMonitor:
         self.env = env
         self.counts: dict[str, int] = {}
         self.total = 0
-        self._started_at = env.now
         self._closed = False
         # The bus matches subscribers by identity; bind the method once
         # so close() hands back the exact object subscribe() saw.
@@ -118,13 +97,6 @@ class EventRateMonitor:
         self.total += 1
         name = event.__class__.__name__
         self.counts[name] = self.counts.get(name, 0) + 1
-
-    def events_per_second(self) -> float:
-        """Mean dispatch rate since the monitor attached."""
-        elapsed = self.env.now - self._started_at
-        if elapsed <= 0:
-            return 0.0
-        return self.total / elapsed
 
     def close(self) -> None:
         """Detach from the bus (idempotent); counts stay readable."""
@@ -189,14 +161,3 @@ class ResourceMonitor:
         )
         self.samples.append(sample)
         return sample
-
-    # -- aggregates ---------------------------------------------------------------
-    def mean_cpu_utilization(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.mean([s.cpu_utilization_cores for s in self.samples]))
-
-    def final_sample(self) -> ResourceSample:
-        if not self.samples:
-            return self.sample()
-        return self.samples[-1]

@@ -88,11 +88,6 @@ class CpuPmuReader:
             total_cycles=breakdown.total,
         )
 
-    def instructions_per_cycle(self, instructions_per_retired_cycle: float = 1.6) -> float:
-        """Approximate IPC: only retiring cycles make forward progress."""
-        sample = self.read()
-        return sample.retiring * instructions_per_retired_cycle
-
 
 class GpuPmuReader:
     """Reads GPU cache-miss counters for one rendering context."""

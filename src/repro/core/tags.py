@@ -93,16 +93,6 @@ class InputRecord:
         return self.completed_at - self.created_at
 
     @property
-    def server_time(self) -> Optional[float]:
-        """Time spent on the server (all stages from SP to CP)."""
-        server_stages = set(Stage.SERVER_STAGES)
-        observed = [self.stage_durations[s] for s in self.stage_durations
-                    if s in server_stages and s != Stage.RD]
-        if not observed:
-            return None
-        return sum(observed)
-
-    @property
     def network_time(self) -> Optional[float]:
         cs = self.stage_durations.get(Stage.CS)
         ss = self.stage_durations.get(Stage.SS)

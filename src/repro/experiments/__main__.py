@@ -542,11 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a work-queue directory over TCP to socket workers",
         description="Run the queue server: a TCP front-end over a "
                     "work-queue directory, speaking the framed protocol "
-                    "socket workers and the socket backend use.  Tracks "
-                    "worker heartbeats (a silent worker's claims requeue "
-                    "within --heartbeat-timeout) and sweeps stale leases; "
-                    "with --max > 0 it also autoscales local worker "
-                    "processes against queue depth.")
+                    "socket workers and the socket backend use.  Holds "
+                    "each claim as a lease in memory and requeues any "
+                    "lease its worker's heartbeats leave unstamped for "
+                    "--heartbeat-timeout; a restarted server offers every "
+                    "unfinished job again at once.  With --max > 0 it "
+                    "also autoscales local worker processes against queue "
+                    "depth.")
     serve.add_argument("--queue", required=True, metavar="DIR",
                        help="work-queue directory to serve (created on "
                             "demand)")
@@ -558,16 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7781, metavar="N",
                        help="TCP port to bind (default 7781; 0 = any free "
                             "port)")
-    serve.add_argument("--lease", type=float, default=300.0, metavar="S",
-                       help="claim lease in seconds for workers that do "
-                            "not heartbeat (default 300)")
     serve.add_argument("--heartbeat-timeout", type=float, default=15.0,
                        metavar="S",
-                       help="requeue a worker's claims after this much "
-                            "heartbeat silence (default 15)")
+                       help="requeue a claim after this much heartbeat "
+                            "silence (default 15)")
     serve.add_argument("--sweep-interval", type=float, default=1.0,
                        metavar="S",
-                       help="liveness/lease sweep interval (default 1)")
+                       help="lease sweep interval (default 1)")
     serve.add_argument("--min", type=int, default=0, dest="min_workers",
                        metavar="N",
                        help="minimum local workers to keep (default 0)")
@@ -1128,9 +1127,8 @@ def _agents_gc(args) -> int:
 
 
 def _run_worker(args) -> int:
-    from repro.experiments.queue import default_worker_id
     from repro.experiments.socket_queue import SocketQueue
-    from repro.experiments.worker import run_worker
+    from repro.experiments.worker import default_worker_id, run_worker
 
     worker_id = args.worker_id or default_worker_id()
     executed = run_worker(SocketQueue(args.addr), worker_id=worker_id,
@@ -1150,7 +1148,6 @@ def _run_serve(args) -> int:
     from repro.experiments.server import QueueServer
 
     server = QueueServer(Path(args.queue), host=args.host, port=args.port,
-                         lease_s=args.lease,
                          heartbeat_timeout_s=args.heartbeat_timeout,
                          sweep_interval_s=args.sweep_interval)
     server.start()

@@ -139,10 +139,6 @@ class ExperimentSuite:
     #: ``host:port`` of an external queue server (implies ``socket``).
     queue_addr: Optional[str] = None
     spawn_workers: bool = True
-    #: The lease of the suite's in-process queue server: claims older
-    #: than this are requeued unless a heartbeat refreshed them (an
-    #: external server sets its own, ``serve --lease``).
-    lease_s: float = 300.0
     #: How long the socket backend waits for results before raising.
     timeout_s: Optional[float] = None
     stats: SuiteStats = field(default_factory=SuiteStats)
@@ -280,8 +276,7 @@ class ExperimentSuite:
                 # as they would to a standalone `serve` process.
                 from repro.experiments.server import QueueServer
                 self._server = QueueServer(
-                    Path(tempfile.mkdtemp(prefix="pictor-queue-")),
-                    lease_s=self.lease_s).start()
+                    Path(tempfile.mkdtemp(prefix="pictor-queue-"))).start()
                 addr = self._server.address
             self._queue = SocketQueue(addr)
             if self.spawn_workers:

@@ -13,37 +13,38 @@ anywhere reach it through that server with
 :class:`~repro.experiments.socket_queue.SocketQueue`, and inherit every
 semantic below::
 
-    queue_jobs(seq, key, job, worker)   pending (worker NULL) or claimed
+    queue_jobs(seq, key, job)           submitted, not yet completed
     queue_failures(key, marker)         error + traceback markers (JSON)
     results, metrics, artifacts         the provenance-stamped ResultStore
 
 * **Submission** inserts the job bytes verbatim, in one transaction per
   batch; ``seq`` increases with every insert, so it *is* the submission
-  order.  Submitting a key that is already pending or claimed, or whose
-  newest result row carries the current schema, is a no-op
-  (idempotent); a key that is enqueued again drops any failure marker
-  an earlier attempt left behind.
-* **Claiming** (:meth:`JobQueue.claim`) is one ``UPDATE … RETURNING``
-  of the lowest pending ``seq``.
+  order.  Submitting a key that is already queued, or whose newest
+  result row carries the current schema, is a no-op (idempotent); a key
+  that is enqueued again drops any failure marker an earlier attempt
+  left behind.
+* **Claims live in memory**, in the one process that owns the queue: a
+  claim is a lease, key → (worker, stamp, seq), never a row.
+  :meth:`JobQueue.claim` reads the lowest-``seq`` row no lease holds and
+  commits nothing; a job is *pending* while its row has no lease.
 * **Completion** (:meth:`JobQueue.complete`) is one ``BEGIN IMMEDIATE``
   transaction: the result row its worker built and sent
   (:func:`~repro.experiments.store.result_row`) with its metric rows,
-  and the delete of the claimed job row, commit together.  One sync per
-  completion, and a crash can never leave a stored result behind a
-  still-claimed row.  :meth:`JobQueue.fail` drops a claim with a
-  failure marker instead.
-* **Crash recovery**: a dead worker leaves its claimed row behind.
-  Leases live in memory: a claim, or a heartbeat naming it, stamps the
-  key with the monotonic clock, and :meth:`requeue_stale` returns
-  claims older than a lease to pending; :meth:`requeue_worker` requeues
-  a specific worker's claims immediately when the server *knows* it
-  died (missed heartbeats, or a spawner that saw the process exit).  A
-  requeued row keeps its ``seq``, so it keeps its place in line, and a
-  claim found on opening the queue (a restarted server) starts a fresh
-  lease.  Delivery is therefore **at least once** — a worker that
-  merely stalled past its lease may complete a job a second worker
-  re-ran — which is safe because job execution is deterministic: both
-  completions write equal result rows.
+  and the delete of the job row, commit together, and any lease on the
+  key ends.  One sync per completion, and a crash can never leave a
+  stored result behind a queued row.  :meth:`JobQueue.fail` stores a
+  failure marker and drops the row only if the sender holds its lease.
+* **Crash recovery**: a claim, or a heartbeat naming it, stamps the
+  lease with the monotonic clock; :meth:`requeue_stale` forgets leases
+  older than a timeout, and :meth:`requeue_worker` forgets a worker's
+  leases at once when its death is known (a spawner that saw the
+  process exit).  A requeued row keeps its ``seq``, so it keeps its
+  place in line, and a restarted server, which starts with no leases,
+  offers every unfinished row again at once.  Delivery is therefore
+  **at least once** — a worker that stalled past its lease, or outlived
+  a server restart, may complete a job a second worker re-ran — which
+  is safe because job execution is deterministic: both completions
+  write equal result rows, and the first one ends the job.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,18 +59,18 @@ from typing import Optional, Sequence
 
 from repro.experiments.store import ResultStore, _insert_row
 
-__all__ = ["JobQueue", "QueueCounts", "default_worker_id"]
+__all__ = ["JobQueue", "QueueCounts"]
 
+# Queue databases written before claims moved to memory carry a
+# ``worker`` column (left NULL from now on) and a pending-row index.
 _SCHEMA_SQL = """
 BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS queue_jobs (
     seq    INTEGER PRIMARY KEY,
     key    TEXT    NOT NULL UNIQUE,
-    job    BLOB    NOT NULL,
-    worker TEXT
+    job    BLOB    NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_queue_jobs_pending
-    ON queue_jobs (seq) WHERE worker IS NULL;
+DROP INDEX IF EXISTS idx_queue_jobs_pending;
 CREATE TABLE IF NOT EXISTS queue_failures (
     key    TEXT NOT NULL PRIMARY KEY,
     marker TEXT NOT NULL
@@ -79,25 +78,11 @@ CREATE TABLE IF NOT EXISTS queue_failures (
 COMMIT;
 """
 
-_CLAIM_SQL = (
-    "UPDATE queue_jobs SET worker = ? WHERE seq = "
-    "(SELECT seq FROM queue_jobs WHERE worker IS NULL ORDER BY seq LIMIT 1) "
-    "RETURNING key, job"
-)
-
 _COUNTS_SQL = (
-    "SELECT (SELECT COUNT(*) FROM queue_jobs WHERE worker IS NULL), "
-    "(SELECT COUNT(*) FROM queue_jobs WHERE worker IS NOT NULL), "
+    "SELECT (SELECT COUNT(*) FROM queue_jobs), "
     "(SELECT COUNT(DISTINCT key) FROM results), "
     "(SELECT COUNT(*) FROM queue_failures)"
 )
-
-_SAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
-
-
-def default_worker_id() -> str:
-    """A host-unique worker identity: ``<hostname>-<pid>``."""
-    return _SAFE_ID.sub("_", f"{socket.gethostname()}-{os.getpid()}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +94,11 @@ class QueueCounts:
 
 
 class JobQueue:
-    """The job tables a :class:`QueueServer` serves (see the module
-    docstring).  Not thread-safe on its own: the server calls it under
-    one lock.  Every state change is one transaction; a completion
-    (:meth:`complete`) stores the result and deletes the job row in the
-    same one."""
+    """The job tables a :class:`QueueServer` serves, and its leases (see
+    the module docstring).  Not thread-safe on its own: the server calls
+    it under one lock.  Every row change is one transaction; a
+    completion (:meth:`complete`) stores the result and deletes the job
+    row in the same one."""
 
     def __init__(self, root: os.PathLike | str):
         self.root = Path(root)
@@ -124,12 +109,11 @@ class JobQueue:
         self.results = ResultStore(self.root / "results")
         self._conn = self.results.connection
         self._conn().executescript(_SCHEMA_SQL)
-        #: Claimed key -> _mono() instant of its claim or last named
-        #: heartbeat.  Patchable clock for tests.
+        #: The leases: claimed key -> (worker, _mono() instant of its
+        #: claim or last naming heartbeat, seq).  Every key is a queued
+        #: row.  Patchable clock for tests.
+        self._claims: dict[str, tuple[str, float, int]] = {}
         self._mono = time.monotonic
-        now = self._mono()
-        claimed = self._conn().execute("SELECT key FROM queue_jobs WHERE worker IS NOT NULL")
-        self._leases: dict[str, float] = {row[0]: now for row in claimed}
 
     # -- submitter side ---------------------------------------------------------------
     def submit_many(self, jobs: Sequence[bytes]) -> list[str]:
@@ -155,117 +139,99 @@ class JobQueue:
         row = self._conn().execute(query, (key,)).fetchone()
         return None if row is None else json.loads(row[0])
 
+    def counts(self) -> QueueCounts:
+        queued, completed, failed = self._conn().execute(_COUNTS_SQL).fetchone()
+        claimed = len(self._claims)
+        return QueueCounts(queued - claimed, claimed, completed, failed)
+
     # -- recovery ---------------------------------------------------------------------
-    def requeue_stale(self, lease_s: float) -> list[str]:
+    def requeue_stale(self, timeout_s: float) -> list[str]:
+        """Forget every lease not stamped for ``timeout_s``; returns their
+        keys in submission order."""
         now = self._mono()
-        stale = [key for key, since in self._leases.items() if now - since >= lease_s]
-        if not stale:
-            return []
-        for key in stale:
-            del self._leases[key]
-        marks = ", ".join("?" * len(stale))
-        return self._requeue(f"key IN ({marks}) AND worker IS NOT NULL", stale)
+        return self._requeue(lambda worker, stamp: now - stamp >= timeout_s)
 
     def requeue_worker(self, worker_id: str) -> list[str]:
-        return self._requeue("worker = ?", (worker_id,))
+        """Forget ``worker_id``'s leases; returns their keys in submission
+        order."""
+        return self._requeue(lambda worker, stamp: worker == worker_id)
 
-    def _requeue(self, where: str, params: Sequence) -> list[str]:
-        """Return the matching claims to pending, in submission order."""
-        query = f"UPDATE queue_jobs SET worker = NULL WHERE {where} RETURNING seq, key"
-        rows = self._conn().execute(query, params).fetchall()
-        for _, key in rows:
-            self._leases.pop(key, None)
-        return [key for _, key in sorted(rows)]
-
-    def counts(self) -> QueueCounts:
-        pending, claimed, completed, failed = self._conn().execute(_COUNTS_SQL).fetchone()
-        return QueueCounts(pending=pending, claimed=claimed, completed=completed, failed=failed)
-
-    def claimed_workers(self) -> set[str]:
-        """The worker ids currently holding claims.
-
-        A restarted coordinator (the queue server) adopts these into its
-        liveness registry: a worker that never heartbeats again has its
-        claims requeued after the heartbeat timeout instead of the full
-        lease.
-        """
-        query = "SELECT DISTINCT worker FROM queue_jobs WHERE worker IS NOT NULL"
-        return {row[0] for row in self._conn().execute(query)}
+    def _requeue(self, matches) -> list[str]:
+        requeued = sorted(
+            (seq, key) for key, (worker, stamp, seq) in self._claims.items() if matches(worker, stamp)
+        )
+        for _, key in requeued:
+            del self._claims[key]
+        return [key for _, key in requeued]
 
     # -- claims -----------------------------------------------------------------------
-    def claim(self, worker_id: Optional[str] = None) -> Optional[tuple[str, bytes]]:
-        """Claim the pending job submitted first: ``(key, job bytes)``, or
-        None when none is pending."""
-        worker = worker_id or default_worker_id()
-        rows = self._conn().execute(_CLAIM_SQL, (worker,)).fetchall()
-        if not rows:
-            return None
-        key, job = rows[0]
-        self._leases[key] = self._mono()
-        return key, job
+    def claim(self, worker_id: str) -> Optional[tuple[str, bytes]]:
+        """Lease the unclaimed job submitted first to ``worker_id``:
+        ``(key, job bytes)``, or None when every row is claimed.  A read;
+        nothing is written."""
+        # Every lease holds a row, so the first len(claims) + 1 rows hold
+        # an unclaimed one whenever any exists.
+        query = "SELECT seq, key, job FROM queue_jobs ORDER BY seq LIMIT ?"
+        for seq, key, job in self._conn().execute(query, (len(self._claims) + 1,)).fetchall():
+            if key not in self._claims:
+                self._claims[key] = (worker_id, self._mono(), seq)
+                return key, job
+        return None
 
-    def heartbeat(self, worker_id: str, keys: Optional[Sequence[str]] = None) -> list[str]:
-        """Restart the lease of a worker's claims; returns their keys.
+    def heartbeat(self, worker_id: str, keys: Sequence[str]) -> list[str]:
+        """Restamp the leases ``worker_id`` holds among ``keys``; returns
+        their keys in submission order.
 
-        With ``keys``, only the listed claims are refreshed — a claim
-        the worker does not acknowledge working on (e.g. one orphaned by
-        a retried CLAIM whose first response was lost) keeps aging and
-        is recovered by the ordinary lease expiry.
+        A lease the worker does not name (e.g. one orphaned by a retried
+        CLAIM whose first response was lost) keeps aging, and the
+        sweeper recovers it.
         """
-        wanted = None if keys is None else set(keys)
         now = self._mono()
         refreshed = []
-        query = "SELECT key FROM queue_jobs WHERE worker = ? ORDER BY seq"
-        for row in self._conn().execute(query, (worker_id or default_worker_id(),)):
-            key = row[0]
-            if wanted is None or key in wanted:
-                self._leases[key] = now
-                refreshed.append(key)
-        return refreshed
+        for key in keys:
+            claim = self._claims.get(key)
+            if claim is not None and claim[0] == worker_id:
+                self._claims[key] = (worker_id, now, claim[2])
+                refreshed.append((claim[2], key))
+        return [key for _, key in sorted(refreshed)]
 
-    def complete(self, key: str, worker_id: str, row: dict) -> bool:
+    def complete(self, key: str, row: dict) -> None:
         """Store ``row`` (a :func:`~repro.experiments.store.result_row`)
-        and drop the claim ``worker_id`` holds on ``key``, in one
-        transaction; returns whether the claim was still held.
+        and delete ``key``'s job row in one transaction, ending any lease
+        on it.
 
-        The result is stored either way: a worker that stalled past its
-        lease still completes a deterministic job, whose row a requeue
-        has already handed to someone else.  A row filed under another
-        key is refused.
+        A stored result ends the job whoever holds the lease: a worker
+        that stalled past its lease completes a deterministic job whose
+        row a requeue handed to someone else, and the second completion
+        rewrites an equal row.  A row filed under another key is refused.
         """
         if row["key"] != key:
             raise ValueError(f"a result row for {row['key']!r} cannot complete {key!r}")
         with self.results._transaction() as conn:
             _insert_row(conn, row)
-            deleted = _delete_claim(conn, key, worker_id)
-        if deleted:
-            self._leases.pop(key, None)
-        return deleted
+            conn.execute("DELETE FROM queue_jobs WHERE key = ?", (key,))
+        self._claims.pop(key, None)
 
     def fail(self, key: str, worker_id: str, error_repr: str, traceback_text: str = "") -> bool:
         """Store a failure marker from already-formatted error text (the
-        form a failure crosses the wire in) and drop the claim
-        ``worker_id`` holds on ``key``, in one transaction; returns
-        whether the claim was still held."""
+        form a failure crosses the wire in) and, if ``worker_id`` holds
+        ``key``'s lease, delete its job row in the same transaction and
+        end the lease; returns whether it held the lease."""
         marker = {
             "key": key,
             "worker": worker_id,
             "error": error_repr,
             "traceback": traceback_text,
         }
+        claim = self._claims.get(key)
+        held = claim is not None and claim[0] == worker_id
         with self.results._transaction() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO queue_failures (key, marker) VALUES (?, ?)",
                 (key, json.dumps(marker, indent=2)),
             )
-            deleted = _delete_claim(conn, key, worker_id)
-        if deleted:
-            self._leases.pop(key, None)
-        return deleted
-
-
-def _delete_claim(conn, key: str, worker_id: str) -> bool:
-    """Delete ``key``'s job row if ``worker_id`` still holds it (a requeue
-    may already have taken it)."""
-    query = "DELETE FROM queue_jobs WHERE key = ? AND worker = ?"
-    return bool(conn.execute(query, (key, worker_id or default_worker_id())).rowcount)
+            if held:
+                conn.execute("DELETE FROM queue_jobs WHERE key = ?", (key,))
+        if held:
+            del self._claims[key]
+        return held

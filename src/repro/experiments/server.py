@@ -1,4 +1,4 @@
-"""The queue server: the socket transport's stateless-by-design front end.
+"""The queue server: the socket transport's one owner of the queue.
 
 ``python -m repro.experiments serve --queue DIR --port N`` exposes a
 :class:`~repro.experiments.queue.JobQueue` (and therefore its
@@ -6,30 +6,29 @@ provenance-stamped SQLite :class:`~repro.experiments.store.ResultStore`)
 over TCP, speaking the framed protocol of
 :mod:`repro.experiments.protocol`.  The queue's database is the server's
 private storage: every submitter and worker goes through the server.
-The server keeps **no durable state outside it** — every job, claim,
-result and failure marker is a row of ``DIR/results/results.sqlite`` —
-so
+Every job, result and failure marker is a row of
+``DIR/results/results.sqlite``; only the leases (who holds which job)
+live in the server's memory, so
 
 * semantics (idempotent content-addressed submit, submission order,
   lease recovery, provenance stamps) are the ``JobQueue``'s, and
-* a server crash or restart loses nothing — a new server adopts the
-  database as found, re-registers the workers named in the claimed
-  rows, and carries on.
+* a server crash or restart loses nothing acknowledged — a new server
+  adopts the database as found and offers every unfinished job again
+  at once; a worker still executing one of them completes it into
+  the same result row a second worker would write.
 
 The server **moves bytes**: a SUBMIT carries each job's canonical JSON
 and a CLAIM hands it back unread; a COMPLETE carries the result row its
-worker built, inserted once its key is checked against the claim; a
-RESULT returns the stored entry blob untouched.  Only the client decodes.
+worker built, inserted once its key is checked; a RESULT returns the
+stored entry blob untouched.  Only the client decodes.
 
-**Worker liveness** is layered on top.  Workers heartbeat
-(:class:`MessageType.HEARTBEAT`) every couple of seconds, naming the
-claims they are actually executing.  A heartbeat refreshes those
-claims' leases, so an in-flight job outlives any fixed lease while its
-worker is alive; a worker that misses heartbeats for
-``heartbeat_timeout_s`` has **all** its claims requeued immediately —
-crashed-worker recovery in seconds instead of a full lease.  A claim a
-live worker does not name in its heartbeats (one orphaned by a retried
-CLAIM) still ages out via ``requeue_stale(lease_s)``.
+**One expiry rule.**  A claim stamps its lease, and each worker
+heartbeat (:class:`MessageType.HEARTBEAT`, every couple of seconds)
+restamps the leases it names — the claims the worker is actually
+executing — so an in-flight job lives as long as its worker beats.  The
+sweeper requeues every lease not stamped for ``heartbeat_timeout_s``: a
+crashed or silent worker's jobs, and a claim a live worker never names
+(one orphaned by a retried CLAIM), recover in seconds.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import logging
 import socket
 import socketserver
 import threading
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -56,10 +54,10 @@ __all__ = ["QueueServer"]
 
 logger = logging.getLogger(__name__)
 
-#: A worker silent for this long has its claims requeued immediately.
+#: A lease no claim or heartbeat stamped for this long is requeued.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 15.0
 
-#: How often the sweeper checks heartbeats and stale leases.
+#: How often the sweeper checks for stale leases.
 DEFAULT_SWEEP_INTERVAL_S = 1.0
 
 
@@ -106,7 +104,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 class QueueServer:
     """Serve a :class:`JobQueue` over the framed TCP protocol.
 
-    ``start()`` runs the accept loop and the heartbeat/lease sweeper on
+    ``start()`` runs the accept loop and the lease sweeper on
     daemon threads and returns; ``serve_forever()`` blocks (the CLI).
     ``address`` is the bound ``host:port`` — with ``port=0`` the OS
     picks a free port, so tests and suite-owned servers never collide.
@@ -118,21 +116,12 @@ class QueueServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        lease_s: float = 300.0,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         sweep_interval_s: float = DEFAULT_SWEEP_INTERVAL_S,
     ):
         self.queue = JobQueue(queue)
-        self.lease_s = lease_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.sweep_interval_s = sweep_interval_s
-        #: worker id -> monotonic time of the last claim/heartbeat/
-        #: complete/fail.  Seeded from the claimed rows on disk so a
-        #: restarted server inherits responsibility for claims handed
-        #: out by its predecessor.
-        self._workers: dict[str, float] = {
-            worker: time.monotonic() for worker in self.queue.claimed_workers()
-        }
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._connections: set = set()
@@ -168,9 +157,9 @@ class QueueServer:
     def stop(self) -> None:
         """Stop accepting, sever live connections, stop the sweeper.
 
-        The queue database is left exactly as-is: outstanding claims
-        are recovered by the next server (adopted via the claimed rows)
-        or by plain lease expiry — a restart degrades to a requeue.
+        The queue database is left exactly as-is and the leases die
+        with the server: the next server offers their jobs again at
+        once — a restart degrades to a requeue.
         """
         self._stop.set()
         self._tcp.shutdown()
@@ -213,29 +202,15 @@ class QueueServer:
                 logger.exception("queue server sweep failed")
 
     def sweep(self) -> list[str]:
-        """One liveness/lease pass; returns every requeued key.
-
-        Claims of workers that missed their heartbeats requeue
-        immediately; any other claim falls back to lease expiry.
-        """
-        requeued: list[str] = []
-        now = time.monotonic()
+        """One lease pass: requeue every lease no claim or heartbeat
+        stamped for ``heartbeat_timeout_s``; returns their keys."""
         with self._lock:
-            for worker, last_seen in list(self._workers.items()):
-                if now - last_seen < self.heartbeat_timeout_s:
-                    continue
-                del self._workers[worker]
-                keys = self.queue.requeue_worker(worker)
-                if keys:
-                    logger.warning(
-                        "worker %s missed heartbeats for %.1fs; requeued %d claimed job(s)",
-                        worker,
-                        now - last_seen,
-                        len(keys),
-                    )
-                requeued.extend(keys)
-            requeued.extend(self.queue.requeue_stale(self.lease_s))
-        return requeued
+            keys = self.queue.requeue_stale(self.heartbeat_timeout_s)
+        if keys:
+            logger.warning(
+                "requeued %d claim(s) not heartbeaten for %.1fs", len(keys), self.heartbeat_timeout_s
+            )
+        return keys
 
     # -- request dispatch -------------------------------------------------------------
     def _dispatch(self, kind: MessageType, payload: dict) -> dict:
@@ -243,9 +218,6 @@ class QueueServer:
         if handler is None:
             raise ValueError(f"unexpected request type {kind.name}")
         with self._lock:
-            # Any request naming a worker is a sign of life.
-            if payload.get("worker"):
-                self._workers[payload["worker"]] = time.monotonic()
             return handler(self, payload)
 
     def _op_submit(self, payload: dict) -> dict:
@@ -259,10 +231,10 @@ class QueueServer:
         return {"claimed": {"key": key, "job": blob_to_text(job)}}
 
     def _op_complete(self, payload: dict) -> dict:
-        """Store the worker's result row and drop the claim in one commit
-        (one sync)."""
+        """Store the worker's result row and delete the job row in one
+        commit (one sync)."""
         row = dict(payload["row"], entry=text_to_blob(payload["row"]["entry"]))
-        self.queue.complete(payload["key"], payload["worker"], row)
+        self.queue.complete(payload["key"], row)
         return {}
 
     def _op_fail(self, payload: dict) -> dict:
@@ -275,18 +247,13 @@ class QueueServer:
         return {}
 
     def _op_heartbeat(self, payload: dict) -> dict:
-        return {"refreshed": self.queue.heartbeat(payload["worker"], keys=payload.get("keys"))}
+        return {"refreshed": self.queue.heartbeat(payload["worker"], payload["keys"])}
 
     def _op_counts(self, payload: dict) -> dict:
-        return {"counts": asdict(self.queue.counts()), "workers": len(self._workers)}
+        return {"counts": asdict(self.queue.counts())}
 
     def _op_requeue(self, payload: dict) -> dict:
-        if payload.get("worker") is not None:
-            keys = self.queue.requeue_worker(payload["worker"])
-            self._workers.pop(payload["worker"], None)
-        else:
-            keys = self.queue.requeue_stale(payload.get("lease_s", self.lease_s))
-        return {"keys": keys}
+        return {"keys": self.queue.requeue_worker(payload["worker"])}
 
     def _op_result(self, payload: dict) -> dict:
         return {"entry": blob_to_text(self.queue.results.entry_blob(payload["key"]))}

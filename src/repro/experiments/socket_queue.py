@@ -27,9 +27,10 @@ exhausted.  Retrying is safe for every request type:
 * CLAIM is the one non-idempotent request: if the server applied a claim
   but the response was lost, the retry claims a *different* job and the
   first claim is orphaned.  Orphans are never refreshed — heartbeats
-  name only the keys the worker is actually executing — so the ordinary
-  lease expiry requeues them.  Delivery stays at-least-once, and
-  at-least-once is safe because job execution is deterministic.
+  name only the keys the worker is actually executing — so the sweeper
+  requeues them within the heartbeat timeout.  Delivery stays
+  at-least-once, and at-least-once is safe because job execution is
+  deterministic.
 
 A server-side failure (the server answered, with an ERROR frame) raises
 :class:`QueueRemoteError` and is **not** retried — the request arrived
@@ -55,7 +56,7 @@ from repro.experiments.protocol import (
     send_frame,
     text_to_blob,
 )
-from repro.experiments.queue import QueueCounts, default_worker_id
+from repro.experiments.queue import QueueCounts
 from repro.experiments.store import _load_entry, build_entry, result_row
 
 __all__ = [
@@ -222,9 +223,6 @@ class SocketQueue:
     def invalidate(self, key: str) -> None:
         self._request(MessageType.INVALIDATE, {"key": key})
 
-    def requeue_stale(self, lease_s: float) -> list[str]:
-        return self._request(MessageType.REQUEUE, {"lease_s": lease_s})["keys"]
-
     def requeue_worker(self, worker_id: str) -> list[str]:
         return self._request(MessageType.REQUEUE, {"worker": worker_id})["keys"]
 
@@ -232,38 +230,34 @@ class SocketQueue:
         return QueueCounts(**self._request(MessageType.COUNTS, {})["counts"])
 
     # -- worker side ------------------------------------------------------------------
-    def claim(self, worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
-        """Claim the next pending job, or None when none is.
+    def claim(self, worker_id: str) -> Optional[ClaimedJob]:
+        """Claim the next pending job for ``worker_id``, or None when none
+        is.
 
         A claimed job whose bytes do not decode is recorded as a failure
         marker, and the next one is claimed.
         """
-        worker = worker_id or default_worker_id()
         while True:
-            claimed = self._request(MessageType.CLAIM, {"worker": worker})["claimed"]
+            claimed = self._request(MessageType.CLAIM, {"worker": worker_id})["claimed"]
             if claimed is None:
                 return None
             try:
                 job = ExperimentJob.from_bytes(text_to_blob(claimed["job"]))
             except Exception as error:
-                self._fail(claimed["key"], worker, error)
+                self._fail(claimed["key"], worker_id, error)
                 continue
-            return ClaimedJob(key=claimed["key"], job=job, worker_id=worker)
+            return ClaimedJob(key=claimed["key"], job=job, worker_id=worker_id)
 
-    def heartbeat(self, worker_id: str, keys: Optional[Sequence[str]] = None) -> list[str]:
-        return self._request(
-            MessageType.HEARTBEAT,
-            {"worker": worker_id, "keys": None if keys is None else list(keys)},
-        )["refreshed"]
+    def heartbeat(self, worker_id: str, keys: Sequence[str]) -> list[str]:
+        """Restamp the leases ``worker_id`` holds among ``keys``."""
+        payload = {"worker": worker_id, "keys": list(keys)}
+        return self._request(MessageType.HEARTBEAT, payload)["refreshed"]
 
     def complete(self, claimed: ClaimedJob, result, runtime_s: Optional[float] = None) -> None:
         """Send the result row of ``claimed``'s job for the server to store."""
         row = result_row(build_entry(claimed.job, result, runtime_s=runtime_s))
         row["entry"] = blob_to_text(row["entry"])
-        self._request(
-            MessageType.COMPLETE,
-            {"key": claimed.key, "worker": claimed.worker_id, "row": row},
-        )
+        self._request(MessageType.COMPLETE, {"key": claimed.key, "row": row})
 
     def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
         self._fail(claimed.key, claimed.worker_id, error)

@@ -6,20 +6,19 @@ highest-priority pending job, executes it with the same
 :func:`~repro.experiments.jobs.execute_job` the in-process backends
 use, sends the result's row back for the server to store in its
 provenance-stamped SQLite :class:`~repro.experiments.store.ResultStore`,
-and repeats.  All scheduling (claim order, crash recovery, lease
-management) lives with the server and the submitter.
+and repeats.  All scheduling (claim order, crash recovery, leases)
+lives with the server and the submitter.
 
 Run one per core, on any machine that can reach the server::
 
     PYTHONPATH=src python -m repro.experiments worker --addr HOST:PORT
 
-While executing a job the worker heartbeats the server, which refreshes
-the claim's lease and tracks the worker as alive, so an in-flight job
-outlives any fixed lease — and a worker that dies mid-job is noticed by
-its *silence* within the heartbeat timeout, not after the full lease.
-The heartbeat names exactly the keys the worker is executing, so a
-claim it never acknowledged (orphaned by a retried CLAIM) still ages
-out normally.
+While executing a job the worker heartbeats the server, which restamps
+the claim's lease, so an in-flight job lives as long as its worker
+beats — and a worker that dies mid-job is noticed by its *silence*
+within the server's heartbeat timeout.  The heartbeat names exactly the
+keys the worker is executing, so a claim it never acknowledged
+(orphaned by a retried CLAIM) still ages out.
 
 :func:`run_worker` is the loop behind that entrypoint;
 :func:`spawn_worker` starts one as a local subprocess, logging to
@@ -35,6 +34,8 @@ from __future__ import annotations
 
 import logging
 import os
+import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -44,23 +45,27 @@ from pathlib import Path
 from typing import Optional
 
 from repro.experiments.jobs import execute_job
-from repro.experiments.queue import default_worker_id
 from repro.experiments.socket_queue import SocketQueue
 
-__all__ = ["run_worker", "spawn_worker", "worker_log"]
+__all__ = ["default_worker_id", "run_worker", "spawn_worker", "worker_log"]
 
 logger = logging.getLogger(__name__)
+
+_SAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
+
+
+def default_worker_id() -> str:
+    """A host-unique worker identity: ``<hostname>-<pid>``."""
+    return _SAFE_ID.sub("_", f"{socket.gethostname()}-{os.getpid()}")
 
 
 class _HeartbeatPump:
     """A daemon thread beating ``queue.heartbeat(worker, keys)``.
 
     ``keys`` is always the exact set of claims the worker is executing
-    right now — usually one, sometimes none (an empty list is still
-    sent: it is a pure liveness ping that keeps the server from
-    requeueing on the *next* claim's behalf).  Heartbeat failures are
-    logged and swallowed; liveness is advisory, and the worker's real
-    calls carry their own retry loop.
+    right now — usually one; with none, no beat is sent.  Heartbeat
+    failures are logged and swallowed; liveness is advisory, and the
+    worker's real calls carry their own retry loop.
     """
 
     def __init__(self, queue: SocketQueue, worker_id: str, interval_s: float):
@@ -90,6 +95,8 @@ class _HeartbeatPump:
         while not self._stop.wait(self._interval_s):
             with self._lock:
                 keys = list(self._keys)
+            if not keys:
+                continue
             try:
                 self._queue.heartbeat(self._worker, keys=keys)
             except Exception as error:

@@ -41,12 +41,6 @@ class CompressedFrame:
     compression_time: float
     codec_name: str
 
-    @property
-    def compression_ratio(self) -> float:
-        if self.frame.raw_bytes <= 0:
-            return 0.0
-        return self.compressed_bytes / self.frame.raw_bytes
-
 
 class Codec:
     """Base class for frame codecs.

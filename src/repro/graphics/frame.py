@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -233,7 +233,3 @@ class Frame:
 
     def objects_of_class(self, object_class: ObjectClass) -> list[SceneObject]:
         return [obj for obj in self.objects if obj.object_class is object_class]
-
-    @staticmethod
-    def from_objects(objects: Iterable[SceneObject], **kwargs) -> "Frame":
-        return Frame(objects=list(objects), **kwargs)

@@ -72,10 +72,6 @@ class GlContext:
         self.frames_read_back = 0
 
     # -- drawing --------------------------------------------------------------
-    def draw_frame(self, frame: Frame) -> None:
-        """Record GL draw calls for ``frame`` into the back buffer."""
-        self.framebuffer.attach_back(frame)
-
     def swap_buffers(self, frame: Frame, with_query: bool = False) -> Optional[GlQuery]:
         """Submit the frame's rendering to the GPU (hook5). Non-blocking.
 

@@ -11,7 +11,6 @@ two Section-6 optimizations and the measurement-framework toggle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -74,15 +73,9 @@ class StageTimings:
             return 0.0
         return float(np.percentile(values, q))
 
-    def total_mean(self, stages: Iterable[str]) -> float:
-        return float(sum(self.mean(stage) for stage in stages))
-
     def merge(self, other: "StageTimings") -> None:
         for stage, values in other.samples.items():
             self.samples.setdefault(stage, []).extend(values)
-
-    def as_means(self) -> dict[str, float]:
-        return {stage: self.mean(stage) for stage in STAGES if self.count(stage)}
 
 
 @dataclass
@@ -113,15 +106,3 @@ class PipelineConfig:
     containerized: bool = False
     target_width: int = 1920
     target_height: int = 1080
-
-    def with_optimizations(self) -> "PipelineConfig":
-        """A copy of this config with both Section-6 optimizations enabled."""
-        return PipelineConfig(
-            measurement_enabled=self.measurement_enabled,
-            double_buffered_queries=self.double_buffered_queries,
-            memoize_window_attributes=True,
-            two_step_frame_copy=True,
-            containerized=self.containerized,
-            target_width=self.target_width,
-            target_height=self.target_height,
-        )

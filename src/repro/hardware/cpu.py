@@ -40,10 +40,6 @@ class CpuSpec:
     smt: int = 1
 
     @property
-    def hardware_threads(self) -> int:
-        return self.cores * self.smt
-
-    @property
     def cycles_per_second(self) -> float:
         return self.frequency_ghz * 1e9
 
@@ -170,8 +166,6 @@ class CpuThread:
             cpu._demand_integral += (cores if cores < active else active) * span
             cpu._last_change = now
         active = cpu._active_demand = cpu._active_demand + demand
-        if active > cpu._peak_demand:
-            cpu._peak_demand = active
         if memory is not None:
             memory._active_pressure += demand
         try:
@@ -241,7 +235,6 @@ class Cpu:
         self._active_demand = 0.0
         self._last_change = env.now
         self._demand_integral = 0.0
-        self._peak_demand = 0.0
 
     # -- thread management ---------------------------------------------------
     def thread(self, name: str, owner: str = "") -> CpuThread:
@@ -302,7 +295,3 @@ class Cpu:
             if owner is None or thread.owner == owner:
                 total.add(thread.cycles)
         return total
-
-    @property
-    def peak_demand(self) -> float:
-        return self._peak_demand

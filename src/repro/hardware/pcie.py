@@ -83,6 +83,3 @@ class PcieBus:
     @property
     def active_transfers(self) -> int:
         return self._active_transfers
-
-    def total_bytes(self) -> float:
-        return sum(self.bytes_by_direction.values())

@@ -141,6 +141,3 @@ class Nic:
 
     def send_to_client(self, message: Message):
         return self.link.transmit(message, NetworkLink.DOWNLINK)
-
-    def receive_from_client(self, message: Message):
-        return self.link.transmit(message, NetworkLink.UPLINK)

@@ -155,7 +155,6 @@ def test_chen_estimate_drops_hidden_stages():
     # Offline AL replaces the measured 30 ms, and PS/FC/AS are invisible.
     expected = 0.005 + 0.001 + chen.offline_al_time() + 0.012 + 0.014
     assert estimate == pytest.approx(expected)
-    assert chen.missed_time(tracker) == pytest.approx(0.020 + 0.004 + 0.006)
 
 
 def test_chen_underestimates_contended_al():

@@ -103,7 +103,6 @@ def test_input_record_rtt_and_breakdowns():
     assert record.is_complete
     assert record.rtt == pytest.approx(0.1)
     assert record.network_time == pytest.approx(0.017)
-    assert record.server_time == pytest.approx(0.035)
     assert record.response_frame_id == 77
 
 

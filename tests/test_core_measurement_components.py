@@ -79,7 +79,6 @@ def test_cpu_pmu_reader_reports_topdown_and_l3(env):
     assert shares == pytest.approx(1.0)
     assert sample.l3_miss_rate == pytest.approx(0.75)
     assert sample.total_cycles > 0
-    assert 0.0 < reader.instructions_per_cycle() < 2.0
 
 
 def test_gpu_pmu_reader_handles_unreadable_context(env):
@@ -107,33 +106,12 @@ def test_fps_counter_average_and_window(env):
     env.run()
     assert counter.frame_count == 30
     assert counter.fps(1.0) == pytest.approx(30.0)
-    assert counter.windowed_fps(window=0.5) == pytest.approx(30.0, rel=0.2)
-    assert len(counter.interframe_times()) == 29
+    assert counter.fps() == pytest.approx(30.0)
 
 
 def test_fps_counter_empty_is_zero(env):
     counter = FpsCounter(env)
     assert counter.fps() == 0.0
-    with pytest.raises(ValueError):
-        counter.windowed_fps(0.0)
-
-
-def test_windowed_fps_matches_linear_scan_on_uneven_spacing(env):
-    """The bisect window boundary is exactly the old t >= cutoff scan,
-    including ties right on the cutoff."""
-    counter = FpsCounter(env)
-
-    def proc(env):
-        for delay in (0.1, 0.1, 0.3, 0.0, 0.5, 1.0, 0.0, 0.2):
-            yield env.timeout(delay)
-            counter.record_frame()
-
-    env.process(proc(env))
-    env.run()
-    for window in (0.2, 0.5, 1.0, 1.2, 10.0):
-        cutoff = env.now - window
-        expected = len([t for t in counter.timestamps if t >= cutoff])
-        assert counter.windowed_fps(window) == pytest.approx(expected / window)
 
 
 def test_event_rate_monitor_counts_dispatches_via_the_bus(env):
@@ -152,7 +130,6 @@ def test_event_rate_monitor_counts_dispatches_via_the_bus(env):
     # Initialize + two timeouts + process termination, same as the trace.
     assert monitor.total == len(recorder) == 4
     assert monitor.counts == {"Initialize": 1, "Timeout": 2, "Process": 1}
-    assert monitor.events_per_second() == pytest.approx(2.0)
 
     monitor.close()
     monitor.close()  # idempotent
@@ -168,8 +145,8 @@ def test_resource_monitor_samples_periodically(env):
     monitor.start()
     env.run(until=5.5)
     assert len(monitor.samples) >= 5
-    assert monitor.mean_cpu_utilization() >= 0.0
-    assert monitor.final_sample().timestamp <= env.now
+    assert all(sample.cpu_utilization_cores >= 0.0 for sample in monitor.samples)
+    assert monitor.samples[-1].timestamp <= env.now
 
 
 def test_resource_monitor_validation(env):

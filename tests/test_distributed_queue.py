@@ -85,9 +85,8 @@ def _row(claimed, result, runtime_s=None):
 
 
 def _complete(queue, claimed, result, runtime_s=None):
-    """Store the result and drop the claim, as the server's COMPLETE does."""
-    queue.complete(claimed.key, claimed.worker_id,
-                   _row(claimed, result, runtime_s=runtime_s))
+    """Store the result and end the job, as the server's COMPLETE does."""
+    queue.complete(claimed.key, _row(claimed, result, runtime_s=runtime_s))
 
 
 def _advance_clock(queue, seconds):
@@ -203,10 +202,10 @@ def test_requeue_stale_recovers_an_expired_claim(tmp_path, config):
     claimed = _claim(queue, "w1")
 
     # A fresh claim is inside its lease: nothing to requeue.
-    assert queue.requeue_stale(lease_s=60.0) == []
+    assert queue.requeue_stale(60.0) == []
     # Age the claim past the lease and it returns to pending.
     _advance_clock(queue, 120.0)
-    assert queue.requeue_stale(lease_s=60.0) == [claimed.key]
+    assert queue.requeue_stale(60.0) == [claimed.key]
     assert queue.counts().pending == 1
     assert queue.counts().claimed == 0
 
@@ -218,6 +217,8 @@ def test_requeue_stale_recovers_an_expired_claim(tmp_path, config):
     _complete(queue, claimed, result)             # stale handle, claim gone
     _complete(queue, reclaimed, result)
     assert queue.results.get_entry(job.key()) is not None
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
 
 
 def test_claiming_an_aged_pending_job_starts_a_fresh_lease(tmp_path, config):
@@ -232,27 +233,94 @@ def test_claiming_an_aged_pending_job_starts_a_fresh_lease(tmp_path, config):
 
     claimed = _claim(queue, "w1")
     assert claimed is not None
-    assert queue.requeue_stale(lease_s=60.0) == []
+    assert queue.requeue_stale(60.0) == []
     _complete(queue, claimed, execute_job(job))
     assert queue.results.get_entry(job.key()) is not None
 
 
-def test_reopened_queue_gives_found_claims_a_fresh_lease(tmp_path, config):
-    """A restarted server cannot know how old the claims it finds are:
-    each starts a fresh lease on reopening, and its worker is still
-    named for the heartbeat registry to adopt."""
+def test_reopened_queue_offers_claimed_jobs_again_at_once(tmp_path, config):
+    """A claim lives in the memory of the queue that handed it out: a
+    reopened queue (a restarted server) holds no leases and offers every
+    unfinished job again at once, in submission order, with no claim
+    written to disk."""
     first = JobQueue(tmp_path / "q")
-    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
-    _submit(first, job)
-    claimed = _claim(first, "w1")
-    _advance_clock(first, 120.0)
+    jobs = [ExperimentJob(Scenario.single("RE", config, seed_offset=i))
+            for i in range(3)]
+    for job in jobs:
+        _submit(first, job)
+    claimed = [_claim(first, "w1") for _ in range(2)]
+    counts = first.counts()
+    assert (counts.pending, counts.claimed) == (1, 2)
 
     second = JobQueue(tmp_path / "q")
-    assert second.claimed_workers() == {"w1"}
-    assert second.requeue_stale(lease_s=60.0) == []
-    _advance_clock(second, 120.0)
-    assert second.requeue_stale(lease_s=60.0) == [claimed.key]
-    assert second.counts().pending == 1
+    counts = second.counts()
+    assert (counts.pending, counts.claimed) == (3, 0)
+    assert second.requeue_stale(0.0) == []
+    assert [_claim(second, "w2").key for _ in jobs] == [job.key() for job in jobs]
+
+    # The first queue's holder still completes its job, into the same row.
+    _complete(second, claimed[0], {"fps": 30.0})
+    counts = second.counts()
+    assert (counts.pending, counts.claimed, counts.completed) == (0, 2, 1)
+
+
+#: The queue tables as written before claims moved to memory: a claim
+#: was the row's ``worker`` column, behind a partial pending index.
+_CLAIM_COLUMN_SCHEMA = """
+CREATE TABLE queue_jobs (
+    seq    INTEGER PRIMARY KEY,
+    key    TEXT    NOT NULL UNIQUE,
+    job    BLOB    NOT NULL,
+    worker TEXT
+);
+CREATE INDEX idx_queue_jobs_pending ON queue_jobs (seq) WHERE worker IS NULL;
+CREATE TABLE queue_failures (
+    key    TEXT NOT NULL PRIMARY KEY,
+    marker TEXT NOT NULL
+);
+"""
+
+
+def test_queue_with_claim_column_opens_with_every_job_pending(tmp_path,
+                                                              config):
+    """A queue database whose claims were rows (a ``worker`` column and
+    a partial pending index) opens with the index dropped and its
+    claimed rows pending, then drains."""
+    import sqlite3
+
+    from repro.experiments.store import ResultStore
+
+    root = tmp_path / "q"
+    jobs = [ExperimentJob(Scenario.single(name, config, seed_offset=i))
+            for i, name in enumerate(["RE", "ITP", "D2"])]
+    db_path = ResultStore(root / "results").db_path
+    conn = sqlite3.connect(db_path)
+    conn.executescript(_CLAIM_COLUMN_SCHEMA)
+    conn.executemany(
+        "INSERT INTO queue_jobs (key, job, worker) VALUES (?, ?, ?)",
+        [(job.key(), job.to_bytes(), worker)
+         for job, worker in zip(jobs, ["w1", None, "w2"])])
+    conn.commit()
+    conn.close()
+
+    queue = JobQueue(root)
+    index = queue._conn().execute(
+        "SELECT COUNT(*) FROM sqlite_master WHERE name = ?",
+        ("idx_queue_jobs_pending",))
+    assert index.fetchone() == (0,)
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed) == (3, 0)
+
+    later = ExperimentJob(Scenario.single("STK", config, seed_offset=9))
+    _submit(queue, later)
+    for job in jobs + [later]:
+        claimed = _claim(queue, "w3")
+        assert claimed.job == job
+        _complete(queue, claimed, execute_job(job))
+    assert _claim(queue, "w3") is None
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed, counts.completed,
+            counts.failed) == (0, 0, 4, 0)
 
 
 def test_unreadable_job_row_becomes_a_failure_and_the_next_is_claimed(
@@ -314,20 +382,48 @@ def _claimed_synthetic_job(queue, config, offset=1):
     return claimed, {"fps": 30.0, "nested": {"rtt_s": [0.05, 0.07]}}
 
 
+def _traced(queue, dispatch):
+    """The SQL statements ``dispatch()`` runs on this thread's connection
+    (the server's handler for a request made in this thread)."""
+    statements: list[str] = []
+    queue._conn().set_trace_callback(statements.append)
+    try:
+        dispatch()
+    finally:
+        queue._conn().set_trace_callback(None)
+    return statements
+
+
+def test_claim_commits_nothing(server, config):
+    """A CLAIM is a read: it leases the job in memory and issues no
+    BEGIN, COMMIT or write — no sync per claim."""
+    queue = server.queue
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+    _submit(queue, job)
+    conn = queue._conn()
+    changes = conn.total_changes
+    replies = []
+    statements = _traced(queue, lambda: replies.append(
+        server._dispatch(MessageType.CLAIM, {"worker": "w1"})))
+    assert replies[0]["claimed"]["key"] == job.key()
+    verbs = {statement.split()[0].upper() for statement in statements}
+    assert verbs == {"SELECT"}, statements
+    assert conn.total_changes == changes
+    assert not conn.in_transaction
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed) == (0, 1)
+
+
 def test_complete_commits_result_and_claim_delete_once(server, config):
     """A COMPLETE is one transaction: the result row, its metric rows and
-    the job-row delete share one COMMIT, so one sync."""
+    the job-row delete share one COMMIT, so one sync, and the lease
+    ends."""
     queue = server.queue
     claimed, result = _claimed_synthetic_job(queue, config)
     row = _row(claimed, result, runtime_s=0.5)
     row["entry"] = blob_to_text(row["entry"])
-    statements: list[str] = []
-    queue._conn().set_trace_callback(statements.append)
-    try:
-        server._dispatch(MessageType.COMPLETE,
-                         {"key": claimed.key, "worker": "w1", "row": row})
-    finally:
-        queue._conn().set_trace_callback(None)
+    statements = _traced(queue, lambda: server._dispatch(
+        MessageType.COMPLETE, {"key": claimed.key, "row": row}))
     verbs = [statement.split()[0] for statement in statements]
     assert verbs.count("COMMIT") == 1
     assert verbs[0] == "BEGIN" and verbs[-1] == "COMMIT"
@@ -335,46 +431,58 @@ def test_complete_commits_result_and_claim_delete_once(server, config):
     counts = queue.counts()
     assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
     assert queue.results.get_entry(claimed.key)["result"] == result
-    assert claimed.key not in queue._leases
+    assert claimed.key not in queue._claims
 
 
 def test_failure_between_result_insert_and_claim_delete_commits_neither(
         tmp_path, config, monkeypatch):
+    """A crash after the result rows are written and before the job row
+    is deleted rolls both back, and the lease still runs."""
     import repro.experiments.queue as queue_module
     queue = JobQueue(tmp_path / "q")
     claimed, result = _claimed_synthetic_job(queue, config)
     row = _row(claimed, result, runtime_s=0.5)
+    insert_row = queue_module._insert_row
 
-    def crash(conn, key, worker_id):
-        # The result rows are written by now; the job row is not deleted.
+    def crash(conn, row):
+        insert_row(conn, row)
         assert conn.execute("SELECT COUNT(*) FROM results").fetchone() == (1,)
-        raise RuntimeError("injected crash before the claim delete")
+        raise RuntimeError("injected crash before the job-row delete")
 
-    monkeypatch.setattr(queue_module, "_delete_claim", crash)
+    monkeypatch.setattr(queue_module, "_insert_row", crash)
     with pytest.raises(RuntimeError, match="injected crash"):
-        queue.complete(claimed.key, "w1", row)
+        queue.complete(claimed.key, row)
     conn = queue._conn()
     assert queue.results.get_entry(claimed.key) is None
     assert conn.execute("SELECT COUNT(*) FROM metrics").fetchone()[0] == 0
-    assert conn.execute("SELECT worker FROM queue_jobs WHERE key = ?",
-                        (claimed.key,)).fetchall() == [("w1",)]
-    assert claimed.key in queue._leases        # the lease still runs
+    assert conn.execute("SELECT key FROM queue_jobs").fetchall() \
+        == [(claimed.key,)]
+    assert queue._claims[claimed.key][0] == "w1"  # the lease still runs
     monkeypatch.undo()
-    assert queue.complete(claimed.key, "w1", row)
+    queue.complete(claimed.key, row)
     counts = queue.counts()
     assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
 
 
 def test_complete_stores_a_result_whose_claim_was_requeued(tmp_path, config):
-    """A worker that stalled past its lease still stores its result; the
-    requeued row stays for the worker that holds it now."""
+    """A worker that stalled past its lease still completes the job: its
+    result ends the job and the lease the requeue handed to a second
+    worker, whose own completion later rewrites an equal row."""
     queue = JobQueue(tmp_path / "q")
     claimed, result = _claimed_synthetic_job(queue, config)
     assert queue.requeue_worker("w1") == [claimed.key]
-    assert _claim(queue, "w2").key == claimed.key
-    assert not queue.complete(claimed.key, "w1", _row(claimed, result))
+    second = _claim(queue, "w2")
+    assert second.key == claimed.key
+    queue.complete(claimed.key, _row(claimed, result))
     assert queue.results.get_entry(claimed.key)["result"] == result
-    assert queue.counts().claimed == 1
+    counts = queue.counts()
+    assert (counts.pending, counts.claimed, counts.completed) == (0, 0, 1)
+    assert queue.heartbeat("w2", [second.key]) == []
+
+    queue.complete(second.key, _row(second, result))
+    rows = queue._conn().execute(
+        "SELECT COUNT(*) FROM results WHERE key = ?", (claimed.key,))
+    assert rows.fetchone() == (1,)
 
 
 def test_complete_refuses_a_row_filed_under_another_key(tmp_path, config):
@@ -384,7 +492,7 @@ def test_complete_refuses_a_row_filed_under_another_key(tmp_path, config):
     claimed, result = _claimed_synthetic_job(queue, config)
     row = dict(_row(claimed, result), key="0" * 64)
     with pytest.raises(ValueError, match="cannot complete"):
-        queue.complete(claimed.key, "w1", row)
+        queue.complete(claimed.key, row)
     assert queue.counts().completed == 0
     assert queue.counts().claimed == 1
 
@@ -395,8 +503,9 @@ def test_complete_refuses_a_row_filed_under_another_key(tmp_path, config):
 
 @pytest.fixture
 def server(tmp_path):
+    # Leases expire only when a test calls ``server.sweep()``.
     with QueueServer(tmp_path / "q", heartbeat_timeout_s=600.0,
-                     sweep_interval_s=0.1) as srv:
+                     sweep_interval_s=600.0) as srv:
         yield srv
 
 
@@ -613,10 +722,9 @@ def test_cache_entries_identical_across_backends(tmp_path, jobs):
 
 def test_sigkilled_worker_job_is_requeued_and_results_unaffected(
         server, client, config, tmp_path):
-    """Kill -9 a worker while it holds a claim; the lease requeues the
-    job and a second worker produces the exact same results a serial
-    run does.  (The server's heartbeat timeout is far away here, so the
-    lease alone does the recovering.)"""
+    """Kill -9 a worker while it holds a claim; the sweep requeues the
+    job once its lease has gone unstamped for the heartbeat timeout, and
+    a second worker produces the exact same results a serial run does."""
     # ~3s of wall time on the victim (duration=120 simulated seconds),
     # so the SIGKILL lands mid-execution; the second job stays pending.
     slow = ExperimentJob(Scenario.single("RE", config, seed_offset=1),
@@ -643,8 +751,10 @@ def test_sigkilled_worker_job_is_requeued_and_results_unaffected(
     assert counts.completed == 0
     assert client.result_entry(slow.key()) is None
 
-    # The lease mechanism recovers it (lease 0: the worker is known dead).
-    assert client.requeue_stale(lease_s=0.0) == [slow.key()]
+    # The sweep recovers it once the lease is older than the timeout.
+    assert server.sweep() == []
+    _advance_clock(server.queue, server.heartbeat_timeout_s)
+    assert server.sweep() == [slow.key()]
     assert client.counts().pending == 2
     assert client.counts().claimed == 0
 

@@ -49,7 +49,6 @@ def test_raw_codec_keeps_size(env):
     frame = Frame()
     compressed = compress_once(env, codec, frame)
     assert compressed.compressed_bytes == frame.raw_bytes
-    assert compressed.compression_ratio == pytest.approx(1.0)
 
 
 def test_codec_counters_accumulate(env):
@@ -80,8 +79,8 @@ def test_stage_timings_record_and_mean():
     timings.record(Stage.FC, 0.015)
     assert timings.count(Stage.AL) == 2
     assert timings.mean(Stage.AL) == pytest.approx(0.015)
-    assert timings.total_mean([Stage.AL, Stage.FC]) == pytest.approx(0.030)
-    assert set(timings.as_means()) == {Stage.AL, Stage.FC}
+    assert timings.mean(Stage.FC) == pytest.approx(0.015)
+    assert timings.count(Stage.CP) == 0 and timings.mean(Stage.CP) == 0.0
 
 
 def test_stage_timings_percentile_and_merge():
@@ -104,8 +103,12 @@ def test_stage_timings_validation():
 
 
 def test_pipeline_config_with_optimizations():
+    """The ``optimized`` session variant's pipeline turns on both
+    Section-6 optimizations and nothing else."""
+    from repro.scenarios.variants import session_variant
+
     base = PipelineConfig()
-    optimized = base.with_optimizations()
+    optimized = session_variant("optimized").pipeline_config()
     assert not base.memoize_window_attributes
     assert optimized.memoize_window_attributes and optimized.two_step_frame_copy
     assert optimized.measurement_enabled == base.measurement_enabled

@@ -119,10 +119,3 @@ def test_frame_ids_number_each_applications_frames():
     assert ids == [1, 2, 3, 4, 5]
     second = create_benchmark("STK", rng=StreamRandom(1))
     assert second.advance(1.0 / 30.0).frame_id == 1
-
-
-def test_from_objects_builder():
-    objects = (SceneObject(ObjectClass.TRACK, x=0.5, y=0.5),)
-    frame = Frame.from_objects(objects, complexity=1.2)
-    assert len(frame.objects) == 1
-    assert frame.complexity == 1.2

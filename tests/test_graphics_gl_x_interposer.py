@@ -71,8 +71,8 @@ def test_framebuffer_resize_clears_buffers():
 def test_swap_buffers_is_asynchronous(env, stack):
     _cpu, gl, _x, _w, _interp, _t = stack
     frame = Frame()
-    gl.draw_frame(frame)
     gl.swap_buffers(frame)
+    assert gl.framebuffer.back is frame
     # The call returns immediately; the render completes later.
     assert env.now == 0.0
     env.run()

@@ -93,7 +93,6 @@ def test_overlapping_bursts_account_exactly(env):
     assert seen == {"active": 4.0, "pressure": 4.0, "integral": 0.5 + 2 * 0.375}
     assert env.now == 2.0
     assert cpu.demand_core_seconds() == 3.5
-    assert cpu.peak_demand == 4.0
     assert cpu.active_demand == 0.0
     assert memory._active_pressure == 0.0
     assert (a.busy_time, a.core_seconds) == (1.0, 1.0)
@@ -274,5 +273,4 @@ def test_stage_profile_validation():
 
 def test_spec_derived_quantities():
     spec = CpuSpec(cores=8, frequency_ghz=3.6, smt=2)
-    assert spec.hardware_threads == 16
     assert spec.cycles_per_second == pytest.approx(3.6e9)

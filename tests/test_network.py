@@ -128,8 +128,8 @@ def test_nic_wraps_link_directions(env):
     def proc(env):
         yield from nic.send_to_client(
             Message(kind=MessageKind.FRAMEBUFFER_UPDATE, size_bytes=1000))
-        yield from nic.receive_from_client(
-            Message(kind=MessageKind.KEY_EVENT, size_bytes=8))
+        yield from link.transmit(
+            Message(kind=MessageKind.KEY_EVENT, size_bytes=8), NetworkLink.UPLINK)
 
     env.process(proc(env))
     env.run()

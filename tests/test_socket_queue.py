@@ -5,11 +5,11 @@ The headline contracts:
 * the socket transport inherits JobQueue semantics (idempotent
   submit, priority order, provenance stamps) — the server keeps its
   queue in one;
-* heartbeats keep an in-flight claim alive past any lease, and a
-  *silent* worker's claims requeue within the heartbeat timeout;
+* heartbeats keep an in-flight claim's lease alive, and a claim no
+  heartbeat names requeues within the heartbeat timeout;
 * every client call retries over fresh connections, so a restarted
-  server degrades to a delay (or at worst a requeue) — never a lost or
-  duplicated result;
+  server degrades to a delay (or at worst a requeue: its claims are
+  pending again at once) — never a lost or duplicated result;
 * serial and socket-fleet runs are equivalent — including across a
   worker SIGKILL plus a server restart mid-drain (the chaos test CI
   runs by name).
@@ -60,8 +60,9 @@ def jobs(config) -> list[ExperimentJob]:
 
 @pytest.fixture
 def server(tmp_path):
+    # Leases expire only when a test calls ``server.sweep()``.
     with QueueServer(tmp_path / "q", heartbeat_timeout_s=60.0,
-                     sweep_interval_s=0.1) as srv:
+                     sweep_interval_s=600.0) as srv:
         yield srv
 
 
@@ -175,6 +176,43 @@ def test_server_hands_out_claims_in_arrival_order(server, client, config):
         other.close()
 
 
+def test_concurrent_claims_never_share_a_job(server, config):
+    """Eight client threads claim and complete against one server with
+    a shortened switch interval: every job is leased to exactly one of
+    them, and the queue drains with each result stored once."""
+    import sys
+    import threading
+
+    jobs = [ExperimentJob(Scenario.single("RE", config, seed_offset=i))
+            for i in range(80)]
+    claimed: list[str] = []
+
+    def drain(worker_id):
+        with SocketQueue(server.address) as queue:
+            while (job := queue.claim(worker_id)) is not None:
+                claimed.append(job.key)
+                queue.complete(job, {"worker": worker_id})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with SocketQueue(server.address) as client:
+            client.submit_many(jobs)
+            threads = [threading.Thread(target=drain, args=(f"w{i}",))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            counts = client.counts()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(claimed) == sorted(job.key() for job in jobs)
+    assert (counts.pending, counts.claimed, counts.completed,
+            counts.failed) == (0, 0, len(jobs), 0)
+
+
 def test_failures_cross_the_wire_as_markers(server, client, config):
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     client.submit(job)
@@ -216,10 +254,11 @@ def test_server_reported_errors_raise_without_retry(server, client):
 # ---------------------------------------------------------------------------
 
 def _age_leases(server, seconds):
-    """Backdate every claim's lease, as if ``seconds`` had passed."""
+    """Backdate every lease's stamp, as if ``seconds`` had passed."""
     with server._lock:
-        for key in server.queue._leases:
-            server.queue._leases[key] -= seconds
+        claims = server.queue._claims
+        for key, (worker, stamp, seq) in claims.items():
+            claims[key] = (worker, stamp - seconds, seq)
 
 
 def test_heartbeat_refreshes_only_the_named_claims(server, client, config):
@@ -229,13 +268,18 @@ def test_heartbeat_refreshes_only_the_named_claims(server, client, config):
     claim_a = client.claim("w1")
     claim_b = client.claim("w1")
 
-    # Age both claims past a 5s lease, then heartbeat only one.
+    # Age both leases past the heartbeat timeout, then heartbeat only
+    # one; another worker cannot restamp it.
+    _age_leases(server, 60.0)
+    assert client.heartbeat("w2", keys=[claim_a.key]) == []
+    assert client.heartbeat("w1", keys=[claim_b.key, claim_a.key, "f" * 64]) \
+        == [claim_a.key, claim_b.key]
     _age_leases(server, 60.0)
     assert client.heartbeat("w1", keys=[claim_a.key]) == [claim_a.key]
 
-    # The acknowledged claim survives the lease sweep; the orphan —
-    # exactly what a lost CLAIM response leaves behind — is requeued.
-    assert client.requeue_stale(lease_s=5.0) == [claim_b.key]
+    # The acknowledged claim survives the sweep; the orphan — exactly
+    # what a lost CLAIM response leaves behind — is requeued.
+    assert server.sweep() == [claim_b.key]
     counts = client.counts()
     assert (counts.pending, counts.claimed) == (1, 1)
     assert client.claim("w2").key == claim_b.key
@@ -243,12 +287,14 @@ def test_heartbeat_refreshes_only_the_named_claims(server, client, config):
 
 def test_heartbeat_with_empty_keys_is_a_pure_liveness_ping(server, client,
                                                            config):
+    """A heartbeat naming no claim restamps nothing: the worker's lease
+    still ages out."""
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     client.submit(job)
     claimed = client.claim("w1")
     _age_leases(server, 60.0)
-    assert client.heartbeat("w1", keys=[]) == []  # alive, but owns nothing
-    assert client.requeue_stale(lease_s=5.0) == [claimed.key]
+    assert client.heartbeat("w1", keys=[]) == []
+    assert server.sweep() == [claimed.key]
 
 
 def test_silent_workers_claims_requeue_within_heartbeat_timeout(tmp_path,
@@ -267,8 +313,7 @@ def test_silent_workers_claims_requeue_within_heartbeat_timeout(tmp_path,
             client.heartbeat("silent-worker", keys=[claimed.key])
         assert client.counts().claimed == 1
 
-        # ...then silence: the sweeper requeues within ~timeout+sweep,
-        # a fraction of any real lease.
+        # ...then silence: the sweeper requeues within ~timeout+sweep.
         _wait_for(lambda: client.counts().pending == 1, timeout_s=10.0,
                   what="the silent worker's claim to requeue")
         rescued = client.claim("rescuer")
@@ -278,9 +323,9 @@ def test_silent_workers_claims_requeue_within_heartbeat_timeout(tmp_path,
 
 
 def test_restarted_server_adopts_existing_claims(tmp_path, config):
-    """A new server inherits claimed rows from its predecessor: their
-    workers are registered provisionally, and ones that never heartbeat
-    again requeue after the heartbeat timeout — not the full lease."""
+    """A claim dies with the server that leased it: a new server adopts
+    the queue as found and offers the claimed job again at once, with no
+    sweep."""
     root = tmp_path / "q"
     job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
     with QueueServer(root, heartbeat_timeout_s=60.0) as first:
@@ -289,11 +334,12 @@ def test_restarted_server_adopts_existing_claims(tmp_path, config):
         assert client.claim("ghost-worker") is not None
         client.close()
 
-    with QueueServer(root, heartbeat_timeout_s=0.5,
-                     sweep_interval_s=0.1) as second:
+    with QueueServer(root, heartbeat_timeout_s=60.0,
+                     sweep_interval_s=600.0) as second:
         client = SocketQueue(second.address)
-        _wait_for(lambda: client.counts().pending == 1, timeout_s=10.0,
-                  what="the adopted ghost claim to requeue")
+        counts = client.counts()
+        assert (counts.pending, counts.claimed) == (1, 0)
+        assert client.claim("rescuer").key == job.key()
         client.close()
 
 
@@ -520,9 +566,9 @@ def test_suite_backend_validation():
 
 def test_chaos_worker_sigkill_and_server_restart_mid_drain(tmp_path, config):
     """Kill -9 a heartbeating worker mid-job, then kill the server too
-    and restart it on the same port: the adopted claim requeues via the
-    heartbeat timeout, a rescue worker drains everything, and every
-    result is bit-identical to serial execution."""
+    and restart it on the same port: the victim's job is pending the
+    moment the new server opens the queue, a rescue worker drains
+    everything, and every result is bit-identical to serial execution."""
     root = tmp_path / "q"
     # Medium jobs (~1.5s wall each) so the SIGKILL lands mid-execution.
     jobs = [ExperimentJob(Scenario.single(name, config, seed_offset=i),
@@ -548,19 +594,23 @@ def test_chaos_worker_sigkill_and_server_restart_mid_drain(tmp_path, config):
             victim.kill()
             victim.wait()
 
-    # Chaos, part two: the server dies with a claim outstanding...
+    # Chaos, part two: the server dies with the victim's claim
+    # outstanding...
+    victim_keys = set(first.queue._claims)
+    assert victim_keys
     first.stop()
-    claimed_before = JobQueue(root).counts().claimed
-    assert claimed_before >= 1
 
-    # ...and its replacement adopts the claimed rows it finds.  The dead
-    # victim never heartbeats again, so its claim requeues within the
-    # heartbeat timeout instead of any lease.
+    # ...and its replacement, which holds no leases, offers the
+    # victim's job again before it serves a single request.
     host, port = parse_addr(addr)
-    with QueueServer(root, host=host, port=port,
-                     heartbeat_timeout_s=1.0, sweep_interval_s=0.2):
-        _wait_for(lambda: client.counts().claimed == 0, timeout_s=15.0,
-                  what="the dead victim's claim to requeue")
+    second = QueueServer(root, host=host, port=port,
+                         heartbeat_timeout_s=1.0, sweep_interval_s=0.2)
+    counts = second.queue.counts()
+    assert counts.claimed == 0
+    assert counts.pending + counts.completed == len(jobs)
+    assert all(second.queue.results.get_entry(key) is None
+               for key in victim_keys)
+    with second:
         rescuer = spawn_worker(addr, worker_id="rescuer", poll_s=0.02,
                                heartbeat_s=0.2, log_dir=tmp_path / "logs")
         try:
@@ -580,3 +630,62 @@ def test_chaos_worker_sigkill_and_server_restart_mid_drain(tmp_path, config):
             assert [r.as_dict() for r in entry["result"].reports] \
                 == [r.as_dict() for r in reference.reports]
     client.close()
+
+
+def test_server_restart_mid_job_offers_it_at_once_and_stores_each_result_once(
+        tmp_path, config):
+    """Stop the server while a worker is still executing its job and
+    restart it on the same port: the job is pending at once, the queue
+    drains — the first worker's late completion and a second worker's
+    re-run of the same job write one equal row — and every result
+    equals serial execution."""
+    root = tmp_path / "q"
+    # ~3s of wall time (duration=120 simulated seconds) for the first
+    # job, so the restart lands mid-execution; the rest are quick.
+    jobs = [ExperimentJob(Scenario.single("RE", config, seed_offset=1),
+                          duration=120.0)]
+    jobs += [ExperimentJob(Scenario.single(name, config, seed_offset=i))
+             for i, name in enumerate(["ITP", "D2", "STK"], start=2)]
+    workers = []
+    first = QueueServer(root, heartbeat_timeout_s=60.0).start()
+    addr = first.address
+    client = SocketQueue(addr, retries=10, backoff_s=0.05)
+    try:
+        assert client.submit_many(jobs) == [job.key() for job in jobs]
+        workers.append(spawn_worker(addr, worker_id="first", poll_s=0.02,
+                                    idle_timeout_s=30.0, heartbeat_s=0.2,
+                                    log_dir=tmp_path / "logs"))
+        _wait_for(lambda: client.counts().claimed == 1,
+                  what="the first worker to claim the slow job")
+        first.stop()
+
+        host, port = parse_addr(addr)
+        second = QueueServer(root, host=host, port=port,
+                             heartbeat_timeout_s=60.0)
+        counts = second.queue.counts()
+        assert (counts.pending, counts.claimed, counts.completed) \
+            == (len(jobs), 0, 0)
+        with second:
+            workers.append(spawn_worker(addr, worker_id="second",
+                                        poll_s=0.02, idle_timeout_s=30.0,
+                                        heartbeat_s=0.2,
+                                        log_dir=tmp_path / "logs"))
+            _wait_for(lambda: client.counts().completed == len(jobs),
+                      timeout_s=120.0, what="the queue to drain")
+            counts = client.counts()
+            assert (counts.pending, counts.claimed, counts.failed) \
+                == (0, 0, 0)
+            rows = second.queue._conn().execute(
+                "SELECT key, COUNT(*) FROM results GROUP BY key").fetchall()
+            assert sorted(rows) == sorted((job.key(), 1) for job in jobs)
+            for job in jobs:
+                entry = client.result_entry(job.key())
+                reference = execute_job(job)
+                assert entry["result"].as_dict() == reference.as_dict()
+                assert [r.as_dict() for r in entry["result"].reports] \
+                    == [r.as_dict() for r in reference.reports]
+    finally:
+        for worker in workers:
+            worker.terminate()
+            worker.wait(timeout=10)
+        client.close()
