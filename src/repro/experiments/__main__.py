@@ -729,17 +729,25 @@ def _require_store(args, create: bool = False) -> ResultStore:
 
 
 def _resolve_result_set(token: str, store_path: Optional[str]):
-    """(key → entry, label) for one ``results diff`` operand: a result
-    store path, or — with ``--store`` — a git revision prefix."""
+    """(key → entry, label, rejected) for one ``results diff`` operand: a
+    result store path, or — with ``--store`` — a git revision prefix.
+
+    ``rejected`` counts the keys on file that the loaded set lacks: rows
+    :meth:`ResultStore.result_set` rejected as stale or unreadable (read
+    from the provenance columns; nothing is unpickled)."""
     path = Path(token)
     if (path.suffix in (".sqlite", ".db") and path.exists()) or path.is_dir():
-        return _open_existing_store(token).result_set(), str(token)
-    if store_path is None:
+        store, git_rev, label = _open_existing_store(token), None, str(token)
+    elif store_path is None:
         raise ValueError(
             f"{token!r} is not a result store path; to compare git "
             "revisions, name the database with --store")
-    return (_open_existing_store(store_path).result_set(git_rev=token),
-            f"{token}@{store_path}")
+    else:
+        store, git_rev = _open_existing_store(store_path), token
+        label = f"{token}@{store_path}"
+    entries = store.result_set(git_rev=git_rev)
+    on_file = {row["key"] for row in store.rows(git_rev=git_rev)}
+    return entries, label, len(on_file - entries.keys())
 
 
 def _results_list(args) -> int:
@@ -806,8 +814,8 @@ def _results_diff(args) -> int:
         diff_result_sets,
         rekey_ignoring_fast_forward,
     )
-    set_a, label_a = _resolve_result_set(args.a, args.store)
-    set_b, label_b = _resolve_result_set(args.b, args.store)
+    set_a, label_a, rejected_a = _resolve_result_set(args.a, args.store)
+    set_b, label_b, rejected_b = _resolve_result_set(args.b, args.store)
     if args.ignore_fast_forward:
         set_a = rekey_ignoring_fast_forward(set_a)
         set_b = rekey_ignoring_fast_forward(set_b)
@@ -818,6 +826,10 @@ def _results_diff(args) -> int:
 
     print(f"results diff: A={label_a} ({len(set_a)} result(s)) "
           f"vs B={label_b} ({len(set_b)} result(s))")
+    for side, rejected in (("A", rejected_a), ("B", rejected_b)):
+        if rejected:
+            print(f"  {side}: {rejected} key(s) on file rejected as "
+                  "stale/unreadable (see log)")
     print(f"{report.matched} matched, {report.identical} identical, "
           f"{len(report.deltas)} metric delta(s), "
           f"{len(report.only_in_a)} only in A, "
@@ -840,6 +852,7 @@ def _results_diff(args) -> int:
                                         default=table.default)
                                    if table is not None else None),
                     "ignore_fast_forward": bool(args.ignore_fast_forward),
+                    "rejected_a": rejected_a, "rejected_b": rejected_b,
                     **report.to_dict()}
         Path(args.report).write_text(json.dumps(document, indent=2) + "\n")
         print(f"report written to {args.report}", file=sys.stderr)

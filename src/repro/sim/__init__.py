@@ -3,19 +3,23 @@
 The rest of the repository models the cloud 3D-rendering stack (CPU, GPU,
 PCIe, network, VNC proxies, applications) as processes running on top of
 this engine.  The engine is intentionally small and self-contained: an
-event heap, generator-based processes, timeouts, and a handful of shared
-resource primitives (capacity resources, stores, and token containers).
+event heap, generator-based processes, timeouts, and the FIFO stores the
+pipeline stages hand work through (plus a capacity resource).
 
 The public surface mirrors the familiar process-based DES style::
 
     env = Environment()
 
-    def worker(env, machine):
-        with machine.request() as req:
-            yield req
-            yield env.timeout(2.5)
+    def producer(env, queue):
+        yield env.timeout(2.5)
+        yield queue.put("frame")
 
-    env.process(worker(env, Resource(env, capacity=1)))
+    def consumer(env, queue):
+        frame = yield queue.get()
+
+    queue = Store(env)
+    env.process(producer(env, queue))
+    env.process(consumer(env, queue))
     env.run(until=100.0)
 
 Determinism contract
@@ -29,8 +33,8 @@ pure function of its inputs.  Concretely, the engine guarantees:
    ``(time, priority, sequence-id)`` order, where the sequence id is
    assigned at scheduling time and increments by exactly one per
    scheduled event.  Ties at the same timestamp are FIFO within a
-   priority class, and urgent events (process initialization, interrupt
-   delivery) precede normal ones.
+   priority class, and the one urgent class (process initialization)
+   precedes every other event.
 2. **No ambient nondeterminism.**  The kernel consults no wall clock,
    no ``id()``/``hash()`` of user objects, and no global state; all
    randomness in the models flows through the seeded
@@ -54,34 +58,19 @@ committed baseline in ``benchmarks/BENCH_sim_core.json``.
 """
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import (
-    Container,
-    PreemptionError,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Resource, Store
 from repro.sim.randomness import RandomStreams, StreamRandom
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
     "Event",
-    "Interrupt",
-    "PreemptionError",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",

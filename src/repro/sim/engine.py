@@ -1,26 +1,25 @@
 """Core discrete-event simulation engine.
 
 The engine is a small, deterministic, generator-based kernel in the style
-of SimPy.  It provides:
+of SimPy, carrying only what the models run.  It provides:
 
 ``Environment``
     Owns the simulation clock and the event queues, schedules events and
     steps the simulation forward.
 
 ``Event``
-    A one-shot occurrence that callbacks can be attached to.  Events are
-    either *succeeded* with a value or *failed* with an exception.
+    A one-shot occurrence a process can wait on; :meth:`Event.succeed`
+    gives it a value.
 
 ``Timeout``
     An event that fires after a fixed simulated delay.
 
 ``Process``
     Wraps a generator.  The generator yields events; the process resumes
-    when the yielded event fires.  A process is itself an event that fires
-    when the generator returns.
-
-``AllOf`` / ``AnyOf``
-    Composite events over several child events.
+    when the yielded event fires.  A process is itself an event: it fires
+    with the generator's return value, or fails with the exception that
+    escaped the generator, which is then raised in every process waiting
+    on it (or out of :meth:`Environment.run` when nobody waits).
 
 Observability goes through one seam: :attr:`Environment.bus`, an
 :class:`~repro.sim.bus.EventBus` whose subscribers see every processed
@@ -40,23 +39,23 @@ Implementation notes (the hot path)
 This kernel is the innermost loop of every experiment, so the
 implementation trades a little repetition for constant-factor speed while
 keeping the *observable* event order bit-identical to the reference
-semantics — every pending event still fires in ``(time, priority,
-sequence-id)`` order, with sequence ids advancing exactly as through
-:meth:`Environment._schedule`.  :meth:`Environment.step` (with
-:meth:`Environment._pop_next`) is that reference, spelled out without
-inlining; the property tests compare :meth:`Environment.run` against
-it, and the golden traces in ``tests/golden/`` pin the order down
-against the pre-rewrite kernel.  The tricks:
+semantics — every pending event fires in ``(time, priority,
+sequence-id)`` order, where process starts are the one urgent priority
+and every scheduled event takes the next sequence id.
+:meth:`Environment.step` (with :meth:`Environment._pop_next`) is that
+reference, spelled out without inlining; the property tests compare
+:meth:`Environment.run` against it, and the golden traces in
+``tests/golden/`` pin the order down against the pre-rewrite kernel.
+The tricks:
 
 * every event class declares ``__slots__``;
-* heap entries are flat ``(time, key, event)`` triples where ``key``
-  packs ``(priority, sequence-id)`` into one integer, so tie-breaking
-  never falls through to an extra tuple element;
+* heap entries are flat ``(time, sequence-id, event)`` triples, so
+  tie-breaking never falls through to the event itself;
 * zero-delay events bypass the heap entirely: they are appended to
-  plain FIFO deques (``Environment._fifo`` / ``_urgent``) carrying
-  their packed key in the ``_key`` slot instead of a per-entry tuple,
-  turning the dominant schedule-now case from O(log n) + allocation
-  into a single O(1) append;
+  plain FIFO deques (``Environment._fifo``, and ``_urgent`` for process
+  starts) carrying their sequence id in the ``_key`` slot, turning the
+  dominant schedule-now case from O(log n) + allocation into a single
+  O(1) append;
 * ``callbacks`` avoids list allocation: a fresh event carries a shared
   empty tuple, a single waiter is stored directly (processes are
   callable), and only a second waiter materializes a list
@@ -64,37 +63,32 @@ against the pre-rewrite kernel.  The tricks:
 * a waiting process registers *itself* as the callback (it is callable)
   rather than materializing a ``_resume`` bound method per wait;
 * ``_defused`` is lazily initialized: the dispatch loop only reads it
-  for *failed* events, so hot factories skip the slot write and every
-  path that can produce ``_ok = False`` guarantees the slot is set
-  (``fail()`` and ``Interruption`` write it; process crashes rely on
-  ``Process.__init__``);
+  for *failed* events, so hot factories skip the slot write.  The only
+  failed events are crashed processes (``Process.__init__`` writes the
+  slot) and the error event of a non-event yield (built through
+  ``Event.__init__``);
 * a yielded object is validated by reading its ``callbacks`` attribute
   under ``try/except AttributeError`` instead of an ``isinstance``
   check — free for the overwhelmingly common valid yield;
-* ``Timeout`` construction, ``succeed``/``fail`` and process
-  termination inline the scheduling push, and
-  :meth:`Environment.run` inlines both the pop/dispatch loop and the
-  resume step of a single waiting process;
+* ``Timeout`` construction, ``succeed`` and process termination inline
+  the scheduling push, and :meth:`Environment.run` inlines both the
+  pop/dispatch loop and the resume step of a single waiting process;
 * positive delays too small for the clock to represent are routed to
-  the deques (same ``(time, priority, id)`` order), so the heap only
-  holds a current-instant entry for a zero-delay schedule at an unusual
-  priority (>= 2).
+  the FIFO (same ``(time, id)`` order), so the heap only holds events
+  created with a delay the clock can represent.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Generator, Iterable
+from collections.abc import Generator
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Optional
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "MacroJump",
     "Process",
     "SimulationError",
@@ -104,19 +98,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for structural misuse of the simulation engine."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the interrupting party's reason and is
-    typically used by preemptive resources to tell the victim why it lost
-    the resource.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Sentinel distinguishing "not yet decided" from a None value.
@@ -129,35 +110,19 @@ _PENDING = object()
 # "processed".
 _NO_CALLBACKS: tuple = ()
 
-# Heap keys pack (priority, sequence-id) into a single integer:
-# ``(priority << _KEY_SHIFT) + eid``.  Urgent events (priority 0) sort
-# before normal ones at the same timestamp, and within a priority FIFO
-# order follows the monotonically increasing id — exactly the ordering
-# of the reference ``(time, priority, eid, event)`` heap tuples.
-#
-# Deque entries store the *bare* sequence id in ``_key``; the compare
-# sites reconstruct the full packed key on demand (``_NORMAL_KEY +
-# _key`` for the normal FIFO, the bare id for the urgent deque).  The
-# reconstruction only happens when the heap could actually interfere at
-# the current instant, so the dominant zero-delay path never pays the
-# big-integer add (or its allocation).
-_KEY_SHIFT = 53
-_NORMAL_KEY = 1 << _KEY_SHIFT
-
 
 class Event:
     """A one-shot simulation event.
 
-    An event starts *pending*.  Calling :meth:`succeed` or :meth:`fail`
-    makes it *triggered*; it is then scheduled and its callbacks run when
-    the environment processes it, after which it is *processed*.
+    An event starts *pending*.  Calling :meth:`succeed` gives it a value
+    and schedules it; its callbacks run when the environment processes
+    it, after which it is *processed*.
 
     ``callbacks`` is the shared empty tuple until a waiter attaches, a
     single callable while one waiter is attached, a list once several
     are, and ``None`` once processed.  ``_key`` holds the event's
     sequence id while the event sits in a zero-delay deque (events are
-    one-shot, so the slot is written at most once); the deque identity
-    supplies the priority half of the packed scheduling key.
+    one-shot, so the slot is written at most once).
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_key")
@@ -169,29 +134,12 @@ class Event:
         self._ok: Optional[bool] = None
         self._defused = False
 
-    # -- state inspection -------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """True once the event has a value (scheduled or processed)."""
-        return self._value is not _PENDING
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only meaningful once triggered."""
-        return bool(self._ok)
-
     @property
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError(f"value of {self!r} is not yet available")
         return self._value
 
-    # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING:
@@ -203,65 +151,6 @@ class Event:
         self._key = eid
         env._fifo.append(self)
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is re-raised in every process waiting on the event.
-        If nobody waits, the environment raises it at the end of the step
-        (unless :meth:`defuse_source` was called).
-        """
-        if not isinstance(exception, BaseException):
-            raise SimulationError(f"{exception!r} is not an exception")
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = False
-        # Hot factories skip the _defused init; every failure path must
-        # write it before the dispatch loop can read it.
-        self._defused = False
-        self._value = exception
-        env = self.env
-        env._eid = eid = env._eid + 1
-        self._key = eid
-        env._fifo.append(self)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining).
-
-        The source event must itself already be triggered; propagating
-        from a still-pending source is a structural error.
-        """
-        ok = event._ok
-        if ok:
-            self.succeed(event._value)
-        elif ok is None:
-            raise SimulationError(
-                f"cannot trigger {self!r} from {event!r}, which is still pending")
-        else:
-            event._defused = True
-            self.fail(event._value)
-
-    @staticmethod
-    def defuse_source(event: "Event") -> None:
-        event._defused = True
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Attach ``callback`` to run when this event is processed.
-
-        The supported way to observe an event from outside the engine —
-        the concrete type behind ``callbacks`` is an implementation
-        detail of the kernel.
-        """
-        callbacks = self.callbacks
-        if callbacks is None:
-            raise SimulationError(f"{self!r} has already been processed")
-        if callbacks.__class__ is tuple:
-            self.callbacks = callback
-        elif callbacks.__class__ is list:
-            callbacks.append(callback)
-        else:
-            self.callbacks = [callbacks, callback]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
@@ -279,9 +168,9 @@ class Timeout(Event):
         if not delay >= 0:  # NaN fails too
             raise SimulationError(f"invalid timeout delay: {delay!r}")
         # Dedicated fast path: a timeout is born triggered-successfully,
-        # so the generic Event init + _schedule machinery is bypassed.
-        # _defused is left unset: it is only ever read for failed events
-        # and a timeout is born succeeded.
+        # so the generic Event init is bypassed.  _defused is left unset:
+        # it is only ever read for failed events and a timeout is born
+        # succeeded.
         self.env = env
         self.callbacks = _NO_CALLBACKS
         self._ok = True
@@ -291,7 +180,7 @@ class Timeout(Event):
         now = env.now
         when = now + delay
         if when > now:
-            heappush(env._queue, (when, _NORMAL_KEY + eid, self))
+            heappush(env._queue, (when, eid, self))
         else:
             # Zero delay — or one too small for the clock to represent
             # the advance; either way the event fires at the current
@@ -328,7 +217,11 @@ class MacroJump(Event):
 
 
 class Initialize(Event):
-    """Internal event used to start a newly created process."""
+    """Internal event used to start a newly created process.
+
+    The only urgent event: it fires before any other event scheduled at
+    the same instant.
+    """
 
     __slots__ = ("process",)
 
@@ -353,7 +246,7 @@ class Process(Event):
     event appends the process object instead of a bound method.
     """
 
-    __slots__ = ("_generator", "_send", "_target", "_pid")
+    __slots__ = ("_generator", "_send", "_pid")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not isinstance(generator, Generator):
@@ -369,7 +262,6 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self._send = generator.send
-        self._target: Optional[Event] = None
         env._pid = self._pid = env._pid + 1
         Initialize(env, self)
 
@@ -377,19 +269,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is _PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next resume."""
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env._active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        Interruption(self, cause)
 
     # -- stepping ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -409,7 +288,6 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self._target = None
                 env._eid = eid = env._eid + 1
                 self._key = eid
                 env._fifo.append(self)
@@ -417,7 +295,6 @@ class Process(Event):
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                self._target = None
                 env._eid = eid = env._eid + 1
                 self._key = eid
                 env._fifo.append(self)
@@ -444,7 +321,6 @@ class Process(Event):
                     callbacks.append(self)
                 else:
                     next_event.callbacks = [callbacks, self]
-                self._target = next_event
                 break
             # Event already processed: loop immediately with its value.
             event = next_event
@@ -456,128 +332,30 @@ class Process(Event):
     __call__ = _resume
 
 
-class Interruption(Event):
-    """Helper event that delivers an :class:`Interrupt` to a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: Process, cause: Any):
-        env = process.env
-        self.env = env
-        self.callbacks = self._deliver
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.process = process
-        env._eid = eid = env._eid + 1
-        self._key = eid
-        env._urgent.append(self)
-
-    def _deliver(self, event: Event) -> None:
-        process = self.process
-        if not process.is_alive:
-            return
-        # Detach the process from whatever it is currently waiting on so the
-        # original event does not also resume it later.
-        target = process._target
-        if target is not None:
-            callbacks = target.callbacks
-            if callbacks is process:
-                target.callbacks = _NO_CALLBACKS
-            elif callbacks.__class__ is list:
-                try:
-                    callbacks.remove(process)
-                except ValueError:
-                    pass
-        process._resume(self)
-
-
-class ConditionEvent(Event):
-    """Base class for :class:`AllOf` and :class:`AnyOf`."""
-
-    __slots__ = ("events", "_completed")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        self._completed: list[Event] = []
-        if not self.events:
-            self.succeed({})
-            return
-        on_child = self._on_child
-        for event in self.events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-            callbacks = event.callbacks
-            if callbacks is None:
-                on_child(event)
-            elif callbacks.__class__ is tuple:
-                event.callbacks = on_child
-            elif callbacks.__class__ is list:
-                callbacks.append(on_child)
-            else:
-                event.callbacks = [callbacks, on_child]
-
-    def _on_child(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        completed = self._completed
-        completed.append(event)
-        if self._satisfied():
-            self.succeed({e: e._value for e in completed})
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(ConditionEvent):
-    """Succeeds once every child event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return len(self._completed) == len(self.events)
-
-
-class AnyOf(ConditionEvent):
-    """Succeeds as soon as any child event succeeds."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return len(self._completed) >= 1
-
-
 class Environment:
     """The simulation environment: clock, event queues, and run loop.
 
     Scheduling uses three structures, together totally ordered by
-    ``(time, priority, sequence-id)`` exactly as a single heap of
-    ``(time, priority, eid, event)`` tuples would be:
+    ``(time, priority, sequence-id)``:
 
+    * ``_urgent`` — process starts (:class:`Initialize`), the one urgent
+      priority: each fires before any other event at the current time;
     * ``_queue`` — events scheduled with a positive delay, as a plain
-      ``heapq`` list of ``(time, key, event)`` tuples;
-    * ``_urgent`` / ``_fifo`` — deques of events scheduled at the
-      *current* time (zero delay), each carrying its packed key in
-      ``_key``.  Ids increase monotonically, so each deque is already
-      sorted and a zero-delay event costs O(1) instead of O(log n).
+      ``heapq`` list of ``(time, sequence-id, event)`` tuples;
+    * ``_fifo`` — events scheduled at the *current* time (zero delay),
+      each carrying its sequence id in ``_key``.
 
-    Invariants the pop order relies on: nothing can be scheduled into
-    the past, and the clock only advances when both deques are empty —
-    so every deque entry is at the current time and every heap entry is
-    at the current time or later.  Same-time ties are arbitrated purely
-    through the packed keys.
+    Ids increase monotonically, so each deque is already sorted and a
+    zero-delay event costs O(1) instead of O(log n).  Invariants the pop
+    order relies on: nothing can be scheduled into the past, and the
+    clock only advances when both deques are empty — so every deque
+    entry is at the current time and every heap entry is at the current
+    time or later.  A heap entry at the current time goes before the
+    FIFO head only when its id is smaller.
     """
 
     __slots__ = ("now", "_queue", "_fifo", "_urgent", "_eid", "_pid",
                  "_active_process", "_publish", "_bus", "_virtual_offset")
-
-    PRIORITY_URGENT = 0
-    PRIORITY_NORMAL = 1
 
     def __init__(self, initial_time: float = 0.0):
         # Current simulation time (seconds by convention in this repo).
@@ -646,10 +424,6 @@ class Environment:
             publish(self.now, jump)
         return jump
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
         event = _EVENT_NEW(Event)
@@ -672,7 +446,7 @@ class Environment:
         now = self.now
         when = now + delay
         if when > now:
-            heappush(self._queue, (when, _NORMAL_KEY + eid, timeout))
+            heappush(self._queue, (when, eid, timeout))
         else:
             # Zero delay, or one the clock cannot represent: fires at the
             # current instant in id order — the FIFO's order.
@@ -683,53 +457,23 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = PRIORITY_NORMAL) -> None:
-        if not delay >= 0:  # NaN fails too
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        self._eid = eid = self._eid + 1
-        now = self.now
-        when = now + delay
-        if when > now:
-            heappush(self._queue, (when, (priority << _KEY_SHIFT) + eid, event))
-        elif priority == 1:
-            event._key = eid
-            self._fifo.append(event)
-        elif priority == 0:
-            event._key = eid
-            self._urgent.append(event)
-        else:
-            # Unusual priorities take the heap at the current time; the
-            # packed key keeps them ordered after urgent/normal peers.
-            heappush(self._queue, (now, (priority << _KEY_SHIFT) + eid, event))
-
     def _pop_next(self) -> Event:
         """Remove and return the next event in (time, priority, id) order.
 
         Advances the clock when the event comes off the heap at a later
         time.  Callers must ensure at least one event is pending.
         """
-        queue = self._queue
-        now = self.now
         urgent = self._urgent
         if urgent:
-            if queue and queue[0][0] <= now and queue[0][1] < urgent[0]._key:
-                return heappop(queue)[2]
             return urgent.popleft()
+        queue = self._queue
         fifo = self._fifo
         if fifo:
-            if (queue and queue[0][0] <= now
-                    and queue[0][1] < _NORMAL_KEY + fifo[0]._key):
+            if queue and queue[0][0] <= self.now and queue[0][1] < fifo[0]._key:
                 return heappop(queue)[2]
             return fifo.popleft()
-        when, _key, event = heappop(queue)
+        when, _eid, event = heappop(queue)
         self.now = when
         return event
 
@@ -802,13 +546,9 @@ class Environment:
 
             # -- pop the next event in (time, priority, id) order ---------
             if urgent:
-                if queue and queue[0][0] <= now and queue[0][1] < urgent[0]._key:
-                    event = pop(queue)[2]
-                else:
-                    event = urgent.popleft()
+                event = urgent.popleft()
             elif fifo:
-                if (queue and queue[0][0] <= now
-                        and queue[0][1] < _NORMAL_KEY + fifo[0]._key):
+                if queue and queue[0][0] <= now and queue[0][1] < fifo[0]._key:
                     event = pop(queue)[2]
                 else:
                     event = fifo_pop()
@@ -818,7 +558,7 @@ class Environment:
                 if when > horizon:
                     # Cold: ends the run.  Restoring the entry may change
                     # the heap's internal arrangement but not its pop
-                    # order — keys are unique, so (time, key) is total.
+                    # order — ids are unique, so (time, id) is total.
                     heappush(queue, entry)
                     self.now = stop_time
                     return None
@@ -856,7 +596,6 @@ class Environment:
                         except StopIteration as stop:
                             process._ok = True
                             process._value = stop.value
-                            process._target = None
                             self._eid = eid = self._eid + 1
                             process._key = eid
                             fifo_append(process)
@@ -864,7 +603,6 @@ class Environment:
                         except BaseException as exc:
                             process._ok = False
                             process._value = exc
-                            process._target = None
                             self._eid = eid = self._eid + 1
                             process._key = eid
                             fifo_append(process)
@@ -887,7 +625,6 @@ class Environment:
                                 cbs.append(process)
                             else:
                                 next_event.callbacks = [cbs, process]
-                            process._target = next_event
                             break
                         resumed = next_event
 

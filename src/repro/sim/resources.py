@@ -1,21 +1,22 @@
 """Shared-resource primitives for the simulation engine.
 
-These are the building blocks used to model contention: GPUs and NICs are
-``Resource`` instances, render/compression queues are ``Store`` instances,
-and bandwidth-style quantities are ``Container`` instances.
+``Store`` is the hand-off queue between the session pipeline's stages
+(application → interposer → VNC proxy → network).  ``Resource`` is a
+capacity-limited slot pool with FIFO queueing; no model uses it today,
+but the kernel micro-benchmark (``benchmarks/test_sim_core_speed.py``)
+measures it, together with bounded stores, so both stay.
 
-Like :mod:`repro.sim.engine`, the request/put/get event classes sit on the
-hot path of every session pipeline, so they declare ``__slots__`` and the
-FIFO wait queues are ``collections.deque`` (O(1) popleft) rather than
-lists.  Observable grant/wakeup order is unchanged and pinned by the
-golden traces in ``tests/golden/``.
+Like :mod:`repro.sim.engine`, the store's put/get events sit on the hot
+path of every session pipeline, so every event class here declares
+``__slots__`` and the FIFO wait queues are ``collections.deque`` (O(1)
+popleft) rather than lists.  Observable grant/wakeup order is pinned by
+the golden traces in ``tests/golden/``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.engine import (
     _NO_CALLBACKS,
@@ -25,15 +26,13 @@ from repro.sim.engine import (
     SimulationError,
 )
 
-# The request/put/get paths below inline Event construction and
-# Event.succeed() (including the scheduling append) to keep the per-call
-# frame count minimal; each inlined block mirrors the reference methods
-# in repro.sim.engine exactly.
+# The events below are built only by the request/release/put/get
+# methods, which inline Event construction and Event.succeed()
+# (including the scheduling append) to keep the per-call frame count
+# minimal; each inlined block mirrors the reference methods in
+# repro.sim.engine exactly.
 
 __all__ = [
-    "Container",
-    "PreemptionError",
-    "PriorityResource",
     "Request",
     "Release",
     "Resource",
@@ -41,17 +40,9 @@ __all__ = [
 ]
 
 
-class PreemptionError(Exception):
-    """Raised inside a process whose resource slot was preempted."""
-
-    def __init__(self, by: Any, usage_since: float):
-        super().__init__(f"preempted by {by!r}")
-        self.by = by
-        self.usage_since = usage_since
-
-
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
+    """A claim on a :class:`Resource` slot, made by
+    :meth:`Resource.request`.
 
     Usable as a context manager so the slot is always released::
 
@@ -60,21 +51,12 @@ class Request(Event):
             ...
     """
 
-    __slots__ = ("resource", "priority", "usage_since", "process")
-
-    def __init__(self, resource: "Resource", priority: float = 0.0):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.priority = priority
-        self.usage_since: Optional[float] = None
-        self.process = resource.env.active_process
-        resource._add_request(self)
+    __slots__ = ("resource", "process")
 
     def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # == cancel(), inlined: __exit__ runs once per held slot.
         self.resource.release(self)
 
     def cancel(self) -> None:
@@ -83,20 +65,10 @@ class Request(Event):
 
 
 class Release(Event):
-    """Event representing the (immediate) release of a resource slot."""
+    """The (immediate) release of a resource slot, made by
+    :meth:`Resource.release`."""
 
     __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request):
-        env = resource.env
-        self.env = env
-        self.callbacks = _NO_CALLBACKS
-        self._ok = True
-        self._value = None
-        self.request = request
-        env._eid = eid = env._eid + 1
-        self._key = eid
-        env._fifo.append(self)
 
 
 # Pre-bound allocators mirroring the engine's hot-factory pattern.
@@ -108,12 +80,11 @@ class Resource:
     """A capacity-limited resource with FIFO queueing.
 
     ``capacity`` slots may be held at once; further requests queue in FIFO
-    order.  ``users`` exposes the currently granted requests and ``queue``
-    the waiting ones, which the hardware models use to compute occupancy
-    and contention factors.
+    order.  ``users`` holds the granted requests and ``queue`` the waiting
+    ones.
     """
 
-    __slots__ = ("env", "capacity", "users", "queue", "_fast_request")
+    __slots__ = ("env", "capacity", "users", "queue")
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity <= 0:
@@ -122,39 +93,17 @@ class Resource:
         self.capacity = capacity
         self.users: list[Request] = []
         self.queue: deque[Request] = deque()
-        # The request() fast path hardcodes the base-class grant/admit
-        # decision; subclasses that override those hooks must go through
-        # the reference Request(...) path instead.
-        cls = type(self)
-        self._fast_request = (cls._add_request is Resource._add_request
-                              and cls._grant is Resource._grant)
 
-    # -- introspection -----------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of capacity in use (can exceed 1.0 counting waiters)."""
-        return (len(self.users) + len(self.queue)) / self.capacity
-
-    # -- request / release ---------------------------------------------------
-    def request(self, priority: float = 0.0) -> Request:
-        if not self._fast_request:
-            return Request(self, priority)
+    def request(self) -> Request:
+        """Claim a slot: granted at once while one is free, else queued."""
         env = self.env
         request = _REQUEST_NEW(Request)
         request.env = env
         request.callbacks = _NO_CALLBACKS
         request.resource = self
-        request.priority = priority
         request.process = env._active_process
         users = self.users
         if len(users) < self.capacity:
-            # Fast path: grant immediately (== _grant + succeed).
-            request.usage_since = env.now
             users.append(request)
             request._ok = True
             request._value = self
@@ -162,24 +111,35 @@ class Resource:
             request._key = eid
             env._fifo.append(request)
         else:
-            request.usage_since = None
             request._ok = None
             request._value = _PENDING
-            self._enqueue(request)
+            self.queue.append(request)
         return request
 
     def release(self, request: Request) -> Release:
-        # One list scan instead of a membership test plus a remove.
+        """Free ``request``'s slot, granting it to the waiters next in
+        line, or withdraw ``request`` from the queue."""
         users = self.users
+        queue = self.queue
+        env = self.env
+        # One list scan instead of a membership test plus a remove.
         try:
             users.remove(request)
         except ValueError:
-            self._withdraw(request)
+            try:
+                queue.remove(request)
+            except ValueError:
+                pass
         else:
-            if self.queue and len(users) < self.capacity:
-                self._grant_next()
-        # == Release(self, request), inlined.
-        env = self.env
+            capacity = self.capacity
+            while queue and len(users) < capacity:
+                granted = queue.popleft()
+                users.append(granted)
+                granted._ok = True
+                granted._value = self
+                env._eid = eid = env._eid + 1
+                granted._key = eid
+                env._fifo.append(granted)
         release = _RELEASE_NEW(Release)
         release.env = env
         release.callbacks = _NO_CALLBACKS
@@ -191,96 +151,18 @@ class Resource:
         env._fifo.append(release)
         return release
 
-    # -- internals -----------------------------------------------------------
-    def _add_request(self, request: Request) -> None:
-        if len(self.users) < self.capacity:
-            self._grant(request)
-        else:
-            self._enqueue(request)
-
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-
-    def _withdraw(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-    def _grant(self, request: Request) -> None:
-        request.usage_since = self.env.now
-        self.users.append(request)
-        request.succeed(self)
-
-    def _grant_next(self) -> None:
-        if not self._fast_request:
-            while self.queue and len(self.users) < self.capacity:
-                self._grant(self._pop_next())
-            return
-        env = self.env
-        users = self.users
-        capacity = self.capacity
-        while self.queue and len(users) < capacity:
-            request = self._pop_next()
-            # == _grant + succeed, inlined.
-            request.usage_since = env.now
-            users.append(request)
-            request._ok = True
-            request._value = self
-            env._eid = eid = env._eid + 1
-            request._key = eid
-            env._fifo.append(request)
-
-    def _pop_next(self) -> Request:
-        return self.queue.popleft()
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by ``priority`` (lower is sooner)."""
-
-    __slots__ = ("_heap", "_counter")
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._heap: list[tuple[float, int, Request]] = []
-        self._counter = 0
-
-    def _enqueue(self, request: Request) -> None:
-        self._counter += 1
-        heapq.heappush(self._heap, (request.priority, self._counter, request))
-        self._sync_queue()
-
-    def _pop_next(self) -> Request:
-        _prio, _count, request = heapq.heappop(self._heap)
-        self._sync_queue()
-        return request
-
-    def _withdraw(self, request: Request) -> None:
-        self._heap = [e for e in self._heap if e[2] is not request]
-        heapq.heapify(self._heap)
-        self._sync_queue()
-
-    def _sync_queue(self) -> None:
-        self.queue = deque(entry[2] for entry in sorted(self._heap))
-
 
 class StorePut(Event):
-    __slots__ = ("item",)
+    """An item offered to a :class:`Store`, made by :meth:`Store.put`."""
 
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
+    __slots__ = ("item",)
 
 
 class StoreGet(Event):
-    __slots__ = ()
+    """A request for a :class:`Store`'s oldest item, made by
+    :meth:`Store.get`."""
 
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        store._get_queue.append(self)
-        store._trigger()
+    __slots__ = ()
 
 
 _STOREPUT_NEW = StorePut.__new__
@@ -380,82 +262,3 @@ class Store:
             if get_queue and items:
                 get_queue.popleft().succeed(items.popleft())
                 progressed = True
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        self.env = container.env
-        self.callbacks = _NO_CALLBACKS
-        self._value = _PENDING
-        self._ok = None
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        self.env = container.env
-        self.callbacks = _NO_CALLBACKS
-        self._value = _PENDING
-        self._ok = None
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A reservoir of continuous "stuff" (bytes, tokens, joules).
-
-    Used for bandwidth budgeting: producers ``put`` and consumers ``get``
-    amounts, blocking when the level would go out of bounds.
-    """
-
-    __slots__ = ("env", "capacity", "level", "_put_queue", "_get_queue")
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0):
-        if capacity <= 0:
-            raise SimulationError(f"container capacity must be positive, got {capacity}")
-        if not 0.0 <= init <= capacity:
-            raise SimulationError(f"initial level {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self.level = float(init)
-        self._put_queue: deque[ContainerPut] = deque()
-        self._get_queue: deque[ContainerGet] = deque()
-
-    def put(self, amount: float) -> ContainerPut:
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        put_queue = self._put_queue
-        get_queue = self._get_queue
-        progressed = True
-        while progressed:
-            progressed = False
-            if put_queue:
-                put = put_queue[0]
-                if self.level + put.amount <= self.capacity:
-                    put_queue.popleft()
-                    self.level += put.amount
-                    put.succeed()
-                    progressed = True
-            if get_queue:
-                get = get_queue[0]
-                if self.level >= get.amount:
-                    get_queue.popleft()
-                    self.level -= get.amount
-                    get.succeed(get.amount)
-                    progressed = True

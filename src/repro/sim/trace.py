@@ -7,9 +7,9 @@ dispatches work in.  Each line captures
 ``sequence  time  event-type  process-id  value-digest``
 
 where ``process-id`` is the stable per-environment id of the process the
-event belongs to (the process itself, or the process an
-``Initialize``/``Interruption``/``Request`` event targets; ``-``
-otherwise) and ``value-digest`` is a short stable digest of the event's
+event belongs to (the process itself, the process an ``Initialize``
+event starts, or the process that made a ``Request``; ``-`` otherwise)
+and ``value-digest`` is a short stable digest of the event's
 value (see :func:`value_digest`).
 
 Because every field is derived from simulation state only — no wall
@@ -111,9 +111,9 @@ def value_digest(value: Any) -> str:
 def event_pid(event: Event) -> Optional[int]:
     """The stable process id an event belongs to, if any.
 
-    Processes carry their own id; ``Initialize``/``Interruption``/
-    ``Request`` events resolve to the process they target or that created
-    them.  Returns None for process-less events.
+    Processes carry their own id; an ``Initialize`` event resolves to the
+    process it starts and a ``Request`` to the process that made it.
+    Returns None for process-less events.
     """
     if isinstance(event, Process):
         return event._pid

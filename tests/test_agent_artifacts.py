@@ -8,6 +8,7 @@ whole point — that an artefact materialized in a *different process*
 reproduces the fused in-process training path bit for bit.
 """
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -296,7 +297,9 @@ def test_resolve_by_hash_matches_prefixes(tmp_path, config, monkeypatch,
 def test_artifact_is_bit_identical_across_processes(tmp_path, config,
                                                     artifact,
                                                     no_ambient_store):
-    """Train here, load in a subprocess: identical floats both sides."""
+    """Train here, load in a subprocess: identical floats both sides; and
+    the subprocess, training the same spec with no store, serializes it
+    to the same bytes."""
     from repro.experiments.accuracy import methodology_result
     store = ResultStore(tmp_path)
     key = artifact.content_hash()
@@ -307,8 +310,10 @@ def test_artifact_is_bit_identical_across_processes(tmp_path, config,
     local_ic = methodology_result("RE", config, "IC", client=artifact.client(),
                                   recording=artifact.recording)
     script = f"""
+import hashlib
 import sys
-from repro.agents.artifacts import resolve_artifact_by_hash
+from repro.agents.artifacts import (ArtifactSpec, resolve_artifact_by_hash,
+                                    train_artifact)
 from repro.experiments.accuracy import methodology_result
 from repro.experiments.store import ResultStore
 from repro.scenarios.config import ExperimentConfig
@@ -321,15 +326,18 @@ ic = methodology_result("RE", config, "IC", client=artifact.client(),
                         recording=artifact.recording)
 print(error.hex())
 print(ic.rtt_stats.mean.hex())
+trained = train_artifact(ArtifactSpec.from_dict({artifact.spec.to_dict()!r}))
+print(hashlib.sha256(trained.to_bytes()).hexdigest())
 """
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    remote_error, remote_mean = proc.stdout.split()
+    remote_error, remote_mean, remote_bytes = proc.stdout.split()
     assert remote_error == local_error.hex()
     assert remote_mean == local_ic.rtt_stats.mean.hex()
+    assert remote_bytes == hashlib.sha256(artifact.to_bytes()).hexdigest()
 
 
 # -- transports: queue-served artefact stores -------------------------------

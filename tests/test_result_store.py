@@ -574,6 +574,29 @@ def test_results_diff_cli_exit_codes(tmp_path, capsys):
     assert json.loads(report_path.read_text())["empty"] is False
 
 
+def test_results_diff_counts_keys_rejected_as_stale(tmp_path, capsys):
+    """A row the reader rejects (here: rewritten at the previous schema)
+    is not silently dropped from the diff: the header and the report
+    count it on its side."""
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    for index in (1, 2):
+        ResultStore(a).put_entry(_synthetic_entry(index, 10.0))
+        ResultStore(b).put_entry(_synthetic_entry(index, 10.0))
+    ResultStore(b).put_entry(
+        _synthetic_entry(2, 10.0, schema=CACHE_SCHEMA_VERSION - 1))
+    report_path = tmp_path / "report.json"
+    assert main(["results", "diff", str(a), str(b),
+                 "--report", str(report_path)]) == 1
+    out = capsys.readouterr().out
+    assert ("B: 1 key(s) on file rejected as stale/unreadable (see log)"
+            in out)
+    assert "A: 1 key(s)" not in out and "A: 0 key(s)" not in out
+    report = json.loads(report_path.read_text())
+    assert (report["rejected_a"], report["rejected_b"]) == (0, 1)
+    assert len(report["only_in_a"]) == 1
+
+
 def test_results_export_json_and_csv(tmp_path, capsys):
     root = _seeded_store(tmp_path)
     assert main(["results", "export", "--store", str(root)]) == 0

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import (
-    AllOf,
-    Environment,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.engine import Environment, SimulationError, Timeout
+from repro.sim.resources import Store
 from repro.sim.trace import TraceRecorder
 
 
@@ -46,7 +41,6 @@ def test_sequential_timeouts_accumulate(env):
 _DELAY_ENTRY_POINTS = {
     "Timeout": lambda env, delay: Timeout(env, delay),
     "env.timeout": lambda env, delay: env.timeout(delay),
-    "_schedule": lambda env, delay: env._schedule(env.event(), delay),
 }
 
 
@@ -104,19 +98,23 @@ def test_event_cannot_trigger_twice(env):
 
 
 def test_event_failure_propagates_into_process(env):
-    event = env.event()
+    """A child process that raises fails as an event: the exception is
+    thrown into the parent waiting on it, which can catch it."""
     caught = []
 
-    def waiter(env, event):
-        try:
-            yield event
-        except ValueError as exc:
-            caught.append(str(exc))
+    def child(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
 
-    env.process(waiter(env, event))
-    event.fail(ValueError("boom"))
+    def parent(env):
+        try:
+            yield env.process(child(env))
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
+
+    env.process(parent(env))
     env.run()
-    assert caught == ["boom"]
+    assert caught == [(1.0, "boom")]
 
 
 def test_unhandled_process_exception_surfaces(env):
@@ -162,66 +160,6 @@ def test_non_generator_process_rejected(env):
         env.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_interrupt_delivers_cause(env):
-    causes = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            causes.append(interrupt.cause)
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt(cause="preempted")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert causes == ["preempted"]
-
-
-def test_interrupting_dead_process_rejected(env):
-    def quick(env):
-        yield env.timeout(0.1)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
-def test_all_of_waits_for_every_event(env):
-    def proc(env):
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(3.0, value="b")
-        result = yield env.all_of([t1, t2])
-        return (env.now, sorted(result.values()))
-
-    process = env.process(proc(env))
-    now, values = env.run(until=process)
-    assert now == 3.0
-    assert values == ["a", "b"]
-
-
-def test_any_of_fires_on_first_event(env):
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        result = yield env.any_of([t1, t2])
-        return (env.now, list(result.values()))
-
-    process = env.process(proc(env))
-    now, values = env.run(until=process)
-    assert now == 1.0
-    assert values == ["fast"]
-
-
-def test_empty_all_of_succeeds_immediately(env):
-    condition = AllOf(env, [])
-    assert condition.triggered
-
-
 def test_event_ordering_is_fifo_at_same_time(env):
     order = []
 
@@ -255,128 +193,9 @@ def test_run_until_past_time_rejected(env):
 
 
 # ---------------------------------------------------------------------------
-# Semantics locked in before the kernel rewrite (see ISSUE 3): interrupts
-# racing scheduled events, conditions over settled children, drain/stop
-# interactions, trigger/re-trigger errors, and randomized determinism.
+# Semantics locked in before the kernel rewrite: drain/stop interactions,
+# re-trigger errors, same-instant ordering, and randomized determinism.
 # ---------------------------------------------------------------------------
-
-
-def test_interrupt_while_target_event_already_scheduled(env):
-    """Interrupt delivery wins over a target that is triggered but not
-    yet processed, and the victim is not resumed twice."""
-    wakes = []
-
-    def victim(env, event):
-        try:
-            yield event
-            wakes.append("value")
-        except Interrupt as interrupt:
-            wakes.append(("interrupt", interrupt.cause))
-        yield env.timeout(5.0)
-        wakes.append("after")
-
-    event = env.event()
-
-    def interrupter(env, process, event):
-        yield env.timeout(1.0)
-        # Trigger the target first: it is now scheduled, with the victim
-        # still in its callbacks.  The urgent interruption must still be
-        # delivered first, and must detach the victim from the event.
-        event.succeed("late")
-        process.interrupt(cause="preempted")
-
-    process = env.process(victim(env, event))
-    env.process(interrupter(env, process, event))
-    env.run()
-    assert wakes == [("interrupt", "preempted"), "after"]
-
-
-def test_interrupt_detaches_from_pending_timeout(env):
-    """The interrupted wait's original timeout fires later without
-    resuming the victim a second time."""
-    wakes = []
-
-    def victim(env):
-        yield env.timeout(1.0)
-        wakes.append("timeout")
-        try:
-            yield env.timeout(3.0)      # would fire at t=4
-            wakes.append("unreachable")
-        except Interrupt:
-            wakes.append("interrupt")
-            yield env.timeout(1.0)
-            wakes.append("after-interrupt")
-
-    def interrupter(env, process):
-        yield env.timeout(2.0)
-        process.interrupt()
-
-    process = env.process(victim(env))
-    env.process(interrupter(env, process))
-    env.run()                            # runs past t=4: detached timeout fires
-    assert wakes == ["timeout", "interrupt", "after-interrupt"]
-
-
-def test_all_of_from_already_processed_children(env):
-    t1 = env.timeout(1.0, value="a")
-    t2 = env.timeout(2.0, value="b")
-    env.run()
-    assert t1.processed and t2.processed
-
-    condition = env.all_of([t1, t2])
-    assert condition.triggered
-    result = env.run(until=condition)
-    assert sorted(result.values()) == ["a", "b"]
-
-
-def test_any_of_from_already_processed_child(env):
-    t1 = env.timeout(1.0, value="first")
-    env.run()
-    condition = env.any_of([t1, env.timeout(9.0)])
-    assert condition.triggered
-    assert list(env.run(until=condition).values()) == ["first"]
-
-
-def test_all_of_with_already_failed_child(env):
-    failed = env.event()
-    failed.fail(ValueError("dead child"))
-    failed.defuse_source(failed)
-    env.run()
-    assert failed.processed and not failed.ok
-
-    caught = []
-
-    def waiter(env, condition):
-        try:
-            yield condition
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    condition = env.all_of([failed, env.timeout(5.0)])
-    env.process(waiter(env, condition))
-    env.run()
-    assert caught == ["dead child"]
-
-
-def test_any_of_with_pending_child_failing_later(env):
-    caught = []
-
-    def failer(env, event):
-        yield env.timeout(1.0)
-        event.fail(RuntimeError("boom"))
-
-    def waiter(env, condition):
-        try:
-            yield condition
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    event = env.event()
-    condition = env.any_of([event, env.timeout(10.0)])
-    env.process(failer(env, event))
-    env.process(waiter(env, condition))
-    env.run()
-    assert caught == ["boom"]
 
 
 def test_run_until_event_raises_when_queue_drains(env):
@@ -400,39 +219,19 @@ def test_run_until_failed_stop_event_raises_its_error(env):
         env.run(until=process)
 
 
-def test_trigger_from_pending_source_raises(env):
-    source = env.event()
-    target = env.event()
-    with pytest.raises(SimulationError, match="still pending"):
-        target.trigger(source)
-    # Nothing was scheduled; both events are still pending.
-    assert not source.triggered and not target.triggered
-
-
-def test_trigger_propagates_success_and_failure(env):
-    ok_source = env.event().succeed(13)
-    ok_target = env.event()
-    ok_target.trigger(ok_source)
-    assert ok_target.triggered and ok_target._value == 13
-
-    bad_source = env.event().fail(ValueError("nope"))
-    bad_target = env.event()
-    bad_target.trigger(bad_source)
-    bad_target.defuse_source(bad_target)
-    assert bad_source._defused        # trigger defuses the source
-    assert not bad_target.ok
-    env.run()
-
-
 def test_retrigger_paths_raise(env):
     event = env.event()
     event.succeed(1)
     with pytest.raises(SimulationError):
         event.succeed(2)
+    # A timeout is born triggered, and a served store get already holds
+    # its item: neither can be triggered again.
     with pytest.raises(SimulationError):
-        event.fail(ValueError("late"))
+        env.timeout(1.0).succeed()
+    store = Store(env)
+    store.put("item")
     with pytest.raises(SimulationError):
-        env.event().fail("not an exception")  # type: ignore[arg-type]
+        store.get().succeed("other")
 
 
 def test_value_unavailable_until_triggered(env):
@@ -441,17 +240,6 @@ def test_value_unavailable_until_triggered(env):
         _ = event.value
     event.succeed("v")
     assert event.value == "v"
-
-
-def test_add_callback_runs_and_rejects_processed(env):
-    seen = []
-    event = env.event()
-    event.add_callback(lambda ev: seen.append(ev.value))
-    event.succeed(7)
-    env.run()
-    assert seen == [7]
-    with pytest.raises(SimulationError):
-        event.add_callback(lambda ev: None)
 
 
 def test_same_time_ordering_mixes_delayed_and_immediate(env):
@@ -527,25 +315,6 @@ def test_run_until_infinity_advances_clock_on_drain():
     assert plain.now == 5.0
 
 
-def test_schedule_orders_zero_delay_events_by_priority(env):
-    """_schedule keeps (time, priority, id) order for any priority value,
-    including zero-delay events with priorities beyond urgent/normal."""
-    order = []
-
-    def observe(label):
-        return lambda ev: order.append(label)
-
-    for label, priority in (("low", 3), ("normal", 1),
-                            ("urgent", 0), ("normal2", 1), ("low2", 2)):
-        event = env.event()
-        event._ok = True
-        event._value = None
-        event.add_callback(observe(label))
-        env._schedule(event, 0.0, priority=priority)
-    env.run()
-    assert order == ["urgent", "normal", "normal2", "low2", "low"]
-
-
 # ---------------------------------------------------------------------------
 # Randomized property tests: determinism and step()/run() equivalence.
 # ---------------------------------------------------------------------------
@@ -559,12 +328,44 @@ _DELAYS = st.lists(
 
 
 def _random_workload(env, spec):
+    """Random timeout chains, each ending in one of the shapes the models
+    run: a child process joined by two parents (the list-callback path
+    through ``Process._resume``), a ``Store`` hand-off to a waiting
+    getter, or a child that raises and is caught by its waiter."""
+    handoff = Store(env)
+
+    def child(env, index):
+        yield env.timeout(0.25)
+        return index
+
+    def crasher(env, index):
+        yield env.timeout(0.0)
+        raise ValueError(index)
+
+    def join(env, process):
+        return (yield process)
+
+    def take(env, store):
+        return (yield store.get())
+
     def proc(env, delays, index):
         for delay in delays:
             yield env.timeout(delay, value=index)
-        if index % 3 == 0:
-            child = env.timeout(0.25)
-            yield env.all_of([child, env.timeout(0.0)])
+        shape = index % 4
+        if shape == 0:
+            joined = env.process(child(env, index))
+            env.process(join(env, joined))
+            yield joined
+        elif shape == 1:
+            getter = env.process(take(env, handoff))
+            yield env.timeout(0.125)
+            yield handoff.put(index)
+            yield getter
+        elif shape == 2:
+            try:
+                yield env.process(crasher(env, index))
+            except ValueError:
+                pass
         return index
 
     for index, delays in enumerate(spec):
@@ -689,33 +490,35 @@ def test_stop_event_processed_mid_drain_halts_the_batch(env):
     assert order == ["a", "b", "c", "d", "a2", "b2", "c2", "d2"]
 
 
-def test_interrupt_scheduled_mid_drain_preempts_remaining_fifo(env):
-    """An Interruption lands on the urgent deque and must cut ahead of
-    events already sitting in the same-instant FIFO batch."""
+def test_process_started_mid_drain_preempts_remaining_fifo(env):
+    """A process start is the one urgent event: created mid-drain, it
+    cuts ahead of events already sitting in the same-instant FIFO
+    batch."""
     order = []
-    victim_box = []
 
-    def victim(env):
-        try:
-            yield env.timeout(5.0)
-        except Interrupt as interrupt:
-            order.append(("interrupted", interrupt.cause))
+    def newcomer(env):
+        order.append("newcomer")
+        yield env.timeout(0.0)
 
-    def attacker(env):
+    def waiter(env, inbox, label):
+        yield inbox
+        order.append(label)
+        if label == "starter":
+            env.process(newcomer(env))
+
+    inboxes = [env.event(), env.event()]
+    env.process(waiter(env, inboxes[0], "starter"))
+    env.process(waiter(env, inboxes[1], "bystander"))
+
+    def coordinator(env):
         yield env.timeout(1.0)
-        order.append("attacker")
-        victim_box[0].interrupt(cause="boom")
+        for inbox in inboxes:
+            inbox.succeed()
 
-    def bystander(env):
-        yield env.timeout(1.0)
-        order.append("bystander")
-
-    victim_box.append(env.process(victim(env)))
-    env.process(attacker(env))
-    env.process(bystander(env))
+    env.process(coordinator(env))
     env.run()
-    # The interruption preempts the bystander's same-instant resume.
-    assert order == ["attacker", ("interrupted", "boom"), "bystander"]
+    # Both wakeups were queued before the newcomer was created.
+    assert order == ["starter", "newcomer", "bystander"]
 
 
 def test_sub_resolution_delay_fires_at_current_instant_in_id_order(env):

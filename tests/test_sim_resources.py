@@ -1,9 +1,9 @@
-"""Tests for resources, stores and containers."""
+"""Tests for resources and stores."""
 
 import pytest
 
 from repro.sim.engine import SimulationError
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 def test_resource_grants_up_to_capacity(env):
@@ -38,8 +38,8 @@ def test_resource_occupancy_counts_waiters(env):
     env.process(holder(env, resource))
     env.process(waiter(env, resource))
     env.run(until=1.0)
-    assert resource.count == 1
-    assert resource.occupancy == 2.0
+    assert len(resource.users) == 1
+    assert len(resource.queue) == 1
 
 
 def test_resource_released_on_context_exit(env):
@@ -52,7 +52,7 @@ def test_resource_released_on_context_exit(env):
 
     env.process(worker(env, resource))
     env.run()
-    assert resource.count == 0
+    assert not resource.users
 
 
 def test_invalid_capacity_rejected(env):
@@ -60,26 +60,14 @@ def test_invalid_capacity_rejected(env):
         Resource(env, capacity=0)
 
 
-def test_priority_resource_orders_queue(env):
-    resource = PriorityResource(env, capacity=1)
-    completed = []
-
-    def worker(env, resource, label, priority):
-        with resource.request(priority=priority) as request:
-            yield request
-            completed.append(label)
-            yield env.timeout(1.0)
-
-    def submit(env):
-        env.process(worker(env, resource, "first", priority=0))
-        yield env.timeout(0.1)
-        # Both queued while "first" holds the resource; lower value wins.
-        env.process(worker(env, resource, "low-priority", priority=5))
-        env.process(worker(env, resource, "high-priority", priority=1))
-
-    env.process(submit(env))
-    env.run()
-    assert completed == ["first", "high-priority", "low-priority"]
+def test_cancelled_waiter_leaves_the_queue(env):
+    resource = Resource(env, capacity=1)
+    held = resource.request()
+    queued = resource.request()
+    queued.cancel()
+    assert list(resource.queue) == []
+    resource.release(held)
+    assert resource.users == []
 
 
 def test_store_is_fifo(env):
@@ -145,58 +133,3 @@ def test_store_len_reports_queued_items(env):
     store.put("b")
     env.run()
     assert len(store) == 2
-
-
-def test_container_get_blocks_until_level_sufficient(env):
-    container = Container(env, capacity=100.0, init=0.0)
-    got = []
-
-    def consumer(env, container):
-        yield container.get(10.0)
-        got.append(env.now)
-
-    def producer(env, container):
-        yield env.timeout(2.0)
-        yield container.put(10.0)
-
-    env.process(consumer(env, container))
-    env.process(producer(env, container))
-    env.run()
-    assert got == [2.0]
-    assert container.level == 0.0
-
-
-def test_container_rejects_negative_amounts(env):
-    container = Container(env, capacity=10.0)
-    with pytest.raises(SimulationError):
-        container.put(-1.0)
-    with pytest.raises(SimulationError):
-        container.get(-1.0)
-
-
-def test_container_initial_level_validated(env):
-    with pytest.raises(SimulationError):
-        Container(env, capacity=5.0, init=10.0)
-
-
-def test_request_fast_path_defers_to_subclass_hooks(env):
-    """resource.request() must honor subclass admission/grant overrides
-    exactly like direct Request(resource) construction does."""
-    from repro.sim.resources import Request, Resource
-
-    granted = []
-
-    class LoggingResource(Resource):
-        __slots__ = ()
-
-        def _grant(self, request):
-            granted.append(request)
-            super()._grant(request)
-
-    resource = LoggingResource(env, capacity=1)
-    via_method = resource.request()
-    via_ctor = Request(resource)          # queued: capacity taken
-    assert granted == [via_method]
-    resource.release(via_method)
-    env.run()
-    assert granted == [via_method, via_ctor]
