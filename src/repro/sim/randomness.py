@@ -96,7 +96,8 @@ class StreamRandom:
 
     def uniform(self, low: float, high: float) -> float:
         span = high - low
-        if not 0.0 <= span < math.inf:
+        # numpy rejects a range by its sign bit, so a span of -0.0 too.
+        if not 0.0 < span < math.inf and (span != 0.0 or math.copysign(1.0, span) < 0.0):
             if math.isfinite(span):
                 raise ValueError("high - low < 0")
             raise OverflowError("high - low range exceeds valid bounds")

@@ -247,8 +247,9 @@ def test_first_other_draw_anywhere_in_a_block(block, first_other):
 
 def test_uniform_rejects_bad_ranges_like_numpy():
     stream = StreamRandom(3)
-    with pytest.raises(ValueError):
-        stream.uniform(1.0, 0.0)
+    for low, high in [(1.0, 0.0), (0.0, -0.0)]:
+        with pytest.raises(ValueError):
+            stream.uniform(low, high)
     for low, high in [(0.0, float("inf")), (float("nan"), 1.0), (0.0, -float("inf"))]:
         with pytest.raises(OverflowError):
             stream.uniform(low, high)
